@@ -25,8 +25,8 @@ import numpy as np
 
 from .config import Config, TrainSpec, load_config
 from .errors import ConfigError, DivergenceError, InvalidInputError, MtjsnnError
-from .macrospin import integrate_macrospin, initial_state
-from .network import Network, SimConfig, Trace, simulate_network
+from .macrospin import measure_latency
+from .network import Network, SimConfig, simulate_network
 from .tlr import TlrParams, run_tlr
 from .trainer import TrainConfig, TrainHistory, train
 from .xorbench import run_xor_eval, write_row_traces, xor_dataset
@@ -74,15 +74,13 @@ def initial_weights(net: Network, spec: TrainSpec, seed: int) -> Network:
     return net.with_weights(base + rng.uniform(-spec.init_jitter, spec.init_jitter, base.size))
 
 
-def _train_config(spec: TrainSpec, seed: int) -> TrainConfig:
+def _train_config(spec: TrainSpec) -> TrainConfig:
     return TrainConfig(
         eta=spec.eta,
         fd_epsilon=spec.fd_epsilon,
         max_epochs=spec.max_epochs,
         tol=spec.tol,
         no_spike_penalty_time=spec.no_spike_penalty_time,
-        seed=seed,
-        parallel=spec.parallel,
     )
 
 
@@ -104,50 +102,42 @@ def _run_training(cfg: Config, seed: int) -> tuple[Network, TrainHistory]:
     net0 = initial_weights(cfg.network, cfg.train, seed)
     dataset = xor_dataset(cfg.encoding, cfg.sim.horizon)
     train_sim = SimConfig(dt=cfg.train.dt, horizon=cfg.sim.horizon)
-    return train(net0, dataset, _train_config(cfg.train, seed), sim=train_sim)
+    return train(net0, dataset, _train_config(cfg.train), sim=train_sim)
 
 
-def _write_train_outputs(out_dir: str, net: Network, history: TrainHistory) -> None:
+def _train_and_write(cfg: Config, out_dir: str, seed: int) -> tuple[int, Optional[Network]]:
+    """Train, write weights.out and history.csv, and return the exit code
+    with the trained network (None when training raised)."""
+    try:
+        net, history = _run_training(cfg, seed)
+    except DivergenceError as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return EXIT_DIVERGENCE, None
+    except MtjsnnError as exc:
+        print(f"simulation failed: {exc}", file=sys.stderr)
+        return EXIT_SIMULATION, None
     write_text(os.path.join(out_dir, "weights.out"), _weights_text(net))
     atomic_write(os.path.join(out_dir, "history.csv"), history.to_csv)
+    if not history.converged:
+        print(f"epoch budget exhausted after {history.epochs} epochs", file=sys.stderr)
+        return EXIT_EPOCHS_EXHAUSTED, net
+    return EXIT_OK, net
 
 
 def cmd_train(cfg: Config, out_dir: str, seed: int) -> int:
-    try:
-        net, history = _run_training(cfg, seed)
-    except DivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except MtjsnnError as exc:
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
-    _write_train_outputs(out_dir, net, history)
-    if not history.converged:
-        print(f"epoch budget exhausted after {history.epochs} epochs", file=sys.stderr)
-        return EXIT_EPOCHS_EXHAUSTED
-    return EXIT_OK
+    return _train_and_write(cfg, out_dir, seed)[0]
 
 
 def cmd_bench_xor(cfg: Config, out_dir: str, seed: int) -> int:
-    try:
-        net, history = _run_training(cfg, seed)
-    except DivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except MtjsnnError as exc:
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
-    _write_train_outputs(out_dir, net, history)
-    if not history.converged:
-        print(f"epoch budget exhausted after {history.epochs} epochs", file=sys.stderr)
-        return EXIT_EPOCHS_EXHAUSTED
-
+    code, net = _train_and_write(cfg, out_dir, seed)
+    if code != EXIT_OK:
+        return code
     try:
         report = run_xor_eval(net, cfg.sim, cfg.encoding)
-        write_row_traces(net, cfg.sim, cfg.encoding, out_dir)
     except MtjsnnError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
+    write_row_traces(report.traces, out_dir)
     write_text(os.path.join(out_dir, "xor_report.txt"), report.text())
     print(report.text(), end="")
     if not report.all_rows_pass:
@@ -171,12 +161,6 @@ def _tlr_latency(params: TlrParams, drive: float, dt: float, horizon: float) -> 
     return run.onsets[0] if run.onsets else None
 
 
-def _macrospin_latency(params, v_gate: float, dt: float, horizon: float) -> Optional[float]:
-    trace = integrate_macrospin(initial_state(params), params, lambda t: v_gate, dt, horizon)
-    times = trace.switching_times()
-    return times[0] if times else None
-
-
 def cmd_sweep_latency(cfg: Config, out_dir: str, seed: int) -> int:
     sweep = cfg.sweep
     if sweep is None:
@@ -188,7 +172,7 @@ def cmd_sweep_latency(cfg: Config, out_dir: str, seed: int) -> int:
             if sweep.backend == "tlr":
                 latency = _tlr_latency(sweep.params, drive, sweep.dt, sweep.horizon)
             else:
-                latency = _macrospin_latency(sweep.params, drive, sweep.dt, sweep.horizon)
+                latency = measure_latency(sweep.params, drive, sweep.dt, sweep.horizon)
             rows.append(f"{repr(float(drive))},{'' if latency is None else repr(float(latency))}")
     except MtjsnnError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)

@@ -38,7 +38,6 @@ class TrainSpec:
     seed: int = 2
     seeds: tuple[int, ...] = defaults.XOR_SEEDS
     init_jitter: float = defaults.TRAIN_INIT_JITTER
-    parallel: bool = False
     dt: float = defaults.TRAIN_DT   # training-time simulation grid
 
 
@@ -78,6 +77,20 @@ def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"expected a number, got {value!r}", key=path)
     return float(value)
+
+
+def _int(value: Any, path: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"expected an integer, got {value!r}", key=path)
+    return value
+
+
+def _bool(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"expected true or false, got {value!r}", key=path)
+    return value
 
 
 def _number_list(value: Any, path: str) -> list[float]:
@@ -150,7 +163,7 @@ def _parse_preset_network(section: dict, path: str) -> Network:
     return build_xor_network(
         params=params,
         weights=weights,
-        bias_to_output=bool(section.get("bias_to_output", True)),
+        bias_to_output=_bool(section.get("bias_to_output", True), f"{path}.bias_to_output"),
         source_amplitude=_number(
             section.get("source_amplitude", defaults.XOR_SOURCE_AMPLITUDE),
             f"{path}.source_amplitude",
@@ -238,7 +251,7 @@ def _parse_encoding(section: dict, path: str) -> EncodingConfig:
 
 def _parse_train(section: dict, path: str) -> TrainSpec:
     allowed = {"eta", "fd_epsilon", "max_epochs", "tol", "no_spike_penalty_time",
-               "seed", "seeds", "init_jitter", "parallel", "dt"}
+               "seed", "seeds", "init_jitter", "dt"}
     _check_keys(section, allowed, path)
     seeds = section.get("seeds", list(defaults.XOR_SEEDS))
     if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
@@ -246,17 +259,17 @@ def _parse_train(section: dict, path: str) -> TrainSpec:
     spec = TrainSpec(
         eta=_number(section.get("eta", defaults.TRAIN_ETA), f"{path}.eta"),
         fd_epsilon=_number(section.get("fd_epsilon", 1e-3), f"{path}.fd_epsilon"),
-        max_epochs=int(section.get("max_epochs", defaults.TRAIN_MAX_EPOCHS)),
+        max_epochs=_int(section.get("max_epochs", defaults.TRAIN_MAX_EPOCHS),
+                        f"{path}.max_epochs"),
         tol=_number(section.get("tol", defaults.TRAIN_TOL), f"{path}.tol"),
         no_spike_penalty_time=(
             None if section.get("no_spike_penalty_time") is None
             else _number(section["no_spike_penalty_time"], f"{path}.no_spike_penalty_time")
         ),
-        seed=int(section.get("seed", 2)),
+        seed=_int(section.get("seed", 2), f"{path}.seed"),
         seeds=tuple(seeds),
         init_jitter=_number(section.get("init_jitter", defaults.TRAIN_INIT_JITTER),
                             f"{path}.init_jitter"),
-        parallel=bool(section.get("parallel", False)),
         dt=_number(section.get("dt", defaults.TRAIN_DT), f"{path}.dt"),
     )
     if spec.eta < 0:

@@ -4,14 +4,15 @@ The loss per row is L = (t_actual - t_desired)^2 / 2 on the output
 neuron's first spike time.  Weight sensitivities dt/dw are obtained by
 central finite differences of two complete simulations per weight, so the
 update Delta w = -eta * (dL/dt) * (dt/dw) is exact gradient descent with
-respect to the simulator.  Updates are batched over all dataset rows and
-applied once per epoch.
+respect to the simulator.  Where the output is silent on one side of the
+perturbation (the firing boundary), a one-sided difference against the
+unperturbed spike time is used, and silent on both sides gives 0.  Updates
+are batched over all dataset rows and applied once per epoch.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,8 +29,6 @@ class TrainConfig:
     max_epochs: int = 10000
     tol: float = 0.05                 # ns, convergence band around targets
     no_spike_penalty_time: Optional[float] = None  # defaults to the sim horizon
-    seed: int = 1                     # weight initialization seed
-    parallel: bool = False            # evaluate FD simulations in a thread pool
 
     def __post_init__(self):
         if self.eta < 0:
@@ -79,18 +78,6 @@ def weight_update(grad_time: float, jacobian: float, eta: float) -> float:
     return -eta * grad_time * jacobian
 
 
-def _output_time(
-    net: Network,
-    stimulus: dict[str, list[float]],
-    output_id: str,
-    sim: SimConfig,
-    penalty: float,
-) -> float:
-    trace = simulate_network(net.with_schedules(stimulus), sim)
-    t = first_spike_time(trace, output_id)
-    return penalty if t is None else t
-
-
 def spike_time_jacobian_fd(
     net: Network,
     stimulus: dict[str, list[float]],
@@ -104,9 +91,10 @@ def spike_time_jacobian_fd(
     """Finite-difference sensitivity of the output spike time to one weight.
 
     Central difference over two full simulations.  When the output is silent
-    on one side, the silent time is replaced by the no-spike penalty and a
-    one-sided difference against the unperturbed network is used instead
-    (firing boundary).  Silent on both sides gives 0.
+    on one side, a one-sided difference against the unperturbed spike time
+    ``t_base`` is used instead (firing boundary); a silent base counts as the
+    no-spike penalty.  Silent on both sides gives 0.  Without ``t_base`` the
+    one-sided case runs a third simulation of the unperturbed network.
     """
     sim = sim or SimConfig()
     if penalty is None:
@@ -131,30 +119,6 @@ def spike_time_jacobian_fd(
     if t_base is None:
         t0 = t_at(0.0)
         t_base = penalty if t0 is None else t0
-    if t_plus is not None:
-        return (t_plus - t_base) / eps
-    return (t_base - t_minus) / eps
-
-
-def _fd_times(net, jobs, sim, parallel):
-    """Evaluate perturbed output spike times (None = silent) in fixed order."""
-    def run(job):
-        weights, stimulus, output_id = job
-        trace = simulate_network(net.with_weights(weights).with_schedules(stimulus), sim)
-        return first_spike_time(trace, output_id)
-
-    if parallel:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            return list(pool.map(run, jobs))
-    return [run(job) for job in jobs]
-
-
-def _fd_jacobian(t_plus, t_minus, t_base, eps):
-    """Central difference, falling back to one-sided at the firing boundary."""
-    if t_plus is not None and t_minus is not None:
-        return (t_plus - t_minus) / (2.0 * eps)
-    if t_plus is None and t_minus is None:
-        return 0.0
     if t_plus is not None:
         return (t_plus - t_base) / eps
     return (t_base - t_minus) / eps
@@ -224,23 +188,13 @@ def train(
             return net.with_weights(weights), history
 
         # finite-difference jacobians: 2 simulations per (row, edge), fixed order
-        jobs = []
-        for stimulus, _t_des in dataset:
-            for j in range(n_edges):
-                for sign in (+1.0, -1.0):
-                    wp = weights.copy()
-                    wp[j] += sign * config.fd_epsilon
-                    jobs.append((wp, stimulus, output_id))
-        results = _fd_times(net, jobs, sim, config.parallel)
-
         delta = np.zeros(n_edges)
-        idx = 0
         for (stimulus, t_des), t_act in zip(dataset, times):
             grad = loss_gradient_time(t_act, t_des)
             for j in range(n_edges):
-                t_plus, t_minus = results[idx], results[idx + 1]
-                idx += 2
-                jac = _fd_jacobian(t_plus, t_minus, t_act, config.fd_epsilon)
+                jac = spike_time_jacobian_fd(
+                    current, stimulus, j, config.fd_epsilon, output_id, sim, t_base=t_act
+                )
                 delta[j] += weight_update(grad, jac, config.eta)
         weights = weights + delta
 

@@ -159,6 +159,7 @@ class XorReport:
     threshold_gate_ok: bool = False
     latency_shift_ok: bool = False
     refraction_ok: bool = False
+    traces: list[Trace] = field(default_factory=list)   # one per row, XOR_ROWS order
 
     @property
     def all_rows_pass(self) -> bool:
@@ -223,6 +224,7 @@ def run_xor_eval(
         except Exception as exc:
             raise type(exc)(f"row (a={row.a}, b={row.b}): {exc}") from exc
         traces[(row.a, row.b)] = trace
+        report.traces.append(trace)
         onset = first_spike_time(trace, OUTPUT_ID)
         decoded = decode_output(onset)
         passed = (
@@ -274,14 +276,13 @@ def xor_dataset(
     ]
 
 
-def write_row_traces(net: Network, sim: SimConfig, encoding: EncodingConfig, out_dir) -> list:
-    """Per-row trace CSVs named row<k>_<signal>.csv (drive, voltage, state)."""
+def write_row_traces(traces: list[Trace], out_dir) -> list:
+    """Per-row trace CSVs named row<k>_<signal>.csv (drive, voltage, state),
+    from the row traces of ``run_xor_eval`` (``XorReport.traces``)."""
     import os
 
     paths = []
-    for k, row in enumerate(XOR_ROWS, start=1):
-        stimulus = encode_inputs(row, encoding, sim.horizon)
-        trace = simulate_network(net.with_schedules(stimulus), sim)
+    for k, trace in enumerate(traces, start=1):
         for kind, suffix in (("drive", "drive"), ("v", "voltage"), ("state", "state")):
             names = [n for n in trace.signals if n.endswith("." + kind)]
             path = os.path.join(out_dir, f"row{k}_{suffix}.csv")

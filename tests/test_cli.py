@@ -102,6 +102,13 @@ class TestTrain:
         code = main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == EXIT_DIVERGENCE
 
+    @pytest.mark.parametrize("train", [{"parallel": False}, {"max_epochs": "abc"}])
+    def test_bad_train_key_exit_2_names_key(self, tmp_path, capsys, train):
+        cfg = write_config(tmp_path, xor_doc(train=train))
+        code = main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"config error: train.{next(iter(train))}:" in capsys.readouterr().err
+
     def test_seed_flag_overrides_config(self, tmp_path):
         doc = xor_doc(train={"max_epochs": 1, "seed": 2})
         cfg = write_config(tmp_path, doc)

@@ -91,6 +91,13 @@ class TestPresetNetwork:
                 network={"preset": "xor", "neurons": {"o1": {"tau": 1.0}}}))
         assert e.value.key == "network.neurons.o1.tau"
 
+    def test_bias_to_output_must_be_bool(self):
+        with pytest.raises(ConfigError) as e:
+            parse_config(minimal(network={"preset": "xor", "bias_to_output": "no"}))
+        assert e.value.key == "network.bias_to_output"
+        cfg = parse_config(minimal(network={"preset": "xor", "bias_to_output": False}))
+        assert len(cfg.network.synapses) == 8
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError) as e:
             parse_config(minimal(network={"preset": "nand"}))
@@ -142,6 +149,29 @@ class TestTrainSection:
         with pytest.raises(ConfigError) as e:
             parse_config(minimal(train={"eta": -0.1}))
         assert e.value.key == "train.eta"
+
+    @pytest.mark.parametrize("key,value", [
+        ("max_epochs", "abc"),
+        ("max_epochs", 2.9),
+        ("max_epochs", True),
+        ("seed", "x"),
+        ("seed", 1.5),
+        ("seed", float("inf")),
+    ])
+    def test_bad_integer_names_key(self, key, value):
+        with pytest.raises(ConfigError) as e:
+            parse_config(minimal(train={key: value}))
+        assert e.value.key == f"train.{key}"
+
+    def test_integral_float_accepted(self):
+        cfg = parse_config(minimal(train={"max_epochs": 3.0, "seed": 4}))
+        assert cfg.train.max_epochs == 3 and isinstance(cfg.train.max_epochs, int)
+        assert cfg.train.seed == 4
+
+    def test_parallel_is_unknown_key(self):
+        with pytest.raises(ConfigError) as e:
+            parse_config(minimal(train={"parallel": False}))
+        assert e.value.key == "train.parallel"
 
     def test_bad_seeds(self):
         with pytest.raises(ConfigError) as e:

@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mtjsnn import trainer
 from mtjsnn.errors import DivergenceError, InvalidInputError
-from mtjsnn.network import Network, Neuron, SimConfig, Source, Synapse
+from mtjsnn.network import (
+    Network,
+    Neuron,
+    SimConfig,
+    Source,
+    Synapse,
+    first_spike_time,
+    simulate_network,
+)
 from mtjsnn.tlr import TlrParams
 from mtjsnn.trainer import (
     TrainConfig,
@@ -103,6 +112,44 @@ class TestJacobianFd:
         jac = spike_time_jacobian_fd(net, self.STIM, 0, 1e-3, sim=self.SIM)
         assert jac == 0.0
 
+    def test_one_sided_at_firing_boundary(self, monkeypatch):
+        eps = 1e-3
+
+        def t_out(weight):
+            net = chain_network(weight).with_schedules(self.STIM)
+            return first_spike_time(simulate_network(net, self.SIM), "o1")
+
+        # bisect the firing boundary; at the last silent weight w, w - eps
+        # stays silent while w + eps fires
+        lo, hi = 0.0, 5.0
+        assert t_out(lo) is None and t_out(hi) is not None
+        while hi - lo > eps / 2:
+            mid = 0.5 * (lo + hi)
+            if t_out(mid) is None:
+                lo = mid
+            else:
+                hi = mid
+        t_plus = t_out(lo + eps)
+        assert t_out(lo - eps) is None and t_out(lo) is None and t_plus is not None
+        t_base = self.SIM.horizon  # silent base counts as the no-spike penalty
+        expected = (t_plus - t_base) / eps
+
+        calls = []
+        real = trainer.simulate_network
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "simulate_network", counting)
+        net = chain_network(lo)
+        assert spike_time_jacobian_fd(net, self.STIM, 0, eps, sim=self.SIM) == expected
+        assert len(calls) == 3   # +eps, -eps, then the unperturbed base
+        calls.clear()
+        jac = spike_time_jacobian_fd(net, self.STIM, 0, eps, sim=self.SIM, t_base=t_base)
+        assert jac == expected
+        assert len(calls) == 2   # a given t_base spares the base simulation
+
     def test_bad_edge_index(self):
         with pytest.raises(InvalidInputError):
             spike_time_jacobian_fd(chain_network(5.0), self.STIM, 7, 1e-3, sim=self.SIM)
@@ -171,14 +218,6 @@ class TestTrain:
         with pytest.raises(DivergenceError):
             train(net, near_dataset, TrainConfig(eta=5000.0, tol=1e-9, max_epochs=100),
                   sim=self.SIM)
-
-    def test_parallel_matches_serial(self):
-        net, dataset = self.one_weight_problem(weight=4.0, target=1.5)
-        kwargs = dict(eta=0.3, tol=1e-9, max_epochs=5)
-        out_s, hist_s = train(net, dataset, TrainConfig(parallel=False, **kwargs), sim=self.SIM)
-        out_p, hist_p = train(net, dataset, TrainConfig(parallel=True, **kwargs), sim=self.SIM)
-        assert np.array_equal(out_s.weight_vector(), out_p.weight_vector())
-        assert hist_s.losses == hist_p.losses
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InvalidInputError):

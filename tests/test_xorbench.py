@@ -1,10 +1,13 @@
 """XOR benchmark: encoding, decoding, network construction, mechanism checks."""
 
+import filecmp
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mtjsnn import xorbench
 from mtjsnn.defaults import xor_reference_network
 from mtjsnn.errors import InvalidInputError
 from mtjsnn.network import SimConfig, first_spike_time, simulate_network, validate_topology
@@ -17,6 +20,7 @@ from mtjsnn.xorbench import (
     decode_output,
     encode_inputs,
     run_xor_eval,
+    write_row_traces,
     xor_dataset,
 )
 
@@ -165,3 +169,27 @@ class TestRunXorEval:
                 for wc in np.linspace(-2, 2, 9):
                     outs = [int(wa * a + wb * b + wc * c > 0) for a, b, c, _ in rows]
                     assert outs != [t for _, _, _, t in rows]
+
+
+class TestWriteRowTraces:
+    def test_each_row_simulated_once(self, tmp_path, monkeypatch):
+        net = xor_reference_network()
+        calls = []
+        real = xorbench.simulate_network
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(xorbench, "simulate_network", counting)
+        report = run_xor_eval(net, SIM)
+        write_row_traces(report.traces, tmp_path)
+        assert len(calls) == 4
+        monkeypatch.undo()
+
+        fresh = simulate_network(net.with_schedules(encode_inputs(XorRow(0, 0), horizon=5.0)), SIM)
+        fresh_dir = tmp_path / "fresh"
+        fresh_dir.mkdir()
+        write_row_traces([fresh], fresh_dir)
+        assert filecmp.cmp(tmp_path / "row1_voltage.csv", fresh_dir / "row1_voltage.csv",
+                           shallow=False)
