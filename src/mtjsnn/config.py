@@ -254,7 +254,7 @@ def _parse_train(section: dict, path: str) -> TrainSpec:
                "seed", "seeds", "init_jitter", "dt"}
     _check_keys(section, allowed, path)
     seeds = section.get("seeds", list(defaults.XOR_SEEDS))
-    if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list):
         raise ConfigError("expected a list of integers", key=f"{path}.seeds")
     spec = TrainSpec(
         eta=_number(section.get("eta", defaults.TRAIN_ETA), f"{path}.eta"),
@@ -267,13 +267,19 @@ def _parse_train(section: dict, path: str) -> TrainSpec:
             else _number(section["no_spike_penalty_time"], f"{path}.no_spike_penalty_time")
         ),
         seed=_int(section.get("seed", 2), f"{path}.seed"),
-        seeds=tuple(seeds),
+        seeds=tuple(_int(s, f"{path}.seeds[{k}]") for k, s in enumerate(seeds)),
         init_jitter=_number(section.get("init_jitter", defaults.TRAIN_INIT_JITTER),
                             f"{path}.init_jitter"),
         dt=_number(section.get("dt", defaults.TRAIN_DT), f"{path}.dt"),
     )
     if spec.eta < 0:
         raise ConfigError("eta must be >= 0", key=f"{path}.eta")
+    if not spec.fd_epsilon > 0:
+        raise ConfigError("fd_epsilon must be > 0", key=f"{path}.fd_epsilon")
+    if not spec.tol > 0:
+        raise ConfigError("tol must be > 0", key=f"{path}.tol")
+    if not 0 < spec.dt <= 0.01:
+        raise ConfigError("dt must be in (0, 0.01] ns", key=f"{path}.dt")
     if spec.init_jitter < 0:
         raise ConfigError("init_jitter must be >= 0", key=f"{path}.init_jitter")
     return spec

@@ -7,6 +7,11 @@ output node; the transistor pulls the node toward ground, so the node
 voltage is ``v_dd - i * R(m)``.  Switching of the free layer changes the
 MTJ resistance and shows up as a voltage transient at the node.
 
+The integrator steps the three components of m as plain Python floats: the
+LLGS right-hand side is written out component by component (``_llgs``) and
+the node voltage comes from the closed-form root of the series-circuit
+equation, so a step allocates no arrays.
+
 Units: time ns, field T, current mA, resistance kOhm, voltage V
 (mA * kOhm = V), gyromagnetic ratio rad/(ns*T).
 """
@@ -24,7 +29,6 @@ from .errors import InsufficientDataError, InvalidInputError, InvalidStateError,
 from .tlr import TlrParams
 
 _UNIT_TOL = 1e-6
-_NODE_TOL = 1e-9  # volts, circuit bisection tolerance
 
 
 @dataclass(frozen=True)
@@ -89,24 +93,43 @@ def _check_unit(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _llgs(x: float, y: float, z: float, params: MacrospinParams,
+          i_device: float) -> tuple[float, float, float]:
+    """Components of dm/dt for m = (x, y, z); see ``llgs_derivative``."""
+    ex, ey, ez = params.polarizer
+    a = params.h_easy * (x * ex + y * ey + z * ez)
+    hx, hy, hz = a * ex, a * ey, a * ez - params.h_demag * z
+    gp = params.gamma / (1.0 + params.alpha ** 2)
+    gpa = gp * params.alpha
+    s = params.stt_coefficient * i_device
+    # m x h_eff, m x (m x h_eff), m x e, m x (m x e)
+    px, py, pz = y * hz - z * hy, z * hx - x * hz, x * hy - y * hx
+    qx, qy, qz = y * pz - z * py, z * px - x * pz, x * py - y * px
+    ux, uy, uz = y * ez - z * ey, z * ex - x * ez, x * ey - y * ex
+    wx, wy, wz = y * uz - z * uy, z * ux - x * uz, x * uy - y * ux
+    return (
+        (-gp * px - gpa * qx) + s * wx,
+        (-gp * py - gpa * qy) + s * wy,
+        (-gp * pz - gpa * qz) + s * wz,
+    )
+
+
 def llgs_derivative(m: np.ndarray, params: MacrospinParams, i_device: float) -> np.ndarray:
     """dm/dt in 1/ns; exactly orthogonal to m term by term."""
-    m = _check_unit(m)
-    e = params.easy_axis
-    h_eff = params.h_easy * float(np.dot(m, e)) * e
-    h_eff = h_eff - np.array([0.0, 0.0, params.h_demag * m[2]])
-    gp = params.gamma / (1.0 + params.alpha ** 2)
-    mxh = np.cross(m, h_eff)
-    dm = -gp * mxh - gp * params.alpha * np.cross(m, mxh)
-    dm = dm + params.stt_coefficient * i_device * np.cross(m, np.cross(m, e))
-    return dm
+    x, y, z = _check_unit(m)
+    return np.array(_llgs(float(x), float(y), float(z), params, i_device))
+
+
+def _resistance(x: float, y: float, z: float, params: MacrospinParams) -> float:
+    ex, ey, ez = params.polarizer
+    c = x * ex + y * ey + z * ez
+    return params.r_parallel + (params.r_antiparallel - params.r_parallel) * (1.0 - c) / 2.0
 
 
 def mtj_resistance(m: np.ndarray, params: MacrospinParams) -> float:
     """Cosine interpolation between parallel and antiparallel resistance."""
-    m = _check_unit(m)
-    c = float(np.dot(m, params.easy_axis))
-    return params.r_parallel + (params.r_antiparallel - params.r_parallel) * (1.0 - c) / 2.0
+    x, y, z = _check_unit(m)
+    return _resistance(float(x), float(y), float(z), params)
 
 
 def nmos_current(v_gate: float, v_drain: float, params: MacrospinParams) -> float:
@@ -124,23 +147,29 @@ def nmos_current(v_gate: float, v_drain: float, params: MacrospinParams) -> floa
 def solve_node(resistance: float, v_gate: float, params: MacrospinParams) -> tuple[float, float]:
     """Self-consistent node voltage and device current for the series circuit.
 
-    Solves v = v_dd - i(v) * R by bisection on v in [0, v_dd].
+    Solves v = v_dd - i(v) * R in closed form.  With the transistor in
+    cutoff the node sits at the rail.  In saturation
+    v = v_dd - R*k*v_ov^2/2, valid when that is >= v_ov.  Otherwise the
+    transistor is in triode and v is the root in [0, v_ov] of
+    (R*k/2) v^2 - (1 + R*k*v_ov) v + v_dd = 0, taken in the cancellation-free
+    form 2*v_dd / (b + sqrt(b^2 - 2*R*k*v_dd)) with b = 1 + R*k*v_ov.
+    A root outside [0, v_dd] (for example a negative ``transistor_k``)
+    raises ``NumericalFailureError``.
     """
-    def f(v: float) -> float:
-        return params.v_dd - nmos_current(v_gate, v, params) * resistance - v
-
-    lo, hi = 0.0, params.v_dd
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo < 0 or f_hi > 0:
+    if not math.isfinite(v_gate):
+        raise InvalidInputError("voltages must be finite")
+    v_dd = params.v_dd
+    v_ov = v_gate - params.transistor_vt
+    v = v_dd
+    if v_ov > 0:
+        rk = resistance * params.transistor_k
+        v = v_dd - 0.5 * rk * v_ov * v_ov
+        if v < v_ov:
+            b = 1.0 + rk * v_ov
+            v = 2.0 * v_dd / (b + math.sqrt(b * b - 2.0 * rk * v_dd))
+    if not 0.0 <= v <= v_dd:
         raise NumericalFailureError("circuit solve: no bracket in [0, v_dd]")
-    while hi - lo > _NODE_TOL:
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    v_node = 0.5 * (lo + hi)
-    return v_node, nmos_current(v_gate, v_node, params)
+    return v, nmos_current(v_gate, v, params)
 
 
 @dataclass
@@ -186,10 +215,13 @@ def integrate_macrospin(
 ) -> MacrospinTrace:
     """Fixed-step RK4 integration with per-step circuit solve.
 
-    The device current is solved self-consistently from the node equation at
-    the start of each step and held constant across the RK4 stages; m is
-    renormalized after every step.  ``v_gate_waveform`` is either a callable
-    of time or an array of grid-point samples.
+    The device current is solved self-consistently from the node equation
+    (``solve_node``, closed form) at the start of each step and held
+    constant across the RK4 stages; each stage input and each step result
+    is renormalized to unit length.  The step runs on the three components
+    of m as Python floats and writes every grid point into preallocated
+    arrays.  ``v_gate_waveform`` is either a callable of time or an array
+    of grid-point samples.
     """
     if not (0 < dt <= 0.01):
         raise InvalidInputError("dt must be in (0, 0.01] ns")
@@ -198,34 +230,39 @@ def integrate_macrospin(
 
     n_steps = int(round(horizon / dt))
     time = dt * np.arange(n_steps + 1) + state.t
-    m = _check_unit(state.m).copy()
+    x, y, z = (float(c) for c in _check_unit(state.m))
 
     v_node_series = np.empty(n_steps + 1)
     i_series = np.empty(n_steps + 1)
     m_series = np.empty((n_steps + 1, 3))
 
+    h, h6 = 0.5 * dt, dt / 6.0
     for k in range(n_steps + 1):
-        t = time[k]
-        r = mtj_resistance(m, params)
-        v_gate = _gate_at(v_gate_waveform, k, t)
+        r = _resistance(x, y, z, params)
+        v_gate = _gate_at(v_gate_waveform, k, time[k])
         v_node, i_dev = solve_node(r, v_gate, params)
         v_node_series[k] = v_node
         i_series[k] = i_dev
-        m_series[k] = m
+        m_series[k] = (x, y, z)
         if k == n_steps:
             break
-        k1 = llgs_derivative(m, params, i_dev)
-        k2 = llgs_derivative(_renorm(m + 0.5 * dt * k1), params, i_dev)
-        k3 = llgs_derivative(_renorm(m + 0.5 * dt * k2), params, i_dev)
-        k4 = llgs_derivative(_renorm(m + dt * k3), params, i_dev)
-        m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        m = m / np.linalg.norm(m)
+        k1x, k1y, k1z = _llgs(x, y, z, params, i_dev)
+        ax, ay, az = x + h * k1x, y + h * k1y, z + h * k1z
+        n = math.sqrt(ax * ax + ay * ay + az * az)
+        k2x, k2y, k2z = _llgs(ax / n, ay / n, az / n, params, i_dev)
+        ax, ay, az = x + h * k2x, y + h * k2y, z + h * k2z
+        n = math.sqrt(ax * ax + ay * ay + az * az)
+        k3x, k3y, k3z = _llgs(ax / n, ay / n, az / n, params, i_dev)
+        ax, ay, az = x + dt * k3x, y + dt * k3y, z + dt * k3z
+        n = math.sqrt(ax * ax + ay * ay + az * az)
+        k4x, k4y, k4z = _llgs(ax / n, ay / n, az / n, params, i_dev)
+        x = x + h6 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        y = y + h6 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        z = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        n = math.sqrt(x * x + y * y + z * z)
+        x, y, z = x / n, y / n, z / n
 
     return MacrospinTrace(time=time, v_node=v_node_series, i_device=i_series, m=m_series, params=params)
-
-
-def _renorm(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
 
 
 def measure_latency(
@@ -250,7 +287,14 @@ def find_switching_threshold(
     tol: float = 1e-3,
     tilt_deg: float = 1.0,
 ) -> float:
-    """Gate voltage separating no-switch from switch within the horizon."""
+    """Gate voltage separating no-switch from switch within the horizon.
+
+    Bisects [v_lo, v_hi] until the bracket is at most ``tol`` wide.
+    """
+    if not tol > 0:
+        raise InvalidInputError("tol must be > 0")
+    if not v_lo < v_hi:
+        raise InvalidInputError("need v_lo < v_hi")
     if measure_latency(params, v_hi, dt, horizon, tilt_deg) is None:
         raise NumericalFailureError("v_hi does not switch within the horizon")
     while v_hi - v_lo > tol:

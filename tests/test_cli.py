@@ -109,6 +109,15 @@ class TestTrain:
         assert code == EXIT_CONFIG
         assert f"config error: train.{next(iter(train))}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("train", [{"fd_epsilon": 0}, {"tol": 0}, {"dt": 0.02}])
+    def test_out_of_range_train_value_exit_2(self, tmp_path, capsys, train):
+        cfg = write_config(tmp_path, xor_doc(train=train))
+        code = main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"config error: train.{next(iter(train))}:" in err
+        assert "simulation failed" not in err
+
     def test_seed_flag_overrides_config(self, tmp_path):
         doc = xor_doc(train={"max_epochs": 1, "seed": 2})
         cfg = write_config(tmp_path, doc)

@@ -178,6 +178,34 @@ class TestTrainSection:
             parse_config(minimal(train={"seeds": "abc"}))
         assert e.value.key == "train.seeds"
 
+    @pytest.mark.parametrize("seeds,key", [
+        ([True, 2], "train.seeds[0]"),
+        ([1, "x"], "train.seeds[1]"),
+        ([1, 2.5], "train.seeds[1]"),
+    ])
+    def test_bad_seed_element_names_key(self, seeds, key):
+        with pytest.raises(ConfigError) as e:
+            parse_config(minimal(train={"seeds": seeds}))
+        assert e.value.key == key
+
+    @pytest.mark.parametrize("key,value", [
+        ("fd_epsilon", 0),
+        ("fd_epsilon", -1e-3),
+        ("tol", 0),
+        ("tol", -0.05),
+        ("dt", 0),
+        ("dt", 0.02),
+        ("dt", -0.002),
+    ])
+    def test_out_of_range_names_key(self, key, value):
+        with pytest.raises(ConfigError) as e:
+            parse_config(minimal(train={key: value}))
+        assert e.value.key == f"train.{key}"
+
+    def test_range_edges_accepted(self):
+        cfg = parse_config(minimal(train={"dt": 0.01, "fd_epsilon": 1e-6, "tol": 1e-4}))
+        assert (cfg.train.dt, cfg.train.fd_epsilon, cfg.train.tol) == (0.01, 1e-6, 1e-4)
+
 
 class TestStimulusAndSweep:
     def test_stimulus_validated_against_sources(self):

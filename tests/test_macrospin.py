@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from mtjsnn.errors import InsufficientDataError, InvalidInputError, InvalidStateError
+from mtjsnn import macrospin
+from mtjsnn.errors import (
+    InsufficientDataError,
+    InvalidInputError,
+    InvalidStateError,
+    NumericalFailureError,
+)
 from mtjsnn.macrospin import (
     MacrospinParams,
+    MacrospinState,
     calibrate_tlr,
     find_switching_threshold,
     fit_latency_law,
@@ -30,6 +37,60 @@ def random_unit_vectors(n, seed=0):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+# Slow reference: the array implementation the float kernel replaced.
+
+def reference_derivative(m, params, i_device):
+    e = params.easy_axis
+    h_eff = params.h_easy * float(np.dot(m, e)) * e
+    h_eff = h_eff - np.array([0.0, 0.0, params.h_demag * m[2]])
+    gp = params.gamma / (1.0 + params.alpha ** 2)
+    mxh = np.cross(m, h_eff)
+    dm = -gp * mxh - gp * params.alpha * np.cross(m, mxh)
+    return dm + params.stt_coefficient * i_device * np.cross(m, np.cross(m, e))
+
+
+def reference_solve_node(resistance, v_gate, params):
+    """Bisection on v in [0, v_dd] to 1e-9 V (30 halvings of 1 V)."""
+    def f(v):
+        return params.v_dd - nmos_current(v_gate, v, params) * resistance - v
+
+    lo, hi = 0.0, params.v_dd
+    if f(lo) < 0 or f(hi) > 0:
+        raise NumericalFailureError("circuit solve: no bracket in [0, v_dd]")
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if f(mid) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    v_node = 0.5 * (lo + hi)
+    return v_node, nmos_current(v_gate, v_node, params)
+
+
+def reference_integrate(state, params, v_gate, dt, horizon):
+    """RK4 with renormalised stages, current held across each step."""
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    n_steps = int(round(horizon / dt))
+    time = dt * np.arange(n_steps + 1) + state.t
+    m = np.array(state.m, dtype=float)
+    v_node, i_device, ms = np.empty(n_steps + 1), np.empty(n_steps + 1), np.empty((n_steps + 1, 3))
+    for k in range(n_steps + 1):
+        v_node[k], i_dev = reference_solve_node(mtj_resistance(m, params), v_gate, params)
+        i_device[k] = i_dev
+        ms[k] = m
+        if k == n_steps:
+            break
+        k1 = reference_derivative(m, params, i_dev)
+        k2 = reference_derivative(unit(m + 0.5 * dt * k1), params, i_dev)
+        k3 = reference_derivative(unit(m + 0.5 * dt * k2), params, i_dev)
+        k4 = reference_derivative(unit(m + dt * k3), params, i_dev)
+        m = unit(m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return macrospin.MacrospinTrace(time=time, v_node=v_node, i_device=i_device, m=ms,
+                                    params=params)
+
+
 class TestLlgsDerivative:
     def test_equilibria_exact(self):
         e = PARAMS.easy_axis
@@ -45,6 +106,14 @@ class TestLlgsDerivative:
     def test_non_unit_rejected(self):
         with pytest.raises(InvalidStateError):
             llgs_derivative(np.array([1.0, 1.0, 0.0]), PARAMS, 0.0)
+
+    def test_matches_reference(self):
+        params = MacrospinParams(polarizer=(0.6, 0.0, 0.8))
+        for p in (PARAMS, params):
+            for m in random_unit_vectors(50, seed=3):
+                for i in (0.0, 0.4, -0.3):
+                    expected = reference_derivative(m, p, i)
+                    assert np.allclose(llgs_derivative(m, p, i), expected, rtol=0, atol=1e-12)
 
 
 class TestResistance:
@@ -91,6 +160,38 @@ class TestCircuitSolve:
         assert v_node == pytest.approx(PARAMS.v_dd - i * 3.0, abs=1e-6)
         assert i == pytest.approx(nmos_current(1.2, v_node, PARAMS), abs=1e-6)
 
+    def test_matches_bisection(self):
+        p = PARAMS
+        gates = list(np.linspace(-0.5, 3.0, 36))
+        for r in np.linspace(p.r_parallel, p.r_antiparallel, 9):
+            rk = r * p.transistor_k
+            # overdrive where the saturation voltage equals v_ov
+            v_ov = (math.sqrt(1.0 + 2.0 * rk * p.v_dd) - 1.0) / rk
+            edge = p.transistor_vt + v_ov
+            for v_gate in gates + [edge + d for d in (-1e-3, -1e-7, 0.0, 1e-7, 1e-3)]:
+                v, i = solve_node(r, v_gate, p)
+                v_ref, i_ref = reference_solve_node(r, v_gate, p)
+                assert abs(v - v_ref) <= 1e-8 and abs(i - i_ref) <= 1e-8, (r, v_gate)
+            # saturation just below the edge, triode just above it
+            assert solve_node(r, edge - 1e-3, p)[0] >= v_ov - 1e-3
+            assert solve_node(r, edge + 1e-3, p)[0] < v_ov + 1e-3
+
+    def test_negative_transistor_k_no_bracket(self):
+        params = MacrospinParams(transistor_k=-1.0)
+        with pytest.raises(NumericalFailureError, match="no bracket"):
+            solve_node(3.0, 1.5, params)
+        with pytest.raises(NumericalFailureError, match="no bracket"):
+            integrate_macrospin(initial_state(params), params, lambda t: 1.5, 0.005, 0.1)
+
+    @pytest.mark.parametrize("v_gate", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_gate_rejected(self, v_gate):
+        with pytest.raises(InvalidInputError):
+            solve_node(3.0, v_gate, PARAMS)
+        samples = np.full(21, 1.5)
+        samples[7] = v_gate
+        with pytest.raises(InvalidInputError):
+            integrate_macrospin(initial_state(PARAMS), PARAMS, samples, 0.005, 0.1)
+
 
 class TestIntegration:
     def test_zero_gate_is_quiescent(self):
@@ -129,6 +230,23 @@ class TestIntegration:
         assert all(l is not None for l in lats)
         assert all(a > b for a, b in zip(lats, lats[1:]))
 
+    @pytest.mark.parametrize("v_gate", [0.85, 1.5])
+    def test_matches_reference_integrator(self, v_gate):
+        state = initial_state(PARAMS)
+        trace = integrate_macrospin(state, PARAMS, lambda t: v_gate, 0.005, 3.5)
+        ref = reference_integrate(state, PARAMS, v_gate, 0.005, 3.5)
+        assert np.array_equal(trace.time, ref.time)
+        assert np.max(np.abs(trace.m - ref.m)) <= 1e-5
+        assert np.max(np.abs(trace.v_node - ref.v_node)) <= 1e-7
+        assert np.max(np.abs(trace.i_device - ref.i_device)) <= 1e-7
+        (t_switch,), (t_ref,) = trace.switching_times(), ref.switching_times()
+        assert abs(t_switch - t_ref) <= 1e-6
+
+    def test_fixed_point_is_exact(self):
+        state = MacrospinState(m=-PARAMS.easy_axis)
+        trace = integrate_macrospin(state, PARAMS, lambda t: 0.0, 0.005, 1.0)
+        assert np.all(trace.m == -PARAMS.easy_axis)
+
     def test_bad_dt_rejected(self):
         with pytest.raises(InvalidInputError):
             integrate_macrospin(initial_state(PARAMS), PARAMS, lambda t: 0.0, 0.05, 1.0)
@@ -139,6 +257,20 @@ class TestThresholdExistence:
         vth = find_switching_threshold(PARAMS, tol=5e-3)
         assert measure_latency(PARAMS, vth - 0.05, horizon=20.0) is None
         assert measure_latency(PARAMS, vth + 0.05, horizon=20.0) is not None
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": 0.0},
+        {"tol": -1e-3},
+        {"tol": float("nan")},
+        {"v_lo": 2.0, "v_hi": 1.0},
+        {"v_lo": 1.0, "v_hi": 1.0},
+    ])
+    def test_bad_search_rejected_before_integrating(self, monkeypatch, kwargs):
+        calls = []
+        monkeypatch.setattr(macrospin, "measure_latency", lambda *a, **k: calls.append(a))
+        with pytest.raises(InvalidInputError):
+            find_switching_threshold(PARAMS, **kwargs)
+        assert calls == []
 
 
 class TestRefractionEmerges:
