@@ -10,6 +10,7 @@ typos fail loudly instead of silently using defaults.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -76,7 +77,13 @@ def _check_keys(section: dict, allowed: set[str], path: str) -> None:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"expected a number, got {value!r}", key=path)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:   # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"expected a finite number, got {value!r}", key=path)
+    return number
 
 
 def _int(value: Any, path: str) -> int:
@@ -120,6 +127,8 @@ def _build_macrospin(fields: dict, path: str) -> MacrospinParams:
             clean[k] = tuple(vals)
         else:
             clean[k] = _number(v, f"{path}.{k}")
+    if "transistor_k" in clean and not clean["transistor_k"] > 0:
+        raise ConfigError("transistor_k must be > 0", key=f"{path}.transistor_k")
     try:
         return MacrospinParams(**clean)
     except Exception as exc:
@@ -298,13 +307,14 @@ def _parse_sweep(section: dict, path: str) -> SweepSpec:
         params = _build_tlr(fields, f"{path}.params")
     else:
         params = _build_macrospin(fields, f"{path}.params")
-    return SweepSpec(
-        backend=backend,
-        drives=drives,
-        dt=_number(section.get("dt", 0.005), f"{path}.dt"),
-        horizon=_number(section.get("horizon", 15.0), f"{path}.horizon"),
-        params=params,
-    )
+    dt = _number(section.get("dt", 0.005), f"{path}.dt")
+    horizon = _number(section.get("horizon", 15.0), f"{path}.horizon")
+    # the SimConfig grid rule, naming the offending key
+    if not 0 < dt <= 0.01:
+        raise ConfigError("dt must be in (0, 0.01] ns", key=f"{path}.dt")
+    if horizon < 10 * dt:
+        raise ConfigError("horizon must be >= 10*dt", key=f"{path}.horizon")
+    return SweepSpec(backend=backend, drives=drives, dt=dt, horizon=horizon, params=params)
 
 
 def _parse_stimulus(section: dict, path: str, net: Network) -> dict[str, list[float]]:

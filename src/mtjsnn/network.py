@@ -21,6 +21,7 @@ from .errors import InvalidInputError, NumericalFailureError
 
 TLR_BACKEND = "tlr"
 MACROSPIN_BACKEND = "macrospin"
+_CSV_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -101,13 +102,14 @@ class Trace:
 
     def to_csv(self, path) -> None:
         names = list(self.signals)
+        cols = [np.asarray(c, dtype=float) for c in [self.time] + [self.signals[n] for n in names]]
         with open(path, "w") as fh:
             fh.write("time_ns," + ",".join(names) + "\n")
-            cols = [self.signals[n] for n in names]
-            for k in range(self.time.size):
-                row = [repr(float(self.time[k]))]
-                row.extend(repr(float(c[k])) for c in cols)
-                fh.write(",".join(row) + "\n")
+            # a few thousand rows at a time: whole columns as strings would
+            # cost far more memory than the arrays
+            for lo in range(0, self.time.size, _CSV_CHUNK_ROWS):
+                cells = [map(repr, c[lo : lo + _CSV_CHUNK_ROWS].tolist()) for c in cols]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
     def spikes_text(self) -> str:
         lines = []
@@ -192,49 +194,82 @@ def simulate_network(net: Network, sim: SimConfig) -> Trace:
                 raise InvalidInputError(
                     f"source {src.id!r} schedule entry {t_spk} outside [0, horizon]"
                 )
+    time, signals, onsets = _simulate(net, net.weight_vector()[None, :], sim)
+    return Trace(
+        time=time,
+        signals={key: v if v.ndim == 1 else v[0] for key, v in signals.items()},
+        spike_onsets={nid: row_onsets[0] for nid, row_onsets in onsets.items()},
+    )
 
+
+def _simulate(
+    net: Network, weights: np.ndarray, sim: SimConfig
+) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, list[list[float]]]]:
+    """Simulate ``net`` once per row of the ``(B, E)`` weight array.
+
+    The rows share the network's neurons, sources and grid.  Returns the
+    grid, the signals and one onset list per batch row for every id.  Source
+    voltages are ``(N+1,)`` arrays.  Batch rows whose in-edge weights and
+    presynaptic rows agree give a neuron the same output, so each neuron is
+    simulated once per distinct row and its drive, voltage and state arrays
+    hold those rows only (a single row when B = 1).  Each drive sums its
+    in-edges in synapse order starting from zeros, so a row gets the same
+    floats as a one-row run.
+    """
+    n_rows = weights.shape[0]
     n_steps = int(round(sim.horizon / sim.dt))
     time = sim.dt * np.arange(n_steps + 1)
 
     signals: dict[str, np.ndarray] = {}
-    onsets: dict[str, list[float]] = {}
+    onsets: dict[str, list[list[float]]] = {}
     voltages: dict[str, np.ndarray] = {}
+    row_of: dict[str, np.ndarray] = {}   # neuron id -> its array row per batch row
 
     for src in net.sources:
         v = tlr.source_waveform(time, list(src.spike_times), src.amplitude, src.duration)
         voltages[src.id] = v
         signals[f"{src.id}.v"] = v
-        onsets[src.id] = [float(t) for t in src.spike_times]
+        onsets[src.id] = [[float(t) for t in src.spike_times]] * n_rows
 
     order = _topo_order(net, [n.id for n in net.neurons])
     for nid in order:
         neuron = net.neuron(nid)
-        drive = np.zeros_like(time)
-        for s in net.in_edges(nid):
-            drive = drive + s.weight * voltages[s.pre]
+        edges = [e for e, s in enumerate(net.synapses) if s.post == nid]
+        upstream = [row_of[net.synapses[e].pre] for e in edges if net.synapses[e].pre in row_of]
+        key = np.column_stack([weights[:, edges]] + upstream)
+        distinct: dict[bytes, int] = {}
+        row = np.array([distinct.setdefault(k.tobytes(), len(distinct)) for k in key])
+        first = np.unique(row, return_index=True)[1]
+        drive = np.zeros((first.size, time.size))
+        for e in edges:
+            pre = net.synapses[e].pre
+            v_pre = voltages[pre] if pre not in row_of else voltages[pre][row_of[pre][first]]
+            drive += weights[first, e, None] * v_pre
         try:
             if neuron.backend == TLR_BACKEND:
-                run = tlr.run_tlr(neuron.params, drive, sim.dt)
-                v_out, state_series, n_onsets = run.v_out, run.accumulation, run.onsets
+                _, v_out, state_series, n_onsets = tlr._run_batch(neuron.params, drive, sim.dt)
             elif neuron.backend == MACROSPIN_BACKEND:
                 p = neuron.params
-                trace = ms.integrate_macrospin(
-                    ms.initial_state(p), p, drive, sim.dt, sim.horizon
-                )
-                v_out = p.v_dd - trace.v_node
-                state_series = trace.alignment()
-                n_onsets = trace.switching_times()
+                traces = [
+                    ms.integrate_macrospin(ms.initial_state(p), p, d, sim.dt, sim.horizon)
+                    for d in drive
+                ]
+                v_out = np.array([p.v_dd - trace.v_node for trace in traces])
+                state_series = np.array([trace.alignment() for trace in traces])
+                n_onsets = [trace.switching_times() for trace in traces]
             else:
                 raise InvalidInputError(f"unknown backend {neuron.backend!r}")
         except NumericalFailureError as exc:
             raise NumericalFailureError(f"neuron {nid!r}: {exc}") from exc
         voltages[nid] = v_out
+        row_of[nid] = row
         signals[f"{nid}.drive"] = drive
         signals[f"{nid}.v"] = v_out
         signals[f"{nid}.state"] = state_series
-        onsets[nid] = [float(t) for t in n_onsets]
+        n_onsets = [[float(t) for t in d] for d in n_onsets]
+        onsets[nid] = [n_onsets[r] for r in row]
 
-    return Trace(time=time, signals=signals, spike_onsets=onsets)
+    return time, signals, onsets
 
 
 def first_spike_time(trace: Trace, nid: str) -> Optional[float]:

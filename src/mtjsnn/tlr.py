@@ -25,6 +25,8 @@ IDLE = "idle"
 SPIKING = "spiking"
 REFRACTORY = "refractory"
 
+_CHUNK_CELLS = 4096   # rows x steps one chunk of a batched TLR scan integrates
+
 
 @dataclass(frozen=True)
 class TlrParams:
@@ -51,10 +53,10 @@ class TlrParams:
             raise InvalidInputError("q_switch must be positive and finite")
         if not (self.spike_duration > 0 and math.isfinite(self.spike_duration)):
             raise InvalidInputError("spike_duration must be positive and finite")
-        if self.latency_floor < 0:
-            raise InvalidInputError("latency_floor must be >= 0")
-        if self.t_refractory < 0:
-            raise InvalidInputError("t_refractory must be >= 0")
+        if not (self.latency_floor >= 0 and math.isfinite(self.latency_floor)):
+            raise InvalidInputError("latency_floor must be >= 0 and finite")
+        if not (self.t_refractory >= 0 and math.isfinite(self.t_refractory)):
+            raise InvalidInputError("t_refractory must be >= 0 and finite")
         if self.rel_refraction_beta < 0:
             raise InvalidInputError("rel_refraction_beta must be >= 0")
         if self.rel_refraction_tau <= 0:
@@ -181,74 +183,142 @@ def run_tlr(params: TlrParams, drive: np.ndarray, dt: float, t0: float = 0.0) ->
 
     ``drive`` holds grid-point samples; step k applies ``drive[k]`` over
     ``[t_k, t_k + dt]``, so the last sample is unused for integration.
-    Must agree with the step-by-step path to floating-point noise.
+    Must agree with the step-by-step path to floating-point noise.  This is
+    the one-row case of the batched kernel the network simulation uses.
     """
     drive = np.asarray(drive, dtype=float)
     if drive.ndim != 1 or drive.size < 2:
         raise InvalidInputError("drive must be a 1-D array of at least 2 samples")
+    time, v_out, acc, onsets = _run_batch(params, drive[None, :], dt, t0)
+    return TlrRun(time=time, v_out=v_out[0], accumulation=acc[0], onsets=onsets[0])
+
+
+def _run_batch(
+    params: TlrParams, drive: np.ndarray, dt: float, t0: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
+    """Kernel behind :func:`run_tlr`: each row of a ``(B, N+1)`` drive is an
+    independent neuron with ``params``.
+
+    Returns the grid, the ``(B, N+1)`` output voltage and accumulation, and
+    one onset list per row.  Each row gets exactly the floats a one-row run
+    of the same drive gives: the per-step arithmetic is elementwise and the
+    accumulation is a sequential cumulative sum along the row.
+    """
     if not np.all(np.isfinite(drive)):
         raise InvalidInputError("drive must be finite")
     if not (dt > 0 and math.isfinite(dt)):
         raise InvalidInputError("dt must be positive and finite")
 
-    n_steps = drive.size - 1
-    time = t0 + dt * np.arange(drive.size)
-    acc_series = np.zeros(drive.size)
-    onsets: list[float] = []
+    n_rows, size = drive.shape
+    n_steps = size - 1
+    q = params.q_switch
+    time = t0 + dt * np.arange(size)
+    acc_series = np.zeros((n_rows, size))
+    onsets: list[list[float]] = [[] for _ in range(n_rows)]
 
-    i = 0
-    acc = 0.0
-    last: Optional[float] = None
-    window_start0 = t0
+    # Relative refraction only raises the threshold, so a step adds to the
+    # accumulation only where the drive exceeds i_threshold; elsewhere the
+    # excess is 0 and the accumulation holds.  Each row therefore jumps to
+    # its next such step, and the rows still integrating advance together
+    # one chunk of steps at a time, so a scan stops soon after a crossing.
+    # ``supra`` holds the flat indices r * size + step of those steps; the
+    # last sample is never integrated, so it marks the end of each row.
+    above = drive > params.i_threshold
+    above[:, n_steps] = True
+    supra = np.flatnonzero(above)
+    pos = np.zeros(n_rows, dtype=int)          # next step to integrate
+    carry = np.zeros(n_rows)                   # running sum of excess * width before pos
+    start = np.zeros(n_rows, dtype=int)        # step of the last (re)start
+    resume = np.full(n_rows, float(t0))        # time integration resumes at in that step
+    last = np.full(n_rows, -np.inf)            # last onset; -inf adds no boost
+    alive = np.arange(n_rows)
 
-    while i < n_steps:
-        seg = drive[i:n_steps]
-        starts = t0 + dt * np.arange(i, n_steps)
-        starts[0] = window_start0
-        widths = np.full(seg.size, dt)
-        widths[0] = (t0 + (i + 1) * dt) - window_start0
+    while True:
+        # each row jumps to its next step above threshold, holding its
+        # accumulation over the steps skipped; a row with none left is done
+        nxt = supra[np.searchsorted(supra, alive * size + pos[alive])] - alive * size
+        gap = (nxt > pos[alive]) & (carry[alive] != 0.0)
+        if gap.any():
+            for r, b in zip(alive[gap], nxt[gap]):
+                acc_series[r, pos[r] + 1 : b + 1] = 0.0 + carry[r]
+        left = nxt < n_steps
+        alive, nxt = alive[left], nxt[left]
+        if not alive.size:
+            break
+        pos[alive] = nxt
+        c0 = int(nxt.min())
+        c1 = min(c0 + max(_CHUNK_CELLS // alive.size, 1), n_steps)
+        rows = alive[nxt < c1]
+        p = pos[rows]
+        cols = np.arange(c0, c1)
+        # a row's restart step is integrated from its resume time, not the grid
+        own = np.flatnonzero(start[rows] == p)
+        at = p[own] - c0
 
-        if last is not None and params.rel_refraction_beta > 0.0:
-            boost = params.rel_refraction_beta * np.exp(
-                -(starts - last) / params.rel_refraction_tau
-            )
+        if params.rel_refraction_beta > 0.0:
+            starts = np.repeat((t0 + dt * cols)[None, :], rows.size, axis=0)
+            starts[own, at] = resume[rows[own]]
+            # steps before a row's position may precede its last onset and
+            # overflow; they are zeroed below
+            with np.errstate(over="ignore"):
+                boost = params.rel_refraction_beta * np.exp(
+                    -(starts - last[rows, None]) / params.rel_refraction_tau
+                )
             threshold = params.i_threshold * (1.0 + boost)
         else:
             threshold = params.i_threshold
+        excess = np.maximum(drive[rows, c0:c1] - threshold, 0.0)
+        if p.max() > c0:
+            excess[cols < p[:, None]] = 0.0
+        step = excess * dt
+        if own.size:
+            step[own, at] = excess[own, at] * ((t0 + (p[own] + 1) * dt) - resume[rows[own]])
+        step[:, 0] += carry[rows]
+        raw = np.cumsum(step, axis=1)
+        cum = 0.0 + raw
 
-        excess = np.maximum(seg - threshold, 0.0)
-        cum = acc + np.cumsum(excess * widths)
-        acc_series[i + 1 : n_steps + 1] = cum
+        hit = cum >= q
+        found = hit.any(axis=1)
+        k = np.where(found, hit.argmax(axis=1), cols.size)
+        # the accumulation is recorded up to a crossing; the spike resets it
+        for a, (r, begin, stop) in enumerate(zip(rows.tolist(), (p - c0).tolist(), k.tolist())):
+            acc_series[r, c0 + begin + 1 : c0 + stop + 1] = cum[a, begin:stop]
+        if not found.all():
+            pos[rows[~found]] = c1
+            carry[rows[~found]] = raw[~found, -1]
 
-        hit = np.nonzero(cum >= params.q_switch)[0]
-        if hit.size == 0:
+        for a in np.flatnonzero(found).tolist():
+            r, kc = int(rows[a]), int(k[a])
+            c = c0 + kc   # the crossing step
+            acc_before = float(cum[a, kc - 1]) if kc > 0 else 0.0 + float(carry[r])
+            step_start = float(resume[r]) if c == start[r] else t0 + dt * c
+            onset = step_start + (q - acc_before) / float(excess[a, kc]) + params.latency_floor
+            onsets[r].append(onset)
+            last[r] = onset
+            # re-arm inside the horizon; compared as floats so that a huge
+            # lockout (x overflowing to inf) is never cast to an integer
+            rearm = onset + params.lockout
+            x = (rearm - t0) / dt
+            if x < n_steps:
+                j = math.floor(x)
+                start[r] = pos[r] = j
+                resume[r] = max(rearm, t0 + j * dt)
+                carry[r] = 0.0
+            else:
+                pos[r] = n_steps   # no step left
+        if not (pos[alive] < n_steps).any():
             break
-        k = int(hit[0])
-        acc_before = acc if k == 0 else cum[k - 1]
-        t_cross = starts[k] + (params.q_switch - acc_before) / excess[k]
-        onset = t_cross + params.latency_floor
-        onsets.append(onset)
-        last = onset
 
-        rearm = onset + params.lockout
-        j = int(math.floor((rearm - t0) / dt))
-        end = min(j, n_steps)
-        acc_series[i + k + 1 : end + 1] = 0.0
-        if j >= n_steps:
-            acc_series[i + k + 1 :] = 0.0
-            i = n_steps
-            break
-        acc = 0.0
-        i = j
-        window_start0 = max(rearm, t0 + j * dt)
+    v = np.zeros((n_rows, size))
+    for r, row_onsets in enumerate(onsets):
+        for onset in row_onsets:
+            # the grid is sorted, so this is the mask onset <= time <= onset + duration
+            a = np.searchsorted(time, onset, "left")
+            b = np.searchsorted(time, onset + params.spike_duration, "right")
+            x = (time[a:b] - onset) / params.spike_duration
+            v[r, a:b] = params.spike_amplitude * (1.0 - np.cos(2.0 * np.pi * x)) / 2.0
 
-    v = np.zeros(drive.size)
-    for onset in onsets:
-        mask = (time >= onset) & (time <= onset + params.spike_duration)
-        x = (time[mask] - onset) / params.spike_duration
-        v[mask] = params.spike_amplitude * (1.0 - np.cos(2.0 * np.pi * x)) / 2.0
-
-    return TlrRun(time=time, v_out=v, accumulation=acc_series, onsets=onsets)
+    return time, v, acc_series, onsets
 
 
 def source_waveform(

@@ -7,7 +7,10 @@ update Delta w = -eta * (dL/dt) * (dt/dw) is exact gradient descent with
 respect to the simulator.  Where the output is silent on one side of the
 perturbation (the firing boundary), a one-sided difference against the
 unperturbed spike time is used, and silent on both sides gives 0.  Updates
-are batched over all dataset rows and applied once per epoch.
+are batched over all dataset rows and applied once per epoch.  ``train``
+runs the 2E perturbed simulations of one row as a single batched network
+simulation; ``spike_time_jacobian_fd`` is the same rule one weight and two
+simulations at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +22,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, InvalidInputError
-from .network import Network, SimConfig, first_spike_time, simulate_network, validate_topology
+from .network import (
+    Network,
+    SimConfig,
+    _simulate,
+    first_spike_time,
+    simulate_network,
+    validate_topology,
+)
 
 
 @dataclass(frozen=True)
@@ -111,14 +121,21 @@ def spike_time_jacobian_fd(
 
     t_plus = t_at(+eps)
     t_minus = t_at(-eps)
+    if t_base is None and (t_plus is None) != (t_minus is None):
+        t0 = t_at(0.0)
+        t_base = penalty if t0 is None else t0
+    return _fd_slope(t_plus, t_minus, t_base, eps)
+
+
+def _fd_slope(
+    t_plus: Optional[float], t_minus: Optional[float], t_base: Optional[float], eps: float
+) -> float:
+    """The FD rule: central difference; one-sided against ``t_base`` when
+    one side is silent (the firing boundary); 0 when both are silent."""
     if t_plus is not None and t_minus is not None:
         return (t_plus - t_minus) / (2.0 * eps)
     if t_plus is None and t_minus is None:
         return 0.0
-    # one side silent: one-sided difference across the firing boundary
-    if t_base is None:
-        t0 = t_at(0.0)
-        t_base = penalty if t0 is None else t0
     if t_plus is not None:
         return (t_plus - t_base) / eps
     return (t_base - t_minus) / eps
@@ -187,14 +204,19 @@ def train(
             history.converged = True
             return net.with_weights(weights), history
 
-        # finite-difference jacobians: 2 simulations per (row, edge), fixed order
+        # finite-difference jacobians: per row, one batched simulation of the
+        # 2E weight vectors w + eps*e_j (row 2j) and w - eps*e_j (row 2j + 1)
+        perturbed = np.repeat(weights[None, :], 2 * n_edges, axis=0)
+        edges = np.arange(n_edges)
+        perturbed[2 * edges, edges] += config.fd_epsilon
+        perturbed[2 * edges + 1, edges] -= config.fd_epsilon
         delta = np.zeros(n_edges)
         for (stimulus, t_des), t_act in zip(dataset, times):
             grad = loss_gradient_time(t_act, t_des)
+            _, _, onsets = _simulate(current.with_schedules(stimulus), perturbed, sim)
+            t_out = [min(row) if row else None for row in onsets[output_id]]
             for j in range(n_edges):
-                jac = spike_time_jacobian_fd(
-                    current, stimulus, j, config.fd_epsilon, output_id, sim, t_base=t_act
-                )
+                jac = _fd_slope(t_out[2 * j], t_out[2 * j + 1], t_act, config.fd_epsilon)
                 delta[j] += weight_update(grad, jac, config.eta)
         weights = weights + delta
 

@@ -50,6 +50,14 @@ class TestSimulate:
         assert filecmp.cmp(out1 / "trace.csv", out2 / "trace.csv", shallow=False)
         assert filecmp.cmp(out1 / "spikes.txt", out2 / "spikes.txt", shallow=False)
 
+    def test_infinite_refractory_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, xor_doc(
+            network={"preset": "xor", "neurons": {"i1": {"t_refractory": float("inf")}}},
+            stimulus={"A": [0.0], "bias": [0.0]}))
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "config error: network.neurons.i1.t_refractory:" in capsys.readouterr().err
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, xor_doc(sim={"dt": -0.001}))
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -118,6 +126,12 @@ class TestTrain:
         assert f"config error: train.{next(iter(train))}:" in err
         assert "simulation failed" not in err
 
+    def test_non_finite_value_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, xor_doc(train={"eta": float("nan")}))
+        code = main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "config error: train.eta:" in capsys.readouterr().err
+
     def test_seed_flag_overrides_config(self, tmp_path):
         doc = xor_doc(train={"max_epochs": 1, "seed": 2})
         cfg = write_config(tmp_path, doc)
@@ -147,6 +161,19 @@ class TestSweepLatency:
         out = tmp_path / "out"
         assert main(["sweep-latency", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert len((out / "latency.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("sweep,key", [
+        ({"horizon": -1.0}, "sweep.horizon"),
+        ({"dt": 0.02}, "sweep.dt"),
+        ({"backend": "macrospin", "params": {"transistor_k": -1.0}},
+         "sweep.params.transistor_k"),
+    ])
+    def test_out_of_range_sweep_value_exit_2(self, tmp_path, capsys, sweep, key):
+        cfg = write_config(tmp_path, xor_doc(sweep={"drives": [1.5], **sweep}))
+        code = main(["sweep-latency", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"config error: {key}:" in err
 
     def test_missing_sweep_section_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, xor_doc())

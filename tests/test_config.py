@@ -1,5 +1,7 @@
 """Config parsing: schema validation, strict keys, preset and explicit networks."""
 
+import math
+
 import pytest
 
 from mtjsnn.config import load_config, parse_config
@@ -225,6 +227,45 @@ class TestStimulusAndSweep:
         assert cfg.sweep.backend == "macrospin"
         with pytest.raises(ConfigError):
             parse_config(minimal(sweep={"backend": "mystery", "drives": [1.0]}))
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("doc,key", [
+        (minimal(train={"eta": math.nan}), "train.eta"),
+        (minimal(train={"fd_epsilon": math.inf}), "train.fd_epsilon"),
+        (minimal(sim={"horizon": math.inf}), "sim.horizon"),
+        (minimal(network={"preset": "xor", "neurons": {"i1": {"t_refractory": math.inf}}}),
+         "network.neurons.i1.t_refractory"),
+        (minimal(network={"preset": "xor", "weights": {"A->i1": -math.inf}}),
+         "network.weights.A->i1"),
+        (minimal(stimulus={"A": [math.nan]}), "stimulus.A[0]"),
+        (minimal(train={"eta": 10 ** 400}), "train.eta"),
+    ])
+    def test_rejected_with_key(self, doc, key):
+        with pytest.raises(ConfigError, match="finite") as e:
+            parse_config(doc)
+        assert e.value.key == key
+
+
+class TestSweepRanges:
+    @pytest.mark.parametrize("sweep,key", [
+        ({"dt": 0.0}, "sweep.dt"),
+        ({"dt": 0.02}, "sweep.dt"),
+        ({"horizon": -1.0}, "sweep.horizon"),
+        ({"dt": 0.01, "horizon": 0.05}, "sweep.horizon"),
+        ({"backend": "macrospin", "params": {"transistor_k": -1.0}},
+         "sweep.params.transistor_k"),
+        ({"backend": "macrospin", "params": {"transistor_k": 0}},
+         "sweep.params.transistor_k"),
+    ])
+    def test_out_of_range_names_key(self, sweep, key):
+        with pytest.raises(ConfigError) as e:
+            parse_config(minimal(sweep={"drives": [1.5], **sweep}))
+        assert e.value.key == key
+
+    def test_range_edges_accepted(self):
+        cfg = parse_config(minimal(sweep={"drives": [1.5], "dt": 0.01, "horizon": 0.1}))
+        assert (cfg.sweep.dt, cfg.sweep.horizon) == (0.01, 0.1)
 
 
 class TestLoadConfig:

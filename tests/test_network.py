@@ -1,10 +1,12 @@
-"""Network engine: topology validation, drive superposition, simulation."""
+"""Network engine: topology validation, drive superposition, simulation,
+the batched core behind it and the trace CSV writer."""
 
 import math
 
 import numpy as np
 import pytest
 
+from mtjsnn.config import load_config
 from mtjsnn.errors import InvalidInputError
 from mtjsnn.network import (
     Network,
@@ -12,6 +14,8 @@ from mtjsnn.network import (
     SimConfig,
     Source,
     Synapse,
+    Trace,
+    _simulate,
     first_spike_time,
     simulate_network,
     synaptic_drive,
@@ -216,3 +220,74 @@ class TestTraceCsv:
         assert np.array_equal(data[:, 0], trace.time)
         for j, name in enumerate(header[1:], start=1):
             assert np.array_equal(data[:, j], trace.signals[name])
+
+
+class TestBatchedCore:
+    """``_simulate`` over B weight vectors equals B runs of ``simulate_network``."""
+
+    def assert_rows_match(self, net, weights, sim):
+        _, _, onsets = _simulate(net, weights, sim)
+        for b, w in enumerate(weights):
+            trace = simulate_network(net.with_weights(w), sim)
+            for nid, expected in trace.spike_onsets.items():
+                assert onsets[nid][b] == expected, (b, nid)
+        return onsets
+
+    def test_xor_rows_with_shared_upstream(self, xor_config_path):
+        net = load_config(xor_config_path).network
+        net = net.with_schedules({"A": [0.0], "B": [], "bias": [0.0]})
+        sim = SimConfig(dt=0.002, horizon=5.0)
+        base = net.weight_vector()
+        rng = np.random.default_rng(4)
+        weights = np.repeat(base[None, :], 8, axis=0)
+        weights[1:4, 6:] += rng.uniform(-0.3, 0.3, (3, 3))   # o1 edges: i1, i2 shared
+        weights[4:7] += rng.uniform(-0.3, 0.3, (3, base.size))
+        onsets = self.assert_rows_match(net, weights, sim)
+        assert sum(bool(row) for row in onsets["o1"]) >= 4
+
+    def test_macrospin_rows(self):
+        from mtjsnn.macrospin import MacrospinParams
+        net = Network(
+            neurons=(Neuron("m", "macrospin", MacrospinParams()),),
+            synapses=(Synapse("src", "m", 1.5),),
+            sources=(Source("src", spike_times=(0.0,), amplitude=1.0, duration=2.4),),
+        )
+        weights = np.array([[1.5], [0.2], [1.5]])
+        onsets = self.assert_rows_match(net, weights, SimConfig(dt=0.005, horizon=2.5))
+        assert onsets["m"][0] == onsets["m"][2]
+
+
+def reference_to_csv(trace, path):
+    """The per-cell writer ``Trace.to_csv`` replaced."""
+    names = list(trace.signals)
+    with open(path, "w") as fh:
+        fh.write("time_ns," + ",".join(names) + "\n")
+        cols = [trace.signals[n] for n in names]
+        for k in range(trace.time.size):
+            row = [repr(float(trace.time[k]))]
+            row.extend(repr(float(c[k])) for c in cols)
+            fh.write(",".join(row) + "\n")
+
+
+class TestTraceCsvBytes:
+    def test_matches_per_cell_writer(self, tmp_path):
+        n = 5000   # spans several write chunks
+        rng = np.random.default_rng(5)
+        special = np.array([-0.0, 0.0, 1e-5, 1e16, 5e-324, 2.2e-308, -1.5e-310, 0.1])
+        a = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+        a[:special.size] = special
+        trace = Trace(
+            time=0.001 * np.arange(n),
+            signals={"x.v": a, "y.drive": np.roll(a, 3), "z.state": np.zeros(n)},
+            spike_onsets={},
+        )
+        trace.to_csv(tmp_path / "new.csv")
+        reference_to_csv(trace, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_empty_and_integer_series(self, tmp_path):
+        for trace in (Trace(np.zeros(0), {"a.v": np.zeros(0)}, {}),
+                      Trace(np.arange(4), {"a.v": np.array([0, -2, 3, 7])}, {})):
+            trace.to_csv(tmp_path / "new.csv")
+            reference_to_csv(trace, tmp_path / "old.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

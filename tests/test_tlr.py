@@ -1,4 +1,5 @@
-"""TLR neuron: threshold, latency law, refraction, waveform, step/vector parity."""
+"""TLR neuron: threshold, latency law, refraction, waveform, step/vector parity,
+and the batched kernel against the one-row loop it replaced."""
 
 import math
 
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtjsnn import tlr as tlr_module
 from mtjsnn.errors import InvalidInputError
 from mtjsnn.tlr import (
     IDLE,
     TlrParams,
+    TlrRun,
     TlrState,
+    _run_batch,
     constant_drive_latency,
     run_tlr,
     spike_waveform,
@@ -28,6 +32,71 @@ def simulate_steps(params, drive, dt):
         if onset is not None:
             onsets.append(onset)
     return onsets
+
+
+def reference_run_tlr(params, drive, dt, t0=0.0):
+    """The one-row loop the batched kernel replaced: the oracle for
+    ``_run_batch``.  Each pass integrates the rest of the horizon from the
+    last re-arm and masks every pulse over the whole grid."""
+    drive = np.asarray(drive, dtype=float)
+    n_steps = drive.size - 1
+    time = t0 + dt * np.arange(drive.size)
+    acc_series = np.zeros(drive.size)
+    onsets = []
+
+    i = 0
+    acc = 0.0
+    last = None
+    window_start0 = t0
+
+    while i < n_steps:
+        seg = drive[i:n_steps]
+        starts = t0 + dt * np.arange(i, n_steps)
+        starts[0] = window_start0
+        widths = np.full(seg.size, dt)
+        widths[0] = (t0 + (i + 1) * dt) - window_start0
+
+        if last is not None and params.rel_refraction_beta > 0.0:
+            boost = params.rel_refraction_beta * np.exp(
+                -(starts - last) / params.rel_refraction_tau
+            )
+            threshold = params.i_threshold * (1.0 + boost)
+        else:
+            threshold = params.i_threshold
+
+        excess = np.maximum(seg - threshold, 0.0)
+        cum = acc + np.cumsum(excess * widths)
+        acc_series[i + 1 : n_steps + 1] = cum
+
+        hit = np.nonzero(cum >= params.q_switch)[0]
+        if hit.size == 0:
+            break
+        k = int(hit[0])
+        acc_before = acc if k == 0 else cum[k - 1]
+        t_cross = starts[k] + (params.q_switch - acc_before) / excess[k]
+        onset = t_cross + params.latency_floor
+        onsets.append(onset)
+        last = onset
+
+        rearm = onset + params.lockout
+        j = int(math.floor((rearm - t0) / dt))
+        end = min(j, n_steps)
+        acc_series[i + k + 1 : end + 1] = 0.0
+        if j >= n_steps:
+            acc_series[i + k + 1 :] = 0.0
+            i = n_steps
+            break
+        acc = 0.0
+        i = j
+        window_start0 = max(rearm, t0 + j * dt)
+
+    v = np.zeros(drive.size)
+    for onset in onsets:
+        mask = (time >= onset) & (time <= onset + params.spike_duration)
+        x = (time[mask] - onset) / params.spike_duration
+        v[mask] = params.spike_amplitude * (1.0 - np.cos(2.0 * np.pi * x)) / 2.0
+
+    return TlrRun(time=time, v_out=v, accumulation=acc_series, onsets=onsets)
 
 
 class TestParams:
@@ -50,6 +119,16 @@ class TestParams:
 
     def test_zero_refractory_allowed_for_ablation(self):
         assert TlrParams(t_refractory=0.0).lockout == 0.0
+
+    @pytest.mark.parametrize("kwargs", [
+        {"latency_floor": math.inf},
+        {"latency_floor": math.nan},
+        {"t_refractory": math.inf},
+        {"t_refractory": math.nan},
+    ])
+    def test_non_finite_timing_rejected(self, kwargs):
+        with pytest.raises(InvalidInputError, match="finite"):
+            TlrParams(**kwargs)
 
 
 class TestSpikeWaveform:
@@ -232,3 +311,137 @@ class TestRelativeRefraction:
         n = int(round(5.0 / dt))
         drive = np.full(n + 1, 1.8)
         assert run_tlr(p0, drive, dt).onsets == run_tlr(p1, drive, dt).onsets
+
+
+def _pulse_train(n, dt, pulses, level):
+    """Drive of ``level`` over each ``(start, stop)`` ns interval, else 0."""
+    t = dt * np.arange(n + 1)
+    drive = np.zeros(n + 1)
+    for lo, hi in pulses:
+        drive[(t >= lo) & (t < hi)] = level
+    return drive
+
+
+def assert_rows_match_reference(params, drive, dt, t0=0.0):
+    """Every row of the batched kernel equals the one-row reference, bit for bit."""
+    time, v_out, acc, onsets = _run_batch(params, drive, dt, t0)
+    spikes = 0
+    for r, row in enumerate(drive):
+        ref = reference_run_tlr(params, row, dt, t0)
+        assert time.tobytes() == ref.time.tobytes()
+        assert onsets[r] == [float(t) for t in ref.onsets], r
+        assert v_out[r].tobytes() == ref.v_out.tobytes(), r
+        assert acc[r].tobytes() == ref.accumulation.tobytes(), r
+        spikes += len(ref.onsets)
+    return spikes
+
+
+class TestBatchedKernel:
+    """``_run_batch`` against ``reference_run_tlr``, row by row and bitwise."""
+
+    DT = 0.002
+
+    def test_single_spike_rows(self):
+        p = TlrParams()
+        rng = np.random.default_rng(1)
+        n = int(round(5.0 / self.DT))
+        drive = np.stack([_pulse_train(n, self.DT, [(0.0, 1.0)], level)
+                          for level in rng.uniform(1.05, 3.0, 6)])
+        assert assert_rows_match_reference(p, drive, self.DT) == 6
+
+    def test_multi_spike_refractory_below_horizon(self):
+        p = TlrParams(t_refractory=1.5)
+        rng = np.random.default_rng(2)
+        drive = 1.5 * rng.random((5, 4001)) + 0.3
+        assert assert_rows_match_reference(p, drive, self.DT) > 10
+
+    def test_relative_refraction(self):
+        p = TlrParams(t_refractory=1.2, spike_duration=1.2,
+                      rel_refraction_beta=0.5, rel_refraction_tau=2.0)
+        n = int(round(10.0 / self.DT))
+        drive = np.stack([np.full(n + 1, level) for level in (1.2, 1.4, 1.9)]
+                         + [_pulse_train(n, self.DT, [(0.5, 3.0), (4.0, 9.0)], 1.6)])
+        assert assert_rows_match_reference(p, drive, self.DT) > 8
+
+    def test_zero_refractory_ablation(self):
+        p = TlrParams(t_refractory=0.0)
+        n = int(round(3.0 / 0.005))
+        drive = np.stack([np.full(n + 1, level) for level in (1.3, 2.0, 4.0)])
+        assert assert_rows_match_reference(p, drive, 0.005) > 10
+
+    def test_silent_rows_beside_firing_rows(self):
+        p = TlrParams(t_refractory=1.0)
+        n = int(round(5.0 / self.DT))
+        drive = np.stack([np.zeros(n + 1), np.full(n + 1, 0.99),
+                          _pulse_train(n, self.DT, [(0.2, 0.4), (2.0, 4.0)], 2.5),
+                          np.full(n + 1, -3.0)])
+        assert assert_rows_match_reference(p, drive, self.DT) > 0
+        _, v_out, acc, onsets = _run_batch(p, drive, self.DT)
+        for r in (0, 1, 3):
+            assert onsets[r] == [] and not v_out[r].any()
+
+    def test_one_row_and_public_run(self):
+        p = TlrParams(t_refractory=1.0)
+        drive = _pulse_train(2500, self.DT, [(0.1, 1.0), (1.5, 3.5)], 1.8)
+        assert assert_rows_match_reference(p, drive[None, :], self.DT) >= 2
+        run = run_tlr(p, drive, self.DT)
+        ref = reference_run_tlr(p, drive, self.DT)
+        assert run.onsets == [float(t) for t in ref.onsets]
+        assert run.v_out.tobytes() == ref.v_out.tobytes()
+        assert run.accumulation.tobytes() == ref.accumulation.tobytes()
+
+    def test_random_parameters_and_offsets(self):
+        rng = np.random.default_rng(3)
+        spikes = 0
+        for _ in range(60):
+            p = TlrParams(
+                i_threshold=float(rng.uniform(0.5, 2.0)),
+                q_switch=float(rng.uniform(0.005, 0.3)),
+                latency_floor=float(rng.choice([0.0, rng.uniform(0.0, 1.0)])),
+                spike_duration=float(rng.uniform(0.05, 1.5)),
+                t_refractory=float(rng.choice([0.0, 0.01, rng.uniform(0.0, 2.0), 5.0])),
+                rel_refraction_beta=float(rng.choice([0.0, rng.uniform(0.0, 2.0)])),
+                rel_refraction_tau=float(rng.choice([0.001, rng.uniform(0.01, 3.0)])),
+            )
+            dt = float(rng.choice([0.001, 0.0037, 0.01]))
+            t0 = float(rng.choice([0.0, 1.3, -0.7]))
+            shape = (int(rng.integers(1, 5)), int(rng.integers(2, 300)))
+            drive = np.where(rng.random(shape) < 0.5, rng.uniform(0.0, 4.0, shape), 0.0)
+            spikes += assert_rows_match_reference(p, drive, dt, t0)
+        assert spikes > 100
+
+    def test_accumulation_held_across_long_gaps(self):
+        # short pulses each add a fraction of q_switch; the accumulation must
+        # carry across the silent steps between them, however the scan is cut
+        p = TlrParams(q_switch=0.1, t_refractory=0.5, latency_floor=0.1)
+        dt = 0.001
+        n = 12000
+        drive = np.stack([
+            _pulse_train(n, dt, [(t, t + 0.05) for t in np.arange(0.0, 12.0, period)], 1.5)
+            for period in (0.7, 1.0, 1.9, 2.9)
+        ])
+        assert assert_rows_match_reference(p, drive, dt) > 8
+
+    @pytest.mark.parametrize("cells", [1, 3, 64])
+    def test_any_chunk_size(self, monkeypatch, cells):
+        # chunk boundaries fall anywhere: at crossings, restarts and the last step
+        monkeypatch.setattr(tlr_module, "_CHUNK_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        spikes = 0
+        for _ in range(25):
+            p = TlrParams(q_switch=float(rng.uniform(0.005, 0.2)),
+                          latency_floor=float(rng.choice([0.0, 0.2])),
+                          spike_duration=0.3,
+                          t_refractory=float(rng.choice([0.0, 0.05, 0.4])),
+                          rel_refraction_beta=float(rng.choice([0.0, 0.7])))
+            shape = (int(rng.integers(1, 4)), int(rng.integers(2, 200)))
+            drive = np.where(rng.random(shape) < 0.6, rng.uniform(0.0, 3.0, shape), 0.0)
+            spikes += assert_rows_match_reference(p, drive, 0.01)
+        assert spikes > 50
+
+    def test_huge_refractory_never_cast_to_int(self):
+        # the re-arm time divided by dt overflows to inf; the loop this
+        # replaced raised OverflowError casting it to an integer
+        p = TlrParams(t_refractory=1.7e308)
+        run = run_tlr(p, np.full(1001, 2.0), 0.001)
+        assert len(run.onsets) == 1

@@ -1,4 +1,7 @@
-"""Trainer: loss arithmetic, FD jacobians, descent behavior."""
+"""Trainer: loss arithmetic, FD jacobians, descent behavior, and the batched
+FD epoch against the per-simulation FD rule."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -232,3 +235,88 @@ class TestTrain:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,total_loss_ns2,t_row1"
         assert len(lines) == 1 + hist.epochs
+
+
+def reference_train(net, dataset, config, sim, output_id="o1"):
+    """Per-simulation FD training: the loop ``train`` batched.  One
+    ``spike_time_jacobian_fd`` call per (row, edge), with ``t_base`` the
+    row's output time, summed into ``delta`` in the same order."""
+    penalty = sim.horizon if config.no_spike_penalty_time is None else config.no_spike_penalty_time
+    history = trainer.TrainHistory()
+    weights = net.weight_vector()
+    for epoch in range(config.max_epochs):
+        current = net.with_weights(weights)
+        times, spiked = [], []
+        for stimulus, _t_des in dataset:
+            t = first_spike_time(simulate_network(current.with_schedules(stimulus), sim),
+                                 output_id)
+            spiked.append(t is not None)
+            times.append(penalty if t is None else t)
+        history.losses.append(sum(loss(t, t_des) for t, (_, t_des) in zip(times, dataset)))
+        history.output_times.append([t if ok else None for t, ok in zip(times, spiked)])
+        history.weights.append(weights.copy())
+        history.epochs = epoch + 1
+        if all(ok and abs(t - t_des) <= config.tol
+               for t, ok, (_, t_des) in zip(times, spiked, dataset)):
+            history.converged = True
+            break
+        delta = np.zeros(weights.size)
+        for (stimulus, t_des), t_act in zip(dataset, times):
+            grad = loss_gradient_time(t_act, t_des)
+            for j in range(weights.size):
+                jac = spike_time_jacobian_fd(current, stimulus, j, config.fd_epsilon,
+                                             output_id, sim, t_base=t_act)
+                delta[j] += weight_update(grad, jac, config.eta)
+        weights = weights + delta
+    return net.with_weights(weights), history
+
+
+def assert_same_history(a, b):
+    assert a.losses == b.losses
+    assert a.output_times == b.output_times
+    assert [w.tobytes() for w in a.weights] == [w.tobytes() for w in b.weights]
+    assert (a.converged, a.epochs) == (b.converged, b.epochs)
+
+
+class TestBatchedFdMatchesPerSimulation:
+    """Batched FD update equals per-simulation FD update."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_xor_seeds(self, xor_config_path, seed):
+        from mtjsnn import cli
+        from mtjsnn.config import load_config
+        from mtjsnn.xorbench import xor_dataset
+
+        cfg = load_config(xor_config_path)
+        net = cli.initial_weights(cfg.network, cfg.train, seed)
+        dataset = xor_dataset(cfg.encoding, cfg.sim.horizon)
+        sim = SimConfig(dt=cfg.train.dt, horizon=cfg.sim.horizon)
+        config = dataclasses.replace(cli._train_config(cfg.train), max_epochs=2)
+        out, hist = train(net, dataset, config, sim=sim)
+        ref_out, ref_hist = reference_train(net, dataset, config, sim)
+        assert_same_history(hist, ref_hist)
+        assert out.weight_vector().tobytes() == ref_out.weight_vector().tobytes()
+
+    def test_firing_boundary(self):
+        # o1 sits just below its firing boundary: the base row and -eps are
+        # silent, +eps fires, so epoch 0 takes the one-sided slope
+        sim = TestJacobianFd.SIM
+        stim = TestJacobianFd.STIM
+        lo, hi = 0.0, 5.0
+        while hi - lo > 1e-4:
+            mid = 0.5 * (lo + hi)
+            fires = first_spike_time(
+                simulate_network(chain_network(mid).with_schedules(stim), sim), "o1")
+            lo, hi = (lo, mid) if fires is not None else (mid, hi)
+        net = Network(
+            neurons=(Neuron("o1", "tlr", TlrParams()), Neuron("i1", "tlr", TlrParams())),
+            synapses=(Synapse("src", "o1", lo), Synapse("src", "i1", 5.0),
+                      Synapse("i1", "o1", 0.0)),
+            sources=(Source("src", amplitude=1.0, duration=2.0),),
+        )
+        dataset = [(stim, 3.0), ({"src": [0.5]}, 3.5)]
+        config = TrainConfig(eta=0.5, fd_epsilon=1e-3, tol=1e-3, max_epochs=2)
+        _, hist = train(net, dataset, config, sim=sim)
+        _, ref_hist = reference_train(net, dataset, config, sim)
+        assert hist.output_times[0] == [None, None]
+        assert_same_history(hist, ref_hist)
