@@ -135,17 +135,26 @@ def _build_macrospin(fields: dict, path: str) -> MacrospinParams:
         raise ConfigError(str(exc), key=path) from exc
 
 
+def _check_grid(dt: float, horizon: float, path: str) -> None:
+    """The SimConfig grid rule, naming the offending key, and a horizon
+    that is a whole number of ``dt`` steps (the simulators run
+    ``round(horizon / dt)`` steps, so an off-grid horizon would be cut)."""
+    if not 0 < dt <= 0.01:
+        raise ConfigError("dt must be in (0, 0.01] ns", key=f"{path}.dt")
+    if horizon < 10 * dt:
+        raise ConfigError("horizon must be >= 10*dt", key=f"{path}.horizon")
+    steps = horizon / dt
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ConfigError(f"horizon must be a whole number of dt = {dt!r} ns steps",
+                          key=f"{path}.horizon")
+
+
 def _parse_sim(section: dict, path: str) -> SimConfig:
     _check_keys(section, {"dt", "horizon"}, path)
-    try:
-        return SimConfig(
-            dt=_number(section.get("dt", defaults.SIM_DT), f"{path}.dt"),
-            horizon=_number(section.get("horizon", defaults.SIM_HORIZON), f"{path}.horizon"),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(str(exc), key=path) from exc
+    dt = _number(section.get("dt", defaults.SIM_DT), f"{path}.dt")
+    horizon = _number(section.get("horizon", defaults.SIM_HORIZON), f"{path}.horizon")
+    _check_grid(dt, horizon, path)
+    return SimConfig(dt=dt, horizon=horizon)
 
 
 def _parse_preset_network(section: dict, path: str) -> Network:
@@ -309,11 +318,7 @@ def _parse_sweep(section: dict, path: str) -> SweepSpec:
         params = _build_macrospin(fields, f"{path}.params")
     dt = _number(section.get("dt", 0.005), f"{path}.dt")
     horizon = _number(section.get("horizon", 15.0), f"{path}.horizon")
-    # the SimConfig grid rule, naming the offending key
-    if not 0 < dt <= 0.01:
-        raise ConfigError("dt must be in (0, 0.01] ns", key=f"{path}.dt")
-    if horizon < 10 * dt:
-        raise ConfigError("horizon must be >= 10*dt", key=f"{path}.horizon")
+    _check_grid(dt, horizon, path)
     return SweepSpec(backend=backend, drives=drives, dt=dt, horizon=horizon, params=params)
 
 

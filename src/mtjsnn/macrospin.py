@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import InsufficientDataError, InvalidInputError, InvalidStateError, NumericalFailureError
 from .tlr import TlrParams
@@ -315,6 +314,8 @@ def fit_latency_law(
     Returns (vth, q, floor, max relative residual).  Uses variable
     projection: for a trial vth the remaining parameters are linear.
     """
+    from scipy.optimize import minimize_scalar   # slow to import; only the fit needs it
+
     v = np.asarray(drives, dtype=float)
     t = np.asarray(latencies, dtype=float)
     if v.size < 4:

@@ -9,6 +9,7 @@ phenomenological TLR backend or the macrospin physics backend.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
@@ -101,15 +102,7 @@ class Trace:
     spike_onsets: dict[str, list[float]]
 
     def to_csv(self, path) -> None:
-        names = list(self.signals)
-        cols = [np.asarray(c, dtype=float) for c in [self.time] + [self.signals[n] for n in names]]
-        with open(path, "w") as fh:
-            fh.write("time_ns," + ",".join(names) + "\n")
-            # a few thousand rows at a time: whole columns as strings would
-            # cost far more memory than the arrays
-            for lo in range(0, self.time.size, _CSV_CHUNK_ROWS):
-                cells = [map(repr, c[lo : lo + _CSV_CHUNK_ROWS].tolist()) for c in cols]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        _write_csvs(self.time, [(path, self.signals)])
 
     def spikes_text(self) -> str:
         lines = []
@@ -119,6 +112,37 @@ class Trace:
             else:
                 lines.append(f"{nid}: -")
         return "\n".join(lines) + "\n"
+
+
+def _format_column(seg: np.ndarray) -> list[str]:
+    """``repr`` of each float in ``seg``.  The signals are mostly exact
+    zeros, so only the other cells are formatted; ``-0.0``, nan and inf
+    are among them."""
+    cells = ["0.0"] * seg.size
+    nz = np.flatnonzero((seg != 0) | np.signbit(seg))
+    for k, value in zip(nz.tolist(), seg[nz].tolist()):
+        cells[k] = repr(value)
+    return cells
+
+
+def _write_csvs(time: np.ndarray, files: list[tuple[object, dict[str, np.ndarray]]]) -> None:
+    """Write one CSV per ``(path, signals)`` pair: a ``time_ns`` column, then
+    one column per signal, each float as its ``repr``.  The files share the
+    time column, which is formatted once."""
+    time = np.asarray(time, dtype=float)
+    with contextlib.ExitStack() as stack:
+        tables = []
+        for path, signals in files:
+            fh = stack.enter_context(open(path, "w"))
+            fh.write("time_ns," + ",".join(signals) + "\n")
+            tables.append((fh, [np.asarray(c, dtype=float) for c in signals.values()]))
+        # a few thousand rows at a time: whole columns as strings would
+        # cost far more memory than the arrays
+        for lo in range(0, time.size, _CSV_CHUNK_ROWS):
+            time_cells = _format_column(time[lo : lo + _CSV_CHUNK_ROWS])
+            for fh, cols in tables:
+                cells = [time_cells] + [_format_column(c[lo : lo + _CSV_CHUNK_ROWS]) for c in cols]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def validate_topology(net: Network) -> list[str]:

@@ -12,7 +12,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, MtjsnnError
 from .network import (
     Network,
     Neuron,
@@ -20,6 +20,7 @@ from .network import (
     Source,
     Synapse,
     Trace,
+    _write_csvs,
     first_spike_time,
     simulate_network,
 )
@@ -221,8 +222,10 @@ def run_xor_eval(
         stimulus = encode_inputs(row, encoding, sim.horizon)
         try:
             trace = simulate_network(net.with_schedules(stimulus), sim)
-        except Exception as exc:
-            raise type(exc)(f"row (a={row.a}, b={row.b}): {exc}") from exc
+        except MtjsnnError as exc:
+            message = exc.args[0] if exc.args else ""
+            exc.args = (f"row (a={row.a}, b={row.b}): {message}",) + exc.args[1:]
+            raise
         traces[(row.a, row.b)] = trace
         report.traces.append(trace)
         onset = first_spike_time(trace, OUTPUT_ID)
@@ -283,16 +286,12 @@ def write_row_traces(traces: list[Trace], out_dir) -> list:
 
     paths = []
     for k, trace in enumerate(traces, start=1):
+        files = {}
         for kind, suffix in (("drive", "drive"), ("v", "voltage"), ("state", "state")):
-            names = [n for n in trace.signals if n.endswith("." + kind)]
             path = os.path.join(out_dir, f"row{k}_{suffix}.csv")
-            sub = Trace(
-                time=trace.time,
-                signals={n: trace.signals[n] for n in names},
-                spike_onsets={},
-            )
-            tmp = path + ".tmp~"
-            sub.to_csv(tmp)
-            os.replace(tmp, path)
+            files[path] = {n: s for n, s in trace.signals.items() if n.endswith("." + kind)}
+        _write_csvs(trace.time, [(path + ".tmp~", signals) for path, signals in files.items()])
+        for path in files:
+            os.replace(path + ".tmp~", path)
             paths.append(path)
     return paths

@@ -6,6 +6,9 @@ with small budgets.
 """
 
 import filecmp
+import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -63,6 +66,35 @@ class TestSimulate:
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sim,key", [
+        ({"dt": 0.02}, "sim.dt"),
+        ({"dt": 0.001, "horizon": 0.005}, "sim.horizon"),
+        ({"dt": 0.001, "horizon": 5.0004}, "sim.horizon"),
+    ])
+    def test_bad_grid_exit_2_names_key(self, tmp_path, capsys, sim, key):
+        cfg = write_config(tmp_path, xor_doc(sim=sim))
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert f"config error: {key}:" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
+    def test_simulate_does_not_import_scipy(self, tmp_path, xor_config_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(xor_config_path)), "src")
+        code = (
+            "import sys\n"
+            "import mtjsnn.cli\n"
+            f"mtjsnn.cli.load_config({xor_config_path!r})\n"
+            f"assert mtjsnn.cli.main(['simulate', '--config', {xor_config_path!r},"
+            f" '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+        assert (tmp_path / "trace.csv").exists()
 
     def test_unknown_key_exit_2_names_key(self, tmp_path, capsys):
         doc = xor_doc()
@@ -174,6 +206,15 @@ class TestSweepLatency:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert f"config error: {key}:" in err
+
+    def test_off_grid_horizon_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, xor_doc(
+            sweep={"drives": [1.5], "dt": 0.005, "horizon": 15.001}))
+        out = tmp_path / "out"
+        code = main(["sweep-latency", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "config error: sweep.horizon:" in capsys.readouterr().err
+        assert not (out / "latency.csv").exists()
 
     def test_missing_sweep_section_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, xor_doc())

@@ -268,6 +268,42 @@ class TestSweepRanges:
         assert (cfg.sweep.dt, cfg.sweep.horizon) == (0.01, 0.1)
 
 
+def grid_doc(section, dt, horizon):
+    grid = {"dt": dt, "horizon": horizon}
+    return minimal(**{section: {**grid, "drives": [1.5]} if section == "sweep" else grid})
+
+
+class TestGrid:
+    @pytest.mark.parametrize("section", ["sim", "sweep"])
+    @pytest.mark.parametrize("dt,horizon", [
+        (0.001, 5.0), (0.001, 0.3), (0.001, 160.0), (0.002, 5.0), (0.005, 15.0),
+        (0.01, 0.1), (0.007, 0.7), (0.0003, 1.0002), (0.001, 5.000000000001),
+    ])
+    def test_on_grid_horizon_accepted(self, section, dt, horizon):
+        cfg = parse_config(grid_doc(section, dt, horizon))
+        assert (getattr(cfg, section).dt, getattr(cfg, section).horizon) == (dt, horizon)
+
+    @pytest.mark.parametrize("section", ["sim", "sweep"])
+    @pytest.mark.parametrize("dt,horizon", [
+        (0.001, 5.0004), (0.001, 5.000001), (0.005, 15.001), (0.01, 0.105), (0.003, 1.0),
+    ])
+    def test_off_grid_horizon_names_key(self, section, dt, horizon):
+        with pytest.raises(ConfigError, match="whole number of dt") as e:
+            parse_config(grid_doc(section, dt, horizon))
+        assert e.value.key == f"{section}.horizon"
+
+    @pytest.mark.parametrize("sim,key", [
+        ({"dt": 0.0}, "sim.dt"),
+        ({"dt": 0.02}, "sim.dt"),
+        ({"horizon": -1.0}, "sim.horizon"),
+        ({"dt": 0.01, "horizon": 0.05}, "sim.horizon"),
+    ])
+    def test_sim_out_of_range_names_key(self, sim, key):
+        with pytest.raises(ConfigError) as e:
+            parse_config(minimal(sim=sim))
+        assert e.value.key == key
+
+
 class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError) as e:

@@ -291,3 +291,55 @@ class TestTraceCsvBytes:
             trace.to_csv(tmp_path / "new.csv")
             reference_to_csv(trace, tmp_path / "old.csv")
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def assert_matches_reference(self, trace, tmp_path):
+        trace.to_csv(tmp_path / "new.csv")
+        reference_to_csv(trace, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_negative_zero_in_zero_row(self, tmp_path):
+        a, b = np.zeros(6), np.zeros(6)
+        a[2] = -0.0
+        b[4] = -0.0
+        self.assert_matches_reference(Trace(0.25 * np.arange(6), {"a.v": a, "b.v": b}, {}),
+                                      tmp_path)
+
+    def test_zero_rows_at_chunk_edges(self, tmp_path):
+        n = 4100
+        rng = np.random.default_rng(6)
+        signals = {name: rng.standard_normal(n) for name in ("a.v", "b.drive", "c.state")}
+        for col in signals.values():
+            col[[0, 2047, 2048, 4095, n - 1]] = 0.0
+            col[[2046, 2049, 4094, 4096]] = -0.0
+        self.assert_matches_reference(Trace(0.001 * np.arange(n), signals, {}), tmp_path)
+
+    def test_all_zero_and_no_zero_columns(self, tmp_path):
+        n = 3000
+        signals = {"zero.v": np.zeros(n), "dense.v": 1.0 + np.arange(n) / 7.0}
+        self.assert_matches_reference(Trace(0.001 * np.arange(n), signals, {}), tmp_path)
+
+    def test_nan_and_inf_cells(self, tmp_path):
+        a = np.array([np.nan, 0.0, np.inf, -np.inf, 0.0, -np.nan, 1.5])
+        self.assert_matches_reference(
+            Trace(np.array([np.nan, 0.0, 1.0, np.inf, 2.0, 3.0, -np.inf]),
+                  {"a.v": a, "b.v": np.roll(a, 2)}, {}),
+            tmp_path)
+
+    def test_row_trace_files_match_reference(self, tmp_path):
+        from mtjsnn.defaults import xor_reference_network
+        from mtjsnn.xorbench import run_xor_eval, write_row_traces
+
+        traces = run_xor_eval(xor_reference_network(), SimConfig(dt=0.001, horizon=5.0)).traces
+        paths = write_row_traces(traces, tmp_path)
+        assert len(paths) == 12
+        for k, trace in enumerate(traces, start=1):
+            for kind, suffix in (("drive", "drive"), ("v", "voltage"), ("state", "state")):
+                sub = Trace(trace.time, {n: s for n, s in trace.signals.items()
+                                         if n.endswith("." + kind)}, {})
+                reference_to_csv(sub, tmp_path / "old.csv")
+                new = tmp_path / f"row{k}_{suffix}.csv"
+                assert str(new) in paths
+                assert new.read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [f"row{k}_{s}.csv" for k in range(1, 5) for s in ("drive", "voltage", "state")]
+            + ["old.csv"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mtjsnn import xorbench
 from mtjsnn.defaults import xor_reference_network
-from mtjsnn.errors import InvalidInputError
+from mtjsnn.errors import ConfigError, InvalidInputError, NumericalFailureError
 from mtjsnn.network import SimConfig, first_spike_time, simulate_network, validate_topology
 from mtjsnn.tlr import TlrParams
 from mtjsnn.xorbench import (
@@ -169,6 +169,53 @@ class TestRunXorEval:
                 for wc in np.linspace(-2, 2, 9):
                     outs = [int(wa * a + wb * b + wc * c > 0) for a, b, c, _ in rows]
                     assert outs != [t for _, _, _, t in rows]
+
+
+class TwoArgumentError(NumericalFailureError):
+    """Its constructor takes two arguments, so it cannot be rebuilt from a message."""
+
+    def __init__(self, message, detail):
+        super().__init__(message, detail)
+
+
+class TestRowErrors:
+    """A simulation error of one row is re-raised as the same object, with
+    the row named in its message."""
+
+    def raise_in_row_01(self, monkeypatch, exc):
+        real = xorbench.simulate_network
+
+        def failing(net, sim):
+            if {s.id: s.spike_times for s in net.sources}["B"]:
+                raise exc
+            return real(net, sim)
+
+        monkeypatch.setattr(xorbench, "simulate_network", failing)
+
+    def test_config_error_keeps_key(self, monkeypatch):
+        exc = ConfigError("bad value", key="k")
+        self.raise_in_row_01(monkeypatch, exc)
+        with pytest.raises(ConfigError) as e:
+            run_xor_eval(xor_reference_network(), SIM)
+        assert e.value is exc
+        assert e.value.key == "k"
+        assert str(e.value) == "row (a=0, b=1): bad value"
+
+    def test_two_argument_exception_propagates_as_itself(self, monkeypatch):
+        exc = TwoArgumentError("boom", 7)
+        self.raise_in_row_01(monkeypatch, exc)
+        with pytest.raises(TwoArgumentError) as e:
+            run_xor_eval(xor_reference_network(), SIM)
+        assert e.value is exc
+        assert e.value.args == ("row (a=0, b=1): boom", 7)
+
+    def test_other_exceptions_untouched(self, monkeypatch):
+        exc = KeyError("x")
+        self.raise_in_row_01(monkeypatch, exc)
+        with pytest.raises(KeyError) as e:
+            run_xor_eval(xor_reference_network(), SIM)
+        assert e.value is exc
+        assert e.value.args == ("x",)
 
 
 class TestWriteRowTraces:
