@@ -28,7 +28,7 @@ from .errors import ConfigError, DivergenceError, InvalidInputError, MtjsnnError
 from .macrospin import measure_latency
 from .network import Network, SimConfig, simulate_network
 from .tlr import TlrParams, run_tlr
-from .trainer import TrainConfig, TrainHistory, train
+from .trainer import TrainHistory, train
 from .xorbench import run_xor_eval, write_row_traces, xor_dataset
 
 EXIT_OK = 0
@@ -74,16 +74,6 @@ def initial_weights(net: Network, spec: TrainSpec, seed: int) -> Network:
     return net.with_weights(base + rng.uniform(-spec.init_jitter, spec.init_jitter, base.size))
 
 
-def _train_config(spec: TrainSpec) -> TrainConfig:
-    return TrainConfig(
-        eta=spec.eta,
-        fd_epsilon=spec.fd_epsilon,
-        max_epochs=spec.max_epochs,
-        tol=spec.tol,
-        no_spike_penalty_time=spec.no_spike_penalty_time,
-    )
-
-
 def cmd_simulate(cfg: Config, out_dir: str, seed: int) -> int:
     net = cfg.network
     if cfg.stimulus is not None:
@@ -99,10 +89,13 @@ def cmd_simulate(cfg: Config, out_dir: str, seed: int) -> int:
 
 
 def _run_training(cfg: Config, seed: int) -> tuple[Network, TrainHistory]:
+    try:
+        train_sim = SimConfig(dt=cfg.train.dt, horizon=cfg.sim.horizon)
+    except InvalidInputError as exc:   # sim.horizon off the train.dt grid
+        raise ConfigError(str(exc), key="train.dt") from exc
     net0 = initial_weights(cfg.network, cfg.train, seed)
     dataset = xor_dataset(cfg.encoding, cfg.sim.horizon)
-    train_sim = SimConfig(dt=cfg.train.dt, horizon=cfg.sim.horizon)
-    return train(net0, dataset, _train_config(cfg.train), sim=train_sim)
+    return train(net0, dataset, cfg.train, sim=train_sim)
 
 
 def _train_and_write(cfg: Config, out_dir: str, seed: int) -> tuple[int, Optional[Network]]:
@@ -110,6 +103,8 @@ def _train_and_write(cfg: Config, out_dir: str, seed: int) -> tuple[int, Optiona
     with the trained network (None when training raised)."""
     try:
         net, history = _run_training(cfg, seed)
+    except ConfigError:
+        raise
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE, None
@@ -164,8 +159,7 @@ def _tlr_latency(params: TlrParams, drive: float, dt: float, horizon: float) -> 
 def cmd_sweep_latency(cfg: Config, out_dir: str, seed: int) -> int:
     sweep = cfg.sweep
     if sweep is None:
-        print("config error: sweep: missing sweep section", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("missing sweep section", key="sweep")
     rows = ["drive,latency_ns"]
     try:
         for drive in sweep.drives:
@@ -205,15 +199,12 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        key = exc.key or "<root>"
-        print(f"config error: {key}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    os.makedirs(args.out, exist_ok=True)
-    seed = args.seed if args.seed is not None else cfg.train.seed
-    try:
+        os.makedirs(args.out, exist_ok=True)
+        seed = args.seed if args.seed is not None else cfg.train.seed
         return COMMANDS[args.command](cfg, args.out, seed)
+    except ConfigError as exc:
+        print(f"config error: {exc.key or '<root>'}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except InvalidInputError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIMULATION

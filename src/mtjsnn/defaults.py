@@ -65,12 +65,9 @@ XOR_WEIGHTS: dict[str, float] = {
 XOR_SOURCE_AMPLITUDE = 1.0
 XOR_SOURCE_DURATION = 3.0   # ns; longer than the neuron pulse on purpose
 
-SIM_DT = 0.001         # ns, evaluation grid
-SIM_HORIZON = 5.0      # ns
 TRAIN_DT = 0.002       # ns, coarser grid for the many training simulations
 
 TRAIN_ETA = 0.2
-TRAIN_TOL = 0.05       # ns
 TRAIN_MAX_EPOCHS = 2000
 TRAIN_INIT_JITTER = 0.25   # uniform weight perturbation at initialization
 XOR_SEEDS = (1, 2, 3, 4, 5)

@@ -6,7 +6,14 @@ class MtjsnnError(Exception):
 
 
 class InvalidInputError(MtjsnnError, ValueError):
-    """An operation received a value outside its contract (non-finite, wrong sign, ...)."""
+    """An operation received a value outside its contract (non-finite, wrong sign, ...).
+
+    ``key`` names the offending field when known.
+    """
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class InvalidStateError(MtjsnnError, ValueError):

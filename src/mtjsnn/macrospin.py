@@ -46,14 +46,16 @@ class MacrospinParams:
 
     def __post_init__(self):
         if self.alpha <= 0:
-            raise InvalidInputError("alpha must be > 0")
-        if not (self.r_antiparallel > self.r_parallel > 0):
-            raise InvalidInputError("need r_antiparallel > r_parallel > 0")
+            raise InvalidInputError("alpha must be > 0", key="alpha")
+        if not self.r_parallel > 0:
+            raise InvalidInputError("r_parallel must be > 0", key="r_parallel")
+        if not self.r_antiparallel > self.r_parallel:
+            raise InvalidInputError("need r_antiparallel > r_parallel", key="r_antiparallel")
         if self.v_dd <= 0:
-            raise InvalidInputError("v_dd must be > 0")
+            raise InvalidInputError("v_dd must be > 0", key="v_dd")
         p = np.asarray(self.polarizer, dtype=float)
         if abs(np.linalg.norm(p) - 1.0) > _UNIT_TOL:
-            raise InvalidInputError("polarizer must be a unit vector")
+            raise InvalidInputError("polarizer must be a unit vector", key="polarizer")
 
     @property
     def easy_axis(self) -> np.ndarray:

@@ -59,9 +59,6 @@ class Network:
                 return n
         raise InvalidInputError(f"unknown neuron {nid!r}")
 
-    def in_edges(self, post: str) -> list[Synapse]:
-        return [s for s in self.synapses if s.post == post]
-
     def with_weights(self, weights: np.ndarray) -> "Network":
         """Copy with the synapse weight vector replaced (same edge order)."""
         if len(weights) != len(self.synapses):
@@ -74,6 +71,10 @@ class Network:
 
     def with_schedules(self, schedules: dict[str, list[float]]) -> "Network":
         """Copy with source spike schedules replaced by id."""
+        ids = {src.id for src in self.sources}
+        unknown = [sid for sid in schedules if sid not in ids]
+        if unknown:
+            raise InvalidInputError(f"unknown source {unknown[0]!r}")
         new = []
         for src in self.sources:
             if src.id in schedules:
@@ -83,16 +84,28 @@ class Network:
         return replace(self, sources=tuple(new))
 
 
+def _check_dt(dt: float) -> None:
+    """The step rule of every simulation grid."""
+    if not 0 < dt <= 0.01:
+        raise InvalidInputError("dt must be in (0, 0.01] ns", key="dt")
+
+
 @dataclass(frozen=True)
 class SimConfig:
+    """A grid of ``round(horizon / dt)`` steps, so ``horizon`` must be a
+    whole number of steps (within a relative 1e-9) or the run would be cut."""
+
     dt: float = 0.001    # ns
     horizon: float = 5.0  # ns
 
     def __post_init__(self):
-        if not (0 < self.dt <= 0.01):
-            raise InvalidInputError("dt must be in (0, 0.01] ns")
-        if self.horizon < 10 * self.dt:
-            raise InvalidInputError("horizon must be >= 10*dt")
+        _check_dt(self.dt)
+        if not 10 * self.dt <= self.horizon < math.inf:
+            raise InvalidInputError("horizon must be finite and >= 10*dt", key="horizon")
+        steps = self.horizon / self.dt
+        if not (steps < math.inf and abs(steps - round(steps)) <= 1e-9 * steps):
+            raise InvalidInputError(f"horizon must be a whole number of dt = {self.dt!r} ns steps",
+                                    key="horizon")
 
 
 @dataclass
@@ -190,16 +203,6 @@ def _topo_order(net: Network, neuron_ids: list[str]) -> Optional[list[str]]:
     if len(order) != len(neuron_ids):
         return None
     return order
-
-
-def synaptic_drive(net: Network, post_id: str, presyn_voltages: dict[str, float]) -> float:
-    """Instantaneous drive: sum of weight * presynaptic voltage over in-edges."""
-    total = 0.0
-    for s in net.in_edges(post_id):
-        if s.pre not in presyn_voltages:
-            raise InvalidInputError(f"missing presynaptic voltage for {s.pre!r}")
-        total += s.weight * presyn_voltages[s.pre]
-    return total
 
 
 def simulate_network(net: Network, sim: SimConfig) -> Trace:

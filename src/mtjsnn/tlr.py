@@ -48,19 +48,20 @@ class TlrParams:
 
     def __post_init__(self):
         if not (self.i_threshold > 0 and math.isfinite(self.i_threshold)):
-            raise InvalidInputError("i_threshold must be positive and finite")
+            raise InvalidInputError("i_threshold must be positive and finite", key="i_threshold")
         if not (self.q_switch > 0 and math.isfinite(self.q_switch)):
-            raise InvalidInputError("q_switch must be positive and finite")
+            raise InvalidInputError("q_switch must be positive and finite", key="q_switch")
         if not (self.spike_duration > 0 and math.isfinite(self.spike_duration)):
-            raise InvalidInputError("spike_duration must be positive and finite")
+            raise InvalidInputError("spike_duration must be positive and finite",
+                                    key="spike_duration")
         if not (self.latency_floor >= 0 and math.isfinite(self.latency_floor)):
-            raise InvalidInputError("latency_floor must be >= 0 and finite")
+            raise InvalidInputError("latency_floor must be >= 0 and finite", key="latency_floor")
         if not (self.t_refractory >= 0 and math.isfinite(self.t_refractory)):
-            raise InvalidInputError("t_refractory must be >= 0 and finite")
+            raise InvalidInputError("t_refractory must be >= 0 and finite", key="t_refractory")
         if self.rel_refraction_beta < 0:
-            raise InvalidInputError("rel_refraction_beta must be >= 0")
+            raise InvalidInputError("rel_refraction_beta must be >= 0", key="rel_refraction_beta")
         if self.rel_refraction_tau <= 0:
-            raise InvalidInputError("rel_refraction_tau must be > 0")
+            raise InvalidInputError("rel_refraction_tau must be > 0", key="rel_refraction_tau")
 
     @property
     def lockout(self) -> float:

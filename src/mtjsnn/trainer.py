@@ -42,11 +42,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.eta < 0:
-            raise InvalidInputError("eta must be >= 0")
+            raise InvalidInputError("eta must be >= 0", key="eta")
         if self.fd_epsilon <= 0:
-            raise InvalidInputError("fd_epsilon must be > 0")
+            raise InvalidInputError("fd_epsilon must be > 0", key="fd_epsilon")
         if self.tol <= 0:
-            raise InvalidInputError("tol must be > 0")
+            raise InvalidInputError("tol must be > 0", key="tol")
 
 
 @dataclass

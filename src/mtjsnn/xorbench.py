@@ -68,7 +68,9 @@ class EncodingConfig:
 
     def __post_init__(self):
         if self.mode not in ("presence", "timing"):
-            raise InvalidInputError(f"unknown encoding mode {self.mode!r}")
+            raise InvalidInputError(f"unknown encoding mode {self.mode!r}", key="mode")
+        if self.bias_period is not None and not self.bias_period > 0:
+            raise InvalidInputError("bias_period must be > 0", key="bias_period")
 
 
 def encode_inputs(

@@ -164,6 +164,28 @@ class TestTrain:
         assert code == EXIT_CONFIG
         assert "config error: train.eta:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "bench-xor"])
+    def test_horizon_off_training_grid_exit_2(self, tmp_path, capsys, command):
+        # on the 0.001 ns sim grid, but not on the 0.002 ns training grid
+        cfg = write_config(tmp_path, xor_doc(sim={"dt": 0.001, "horizon": 5.001},
+                                             train={"dt": 0.002}))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "config error: train.dt: horizon must be a whole number of dt = 0.002 ns steps" \
+            in capsys.readouterr().err
+        assert not (out / "history.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "bench-xor"])
+    def test_topology_without_xor_sources_exit_3(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {"schema_version": 1, "network": {
+            "sources": [{"id": "s", "spike_times": [0.0]}],
+            "neurons": [{"id": "o1"}],
+            "synapses": [{"pre": "s", "post": "o1", "weight": 3.0}]}})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_SIMULATION
+        assert "simulation failed: unknown source 'A'" in capsys.readouterr().err
+        assert not (out / "history.csv").exists()
+
     def test_seed_flag_overrides_config(self, tmp_path):
         doc = xor_doc(train={"max_epochs": 1, "seed": 2})
         cfg = write_config(tmp_path, doc)

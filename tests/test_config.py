@@ -1,11 +1,25 @@
 """Config parsing: schema validation, strict keys, preset and explicit networks."""
 
+import copy
+import dataclasses
 import math
+import os
+import re
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mtjsnn.config import load_config, parse_config
+from mtjsnn.config import Config, SweepSpec, TrainSpec, load_config, parse_config
 from mtjsnn.errors import ConfigError
+from mtjsnn.macrospin import MacrospinParams
+from mtjsnn.network import Network, Neuron, SimConfig, Source, Synapse
+from mtjsnn.tlr import TlrParams
+from mtjsnn.xorbench import EncodingConfig
+
+XOR_YAML = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "configs", "xor.yaml")
 
 
 def minimal(**overrides):
@@ -321,3 +335,130 @@ class TestLoadConfig:
         cfg = load_config(xor_config_path)
         assert cfg.train.seed in cfg.train.seeds
         assert len(cfg.network.synapses) == 9
+
+
+class TestKeyNamesField:
+    """A range rule of a section's dataclass names the field, not the section."""
+
+    @pytest.mark.parametrize("doc,key", [
+        (minimal(sim={"dt": 0.02}), "sim.dt"),
+        (minimal(encoding={"mode": "bogus"}), "encoding.mode"),
+        (minimal(train={"init_jitter": -1}), "train.init_jitter"),
+        (minimal(sweep={"drives": []}), "sweep.drives"),
+        (minimal(network={"preset": "xor", "neurons": {"i1": {"q_switch": -1}}}),
+         "network.neurons.i1.q_switch"),
+        (minimal(sweep={"drives": [1.0], "backend": "macrospin", "params": {"alpha": -1}}),
+         "sweep.params.alpha"),
+        (minimal(network={"sources": "x"}), "network.sources"),
+        (minimal(network={"sources": [{"spike_times": [0.0]}]}), "network.sources[0].id"),
+        (minimal(network={"neurons": [{"backend": "tlr"}]}), "network.neurons[0].id"),
+        (minimal(network={"synapses": [{"pre": "a", "post": "b"}]}),
+         "network.synapses[0].weight"),
+    ])
+    def test_key(self, doc, key):
+        with pytest.raises(ConfigError) as e:
+            parse_config(doc)
+        assert e.value.key == key
+
+
+class TestBiasPeriod:
+    @pytest.mark.parametrize("period", [0, 0.0, -1.0, -0.001])
+    def test_non_positive_rejected(self, period):
+        with pytest.raises(ConfigError, match="bias_period must be > 0") as e:
+            parse_config(minimal(encoding={"bias_period": period}))
+        assert e.value.key == "encoding.bias_period"
+
+    def test_shorter_than_sim_dt_rejected(self):
+        with pytest.raises(ConfigError, match="sim.dt") as e:
+            parse_config(minimal(sim={"dt": 0.002}, encoding={"bias_period": 0.001}))
+        assert e.value.key == "encoding.bias_period"
+
+    @pytest.mark.parametrize("period", [None, 0.001, 2.0])
+    def test_accepted(self, period):
+        cfg = parse_config(minimal(encoding={"bias_period": period}))
+        assert cfg.encoding.bias_period == period
+
+
+def field_names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def base_documents():
+    """configs/xor.yaml with every optional section, and an explicit
+    topology with both backends: between them every dataclass field has a
+    slot to mutate."""
+    with open(XOR_YAML) as fh:
+        preset = yaml.safe_load(fh)
+    preset["network"].update(neurons={"i1": {}}, weights={}, bias_to_output=True,
+                             source_amplitude=1.0, source_duration=3.0)
+    preset["encoding"]["bias_period"] = 2.0
+    preset["stimulus"] = {"A": [0.0], "bias": [0.0]}
+    preset["sweep"] = {"backend": "tlr", "drives": [1.5], "dt": 0.005, "horizon": 15.0,
+                       "params": {}}
+    explicit = {
+        "schema_version": 1,
+        "sim": {"dt": 0.001, "horizon": 5.0},
+        "network": {
+            "sources": [{"id": "A", "spike_times": [0.0], "amplitude": 1.0, "duration": 1.2}],
+            "neurons": [{"id": "n", "backend": "tlr", "params": {}},
+                        {"id": "m", "backend": "macrospin", "params": {}}],
+            "synapses": [{"pre": "A", "post": "n", "weight": 3.0}],
+        },
+        "stimulus": {"A": [0.5]},
+        "sweep": {"backend": "macrospin", "drives": [1.0], "params": {}},
+    }
+    return preset, explicit
+
+
+BASES = base_documents()
+SLOTS = (
+    [(0, (k,)) for k in field_names(Config)]
+    + [(1, (k,)) for k in field_names(Config)]
+    + [(0, ("sim", f)) for f in field_names(SimConfig)]
+    + [(0, ("encoding", f)) for f in field_names(EncodingConfig)]
+    + [(0, ("train", f)) for f in field_names(TrainSpec)]
+    + [(0, ("network", k)) for k in BASES[0]["network"]]
+    + [(0, ("network", "neurons", "i1", f)) for f in field_names(TlrParams)]
+    + [(0, ("network", "weights", "A->i1")), (0, ("stimulus", "A"))]
+    + [(0, ("sweep", f)) for f in field_names(SweepSpec)]
+    + [(0, ("sweep", "params", f)) for f in field_names(TlrParams)]
+    + [(1, ("network", f)) for f in field_names(Network)]
+    + [(1, ("network", "sources", 0, f)) for f in field_names(Source)]
+    + [(1, ("network", "neurons", 0, f)) for f in field_names(Neuron)]
+    + [(1, ("network", "neurons", 1, "params", f)) for f in field_names(MacrospinParams)]
+    + [(1, ("network", "synapses", 0, f)) for f in field_names(Synapse)]
+    + [(1, ("sweep", "params", f)) for f in field_names(MacrospinParams)]
+)
+VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=0.0, max_value=200.0),   # mostly off any dt grid
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(-2.0, 2.0), st.text(max_size=2)),
+             max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+class TestMutatedDocuments:
+    @settings(max_examples=400, deadline=None)
+    @given(slot=st.sampled_from(SLOTS),
+           op=st.sampled_from(["set", "negate", "delete", "unknown key"]), value=VALUES)
+    def test_parses_or_names_a_top_level_key(self, slot, op, value):
+        base, path = slot
+        doc = copy.deepcopy(BASES[base])
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        old = parent.get(path[-1])
+        if op == "delete":
+            parent.pop(path[-1], None)
+        elif op == "unknown key":
+            parent["bogus"] = value
+        elif op == "negate" and isinstance(old, (int, float)) and not isinstance(old, bool):
+            parent[path[-1]] = -old
+        else:
+            parent[path[-1]] = value
+        try:
+            assert isinstance(parse_config(doc), Config)
+        except ConfigError as exc:
+            assert re.split(r"[.\[]", exc.key)[0] in {*field_names(Config), "<root>"}, exc.key

@@ -18,7 +18,6 @@ from mtjsnn.network import (
     _simulate,
     first_spike_time,
     simulate_network,
-    synaptic_drive,
     validate_topology,
 )
 from mtjsnn.tlr import TlrParams, constant_drive_latency
@@ -45,6 +44,25 @@ class TestSimConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidInputError):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,key", [
+        ({"dt": 0.02}, "dt"),
+        ({"dt": 0.01, "horizon": 0.05}, "horizon"),
+        ({"horizon": math.inf}, "horizon"),
+        ({"dt": 0.001, "horizon": 5.0004}, "horizon"),
+        ({"dt": 0.003, "horizon": 1.0}, "horizon"),
+    ])
+    def test_invalid_names_field(self, kwargs, key):
+        with pytest.raises(InvalidInputError) as e:
+            SimConfig(**kwargs)
+        assert e.value.key == key
+
+
+class TestWithSchedules:
+    def test_unknown_source_rejected(self):
+        net = chain_network()
+        with pytest.raises(InvalidInputError, match="unknown source 'A'"):
+            net.with_schedules({"src": [1.0], "A": [0.0], "B": [0.0]})
 
 
 class TestValidateTopology:
@@ -88,13 +106,19 @@ class TestValidateTopology:
 
 
 class TestSynapticDrive:
+    """The ``<neuron>.drive`` signal of a simulation is the weighted sum of
+    its presynaptic voltages."""
+
+    SIM = SimConfig(dt=0.005, horizon=3.0)
+
     def test_single_edge(self):
-        net = chain_network(weight=2.0)
-        assert synaptic_drive(net, "n", {"src": 0.5}) == pytest.approx(1.0)
+        trace = simulate_network(chain_network(weight=2.0), self.SIM)
+        assert trace.signals["src.v"].max() > 0
+        np.testing.assert_allclose(trace.signals["n.drive"], 2.0 * trace.signals["src.v"])
 
     def test_zero_voltages(self):
-        net = chain_network()
-        assert synaptic_drive(net, "n", {"src": 0.0}) == 0.0
+        trace = simulate_network(chain_network().with_schedules({"src": []}), self.SIM)
+        assert not trace.signals["n.drive"].any()
 
     def test_superposition(self):
         net = Network(
@@ -102,15 +126,14 @@ class TestSynapticDrive:
             synapses=(Synapse("a", "n", 1.5), Synapse("b", "n", -0.5)),
             sources=(Source("a"), Source("b")),
         )
-        total = synaptic_drive(net, "n", {"a": 2.0, "b": 4.0})
-        only_a = synaptic_drive(net, "n", {"a": 2.0, "b": 0.0})
-        only_b = synaptic_drive(net, "n", {"a": 0.0, "b": 4.0})
-        assert total == pytest.approx(only_a + only_b)
 
-    def test_missing_voltage(self):
-        net = chain_network()
-        with pytest.raises(InvalidInputError):
-            synaptic_drive(net, "n", {})
+        def drive(a, b):
+            trace = simulate_network(net.with_schedules({"a": a, "b": b}), self.SIM)
+            return trace.signals["n.drive"]
+
+        only_a, only_b = drive([0.2], []), drive([], [0.7])
+        assert only_a.any() and only_b.any()
+        np.testing.assert_allclose(drive([0.2], [0.7]), only_a + only_b)
 
 
 class TestSimulateNetwork:

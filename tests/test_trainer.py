@@ -291,7 +291,7 @@ class TestBatchedFdMatchesPerSimulation:
         net = cli.initial_weights(cfg.network, cfg.train, seed)
         dataset = xor_dataset(cfg.encoding, cfg.sim.horizon)
         sim = SimConfig(dt=cfg.train.dt, horizon=cfg.sim.horizon)
-        config = dataclasses.replace(cli._train_config(cfg.train), max_epochs=2)
+        config = dataclasses.replace(cfg.train, max_epochs=2)
         out, hist = train(net, dataset, config, sim=sim)
         ref_out, ref_hist = reference_train(net, dataset, config, sim)
         assert_same_history(hist, ref_hist)

@@ -60,6 +60,12 @@ class TestEncoding:
         with pytest.raises(InvalidInputError):
             EncodingConfig(mode="morse")
 
+    @pytest.mark.parametrize("period", [0.0, -1.0, float("nan")])
+    def test_non_positive_bias_period_rejected(self, period):
+        with pytest.raises(InvalidInputError) as e:
+            EncodingConfig(bias_period=period)
+        assert e.value.key == "bias_period"
+
     def test_dataset_covers_rows(self):
         data = xor_dataset()
         assert [t for _, t in data] == [2.0, 2.5, 2.5, 2.0]
