@@ -200,19 +200,22 @@ def _parse_preset_network(section: dict, path: str) -> Network:
             raise ConfigError(f"unknown edge {edge!r}", key=f"{path}.weights.{edge}")
         weights[edge] = _number(w, f"{path}.weights.{edge}")
 
-    return build_xor_network(
-        params=params,
-        weights=weights,
-        bias_to_output=_bool(section.get("bias_to_output", True), f"{path}.bias_to_output"),
-        source_amplitude=_number(
-            section.get("source_amplitude", defaults.XOR_SOURCE_AMPLITUDE),
-            f"{path}.source_amplitude",
-        ),
-        source_duration=_number(
-            section.get("source_duration", defaults.XOR_SOURCE_DURATION),
-            f"{path}.source_duration",
-        ),
-    )
+    try:
+        return build_xor_network(
+            params=params,
+            weights=weights,
+            bias_to_output=_bool(section.get("bias_to_output", True), f"{path}.bias_to_output"),
+            source_amplitude=_number(
+                section.get("source_amplitude", defaults.XOR_SOURCE_AMPLITUDE),
+                f"{path}.source_amplitude",
+            ),
+            source_duration=_number(
+                section.get("source_duration", defaults.XOR_SOURCE_DURATION),
+                f"{path}.source_duration",
+            ),
+        )
+    except InvalidInputError as exc:   # Source's duration rule, the one rule the preset can break
+        raise ConfigError(str(exc), key=f"{path}.source_duration") from exc
 
 
 def _parse_network(section: Any, path: str) -> Network:

@@ -307,6 +307,87 @@ def find_switching_threshold(
     return 0.5 * (v_lo + v_hi)
 
 
+def _fminbound(func: Callable[[float], float], lo: float, hi: float,
+               xatol: float) -> float:
+    """Minimizer of ``func`` on [lo, hi] by Brent's bounded method.
+
+    Golden-section search with parabolic interpolation steps (Brent 1973,
+    ch. 5; the FMIN routine of Forsythe, Malcolm & Moler 1977), stopping
+    when the bracket around the best point is within ``xatol`` plus a
+    relative ``sqrt(2.2e-16)`` of it, or after 500 evaluations.  Its
+    constants and update order are those of the reference bounded
+    minimizer that ``tests/test_macrospin.py`` compares it with, point for
+    point and bit for bit.
+    """
+    # [a, b] brackets the minimum; xf is the best point so far, nfc the
+    # second best and fulc the one before it; rat is the last step, e the
+    # one before it.
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:   # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf
+
+
 def fit_latency_law(
     drives: Sequence[float],
     latencies: Sequence[float],
@@ -314,10 +395,10 @@ def fit_latency_law(
     """Least-squares fit of T(V) = floor + q / (V - vth).
 
     Returns (vth, q, floor, max relative residual).  Uses variable
-    projection: for a trial vth the remaining parameters are linear.
+    projection: for a trial vth the remaining parameters are linear, and
+    u = log(v_min - vth) is minimized by Brent's bounded method
+    (``_fminbound``) to an absolute tolerance of 1e-12.
     """
-    from scipy.optimize import minimize_scalar   # slow to import; only the fit needs it
-
     v = np.asarray(drives, dtype=float)
     t = np.asarray(latencies, dtype=float)
     if v.size < 4:
@@ -338,9 +419,8 @@ def fit_latency_law(
         _, ssq = linear_fit(v_min - math.exp(u))
         return ssq
 
-    best = minimize_scalar(cost, bounds=(math.log(1e-9 * span), math.log(10.0 * span)),
-                           method="bounded", options={"xatol": 1e-12})
-    vth = v_min - math.exp(best.x)
+    u = _fminbound(cost, math.log(1e-9 * span), math.log(10.0 * span), xatol=1e-12)
+    vth = v_min - math.exp(u)
     (floor, q), _ = linear_fit(vth)
     pred = floor + q / (v - vth)
     max_rel = float(np.max(np.abs(pred - t) / np.abs(t)))

@@ -32,6 +32,10 @@ class Source:
     amplitude: float = 1.0   # volts
     duration: float = 1.2    # ns
 
+    def __post_init__(self):
+        if not 0 < self.duration < math.inf:
+            raise InvalidInputError("duration must be > 0 and finite", key="duration")
+
 
 @dataclass(frozen=True)
 class Neuron:

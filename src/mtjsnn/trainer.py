@@ -45,6 +45,8 @@ class TrainConfig:
             raise InvalidInputError("eta must be >= 0", key="eta")
         if self.fd_epsilon <= 0:
             raise InvalidInputError("fd_epsilon must be > 0", key="fd_epsilon")
+        if self.max_epochs < 1:
+            raise InvalidInputError("max_epochs must be >= 1", key="max_epochs")
         if self.tol <= 0:
             raise InvalidInputError("tol must be > 0", key="tol")
 

@@ -80,6 +80,16 @@ class TestSimulate:
         assert f"config error: {key}:" in capsys.readouterr().err
         assert not (out / "trace.csv").exists()
 
+    @pytest.mark.parametrize("duration", [0.0, -1.0])
+    def test_bad_source_duration_exit_2(self, tmp_path, capsys, duration):
+        cfg = write_config(tmp_path, xor_doc(
+            network={"preset": "xor", "source_duration": duration}))
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "config error: network.source_duration:" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
     def test_simulate_does_not_import_scipy(self, tmp_path, xor_config_path):
         src = os.path.join(os.path.dirname(os.path.dirname(xor_config_path)), "src")
         code = (
@@ -149,7 +159,8 @@ class TestTrain:
         assert code == EXIT_CONFIG
         assert f"config error: train.{next(iter(train))}:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("train", [{"fd_epsilon": 0}, {"tol": 0}, {"dt": 0.02}])
+    @pytest.mark.parametrize("train", [{"fd_epsilon": 0}, {"tol": 0}, {"dt": 0.02},
+                                       {"max_epochs": 0}])
     def test_out_of_range_train_value_exit_2(self, tmp_path, capsys, train):
         cfg = write_config(tmp_path, xor_doc(train=train))
         code = main(["train", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -212,6 +212,8 @@ class TestTrainSection:
         ("dt", 0),
         ("dt", 0.02),
         ("dt", -0.002),
+        ("max_epochs", 0),
+        ("max_epochs", -3),
     ])
     def test_out_of_range_names_key(self, key, value):
         with pytest.raises(ConfigError) as e:
@@ -354,6 +356,9 @@ class TestKeyNamesField:
         (minimal(network={"neurons": [{"backend": "tlr"}]}), "network.neurons[0].id"),
         (minimal(network={"synapses": [{"pre": "a", "post": "b"}]}),
          "network.synapses[0].weight"),
+        (minimal(network={"sources": [{"id": "s", "duration": 0.0}]}),
+         "network.sources[0].duration"),
+        (minimal(network={"preset": "xor", "source_duration": -1.0}), "network.source_duration"),
     ])
     def test_key(self, doc, key):
         with pytest.raises(ConfigError) as e:

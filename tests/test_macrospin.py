@@ -1,11 +1,15 @@
 """Macrospin backend: LLGS field properties, circuit solve, calibration."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from mtjsnn import macrospin
+from mtjsnn.defaults import CALIBRATION_GRID
 from mtjsnn.errors import (
     InsufficientDataError,
     InvalidInputError,
@@ -309,10 +313,81 @@ class TestCalibration:
             calibrate_tlr(PARAMS, [0.1, 0.2, 0.3, 0.35])
 
     def test_defaults_fit_within_budget(self):
-        from mtjsnn.defaults import CALIBRATION_GRID
         cal = calibrate_tlr(PARAMS, CALIBRATION_GRID)
         assert cal.max_rel_residual <= 0.15
         for v, lat in zip(cal.drives, cal.latencies):
             pred = constant_drive_latency(cal.tlr_params, v)
             assert pred is not None
             assert abs(pred - lat) / lat <= 0.15
+
+    def test_fit_runs_without_scipy(self):
+        # the fit must not need scipy: block its import and compare with
+        # the same fit in this process
+        drives = [0.8, 1.0, 1.3, 1.7, 2.2]
+        lats = [0.6 + 0.4 / (v - 0.55) for v in drives]
+        grid = (1.0, 1.2, 1.5, 2.0)
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from mtjsnn.macrospin import MacrospinParams, calibrate_tlr, fit_latency_law\n"
+            f"print(repr(fit_latency_law({drives!r}, {lats!r})))\n"
+            f"cal = calibrate_tlr(MacrospinParams(), {grid!r}, horizon=8.0)\n"
+            "print(repr((cal.tlr_params, cal.max_rel_residual)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(macrospin.__file__))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        cal = calibrate_tlr(PARAMS, grid, horizon=8.0)
+        assert done.stdout == (f"{fit_latency_law(drives, lats)!r}\n"
+                               f"{(cal.tlr_params, cal.max_rel_residual)!r}\n")
+
+
+class TestFminbound:
+    """``_fminbound`` against scipy's bounded ``minimize_scalar``, the
+    routine it ports: the same points are evaluated, bit for bit."""
+
+    @staticmethod
+    def assert_same_as_scipy(func, lo, hi, xatol):
+        optimize = pytest.importorskip("scipy.optimize")
+        ours, theirs = [], []
+        x = macrospin._fminbound(lambda u: ours.append(u) or func(u), lo, hi, xatol)
+        res = optimize.minimize_scalar(lambda u: theirs.append(float(u)) or func(u),
+                                       bounds=(lo, hi), method="bounded",
+                                       options={"xatol": xatol})
+        assert ours == theirs
+        assert x == float(res.x)
+
+    def test_calibration_fit(self, monkeypatch):
+        problems = []
+        real = macrospin._fminbound
+
+        def spy(func, lo, hi, xatol):
+            problems.append((func, lo, hi, xatol))
+            return real(func, lo, hi, xatol)
+
+        monkeypatch.setattr(macrospin, "_fminbound", spy)
+        calibrate_tlr(PARAMS, CALIBRATION_GRID)
+        assert len(problems) == 1
+        self.assert_same_as_scipy(*problems[0])
+
+    def test_random_bracketed_problems(self):
+        rng = np.random.default_rng(20260)
+        for _ in range(1000):
+            c = rng.normal(size=4)
+            lo = float(rng.uniform(-5.0, 5.0))
+            hi = lo + float(rng.uniform(1e-3, 10.0))
+            xatol = float(10.0 ** rng.uniform(-12.0, -2.0))
+            self.assert_same_as_scipy(
+                lambda x: math.sin(c[0] * x) + c[1] * (x - c[2]) ** 2 + c[3] * abs(x),
+                lo, hi, xatol)
+
+    @pytest.mark.parametrize("func,xatol", [
+        (lambda x: 1.0, 1e-12),                                  # ties everywhere
+        (lambda x: x, 1e-12),                                    # minimum on the bound
+        (lambda x: (x - 0.5) ** 2, -1.0),                        # never converges: 500 calls
+        (lambda x: math.nan, 1e-12),                             # nan everywhere
+        (lambda x: math.nan if x > 0.7 else (x - 0.6) ** 2, 1e-12),
+    ])
+    def test_edge_cases(self, func, xatol):
+        self.assert_same_as_scipy(func, -1.0, 2.0, xatol)
