@@ -18,15 +18,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .config import Config, TrainSpec, load_config
 from .errors import ConfigError, DivergenceError, InvalidInputError, MtjsnnError
 from .macrospin import measure_latency
-from .network import Network, SimConfig, simulate_network
+from .network import Network, SimConfig, atomic_write, simulate_network
 from .tlr import TlrParams, run_tlr
 from .trainer import TrainHistory, train
 from .xorbench import run_xor_eval, write_row_traces, xor_dataset
@@ -39,25 +38,11 @@ EXIT_DIVERGENCE = 5
 EXIT_MECHANISM = 6
 
 
-def atomic_write(path: str, writer: Callable[[str], None]) -> None:
-    """Run ``writer(tmp_path)`` then atomically rename onto ``path``."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    os.close(fd)
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_text(path: str, text: str) -> None:
     def writer(tmp: str) -> None:
         with open(tmp, "w") as fh:
             fh.write(text)
-    atomic_write(path, writer)
+    atomic_write([path], writer)
 
 
 def _weights_text(net: Network) -> str:
@@ -83,7 +68,7 @@ def cmd_simulate(cfg: Config, out_dir: str, seed: int) -> int:
     except MtjsnnError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
-    atomic_write(os.path.join(out_dir, "trace.csv"), trace.to_csv)
+    atomic_write([os.path.join(out_dir, "trace.csv")], trace.to_csv)
     write_text(os.path.join(out_dir, "spikes.txt"), trace.spikes_text())
     return EXIT_OK
 
@@ -112,7 +97,7 @@ def _train_and_write(cfg: Config, out_dir: str, seed: int) -> tuple[int, Optiona
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIMULATION, None
     write_text(os.path.join(out_dir, "weights.out"), _weights_text(net))
-    atomic_write(os.path.join(out_dir, "history.csv"), history.to_csv)
+    atomic_write([os.path.join(out_dir, "history.csv")], history.to_csv)
     if not history.converged:
         print(f"epoch budget exhausted after {history.epochs} epochs", file=sys.stderr)
         return EXIT_EPOCHS_EXHAUSTED, net

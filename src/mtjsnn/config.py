@@ -248,6 +248,22 @@ def _parse_stimulus(section: Any, path: str, net: Network) -> dict[str, list[flo
     return stimulus
 
 
+def _check_schedules(sim: SimConfig, net: Network, encoding: EncodingConfig,
+                     stimulus: Optional[dict[str, list[float]]]) -> None:
+    """Every spike time a run would schedule must lie in [0, sim.horizon]."""
+    times = [(t, f"network.sources[{k}].spike_times[{j}]")
+             for k, src in enumerate(net.sources) for j, t in enumerate(src.spike_times)]
+    times += [(t, f"stimulus.{sid}[{k}]")
+              for sid, ts in (stimulus or {}).items() for k, t in enumerate(ts)]
+    times.append((encoding.t_spike, "encoding.t_spike"))
+    if encoding.mode == "timing":
+        times += [(encoding.t_bit0, "encoding.t_bit0"), (encoding.t_bit1, "encoding.t_bit1")]
+    for t, path in times:
+        if not 0 <= t <= sim.horizon:
+            raise ConfigError(f"spike time {t!r} outside [0, sim.horizon = {sim.horizon!r}] ns",
+                              key=path)
+
+
 def parse_config(document: Any) -> Config:
     """Build a validated Config from already-loaded YAML data."""
     document = _expect_mapping(document, "<root>")
@@ -270,14 +286,16 @@ def parse_config(document: Any) -> Config:
     if encoding.bias_period is not None and encoding.bias_period < sim.dt:
         raise ConfigError(f"bias_period must be >= sim.dt = {sim.dt!r} ns",
                           key="encoding.bias_period")
+    stimulus = (None if "stimulus" not in document
+                else _parse_stimulus(document["stimulus"], "stimulus", net))
+    _check_schedules(sim, net, encoding, stimulus)
     return Config(
         schema_version=SCHEMA_VERSION,
         sim=sim,
         network=net,
         encoding=encoding,
         train=_build(TrainSpec, document.get("train", {}), "train"),
-        stimulus=(None if "stimulus" not in document
-                  else _parse_stimulus(document["stimulus"], "stimulus", net)),
+        stimulus=stimulus,
         sweep=(None if "sweep" not in document
                else _build_with_params(SweepSpec, document["sweep"], "sweep")),
     )

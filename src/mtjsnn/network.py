@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -162,6 +164,28 @@ def _write_csvs(time: np.ndarray, files: list[tuple[object, dict[str, np.ndarray
                 fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
+def atomic_write(paths: list, writer: Callable[..., None]) -> None:
+    """Run ``writer(*tmp_paths)`` on one temporary file beside each of
+    ``paths``; once it returns, rename each onto its path.  On any exception
+    every temporary file left is removed, so a failed write leaves neither a
+    truncated file nor a temporary one behind."""
+    tmps = []
+    try:
+        for path in paths:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".tmp-", suffix="~")
+            os.close(fd)
+            tmps.append(tmp)
+        writer(*tmps)
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
+
+
 def validate_topology(net: Network) -> list[str]:
     """Return a list of invariant violations; empty means the network is valid."""
     violations = []
@@ -219,12 +243,6 @@ def simulate_network(net: Network, sim: SimConfig) -> Trace:
     violations = validate_topology(net)
     if violations:
         raise InvalidInputError("invalid network: " + "; ".join(violations))
-    for src in net.sources:
-        for t_spk in src.spike_times:
-            if not (0 <= t_spk <= sim.horizon):
-                raise InvalidInputError(
-                    f"source {src.id!r} schedule entry {t_spk} outside [0, horizon]"
-                )
     time, signals, onsets = _simulate(net, net.weight_vector()[None, :], sim)
     return Trace(
         time=time,
@@ -238,7 +256,8 @@ def _simulate(
 ) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, list[list[float]]]]:
     """Simulate ``net`` once per row of the ``(B, E)`` weight array.
 
-    The rows share the network's neurons, sources and grid.  Returns the
+    The rows share the network's neurons, sources and grid, and every
+    source schedule entry must lie in ``[0, horizon]``.  Returns the
     grid, the signals and one onset list per batch row for every id.  Source
     voltages are ``(N+1,)`` arrays.  Batch rows whose in-edge weights and
     presynaptic rows agree give a neuron the same output, so each neuron is
@@ -257,6 +276,10 @@ def _simulate(
     row_of: dict[str, np.ndarray] = {}   # neuron id -> its array row per batch row
 
     for src in net.sources:
+        for t_spk in src.spike_times:
+            if not 0 <= t_spk <= sim.horizon:
+                raise InvalidInputError(
+                    f"source {src.id!r} schedule entry {t_spk} outside [0, horizon]")
         v = tlr.source_waveform(time, list(src.spike_times), src.amplitude, src.duration)
         voltages[src.id] = v
         signals[f"{src.id}.v"] = v

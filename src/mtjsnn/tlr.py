@@ -76,6 +76,11 @@ class TlrState:
     last_spike_onset: Optional[float] = None
 
 
+def _raised_cosine(amplitude: float, x):
+    """The pulse shape at phase ``x`` in [0, 1] of its duration."""
+    return amplitude * (1.0 - np.cos(2.0 * np.pi * x)) / 2.0
+
+
 def spike_waveform(params: TlrParams, t_since_onset: float) -> float:
     """Raised-cosine output pulse; 0 outside [0, spike_duration]."""
     if t_since_onset < 0 or not math.isfinite(t_since_onset):
@@ -83,7 +88,7 @@ def spike_waveform(params: TlrParams, t_since_onset: float) -> float:
     if t_since_onset > params.spike_duration:
         return 0.0
     x = t_since_onset / params.spike_duration
-    return params.spike_amplitude * (1.0 - math.cos(2.0 * math.pi * x)) / 2.0
+    return float(_raised_cosine(params.spike_amplitude, x))
 
 
 def _output_voltage(params: TlrParams, onset: Optional[float], t: float) -> float:
@@ -317,7 +322,7 @@ def _run_batch(
             a = np.searchsorted(time, onset, "left")
             b = np.searchsorted(time, onset + params.spike_duration, "right")
             x = (time[a:b] - onset) / params.spike_duration
-            v[r, a:b] = params.spike_amplitude * (1.0 - np.cos(2.0 * np.pi * x)) / 2.0
+            v[r, a:b] = _raised_cosine(params.spike_amplitude, x)
 
     return time, v, acc_series, onsets
 
@@ -333,5 +338,5 @@ def source_waveform(
     for onset in spike_times:
         mask = (time >= onset) & (time <= onset + duration)
         x = (time[mask] - onset) / duration
-        v[mask] += amplitude * (1.0 - np.cos(2.0 * np.pi * x)) / 2.0
+        v[mask] += _raised_cosine(amplitude, x)
     return v

@@ -7,10 +7,9 @@ update Delta w = -eta * (dL/dt) * (dt/dw) is exact gradient descent with
 respect to the simulator.  Where the output is silent on one side of the
 perturbation (the firing boundary), a one-sided difference against the
 unperturbed spike time is used, and silent on both sides gives 0.  Updates
-are batched over all dataset rows and applied once per epoch.  ``train``
-runs the 2E perturbed simulations of one row as a single batched network
-simulation; ``spike_time_jacobian_fd`` is the same rule one weight and two
-simulations at a time.
+are batched over all dataset rows and applied once per epoch.  Each epoch
+simulates each dataset row once, as one batched network simulation of the
+current weights and the 2E weight vectors perturbed by +-fd_epsilon.
 """
 
 from __future__ import annotations
@@ -22,14 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, InvalidInputError
-from .network import (
-    Network,
-    SimConfig,
-    _simulate,
-    first_spike_time,
-    simulate_network,
-    validate_topology,
-)
+from .network import Network, SimConfig, _simulate, validate_topology
 
 
 @dataclass(frozen=True)
@@ -90,45 +82,6 @@ def weight_update(grad_time: float, jacobian: float, eta: float) -> float:
     return -eta * grad_time * jacobian
 
 
-def spike_time_jacobian_fd(
-    net: Network,
-    stimulus: dict[str, list[float]],
-    edge_index: int,
-    eps: float,
-    output_id: str = "o1",
-    sim: Optional[SimConfig] = None,
-    penalty: Optional[float] = None,
-    t_base: Optional[float] = None,
-) -> float:
-    """Finite-difference sensitivity of the output spike time to one weight.
-
-    Central difference over two full simulations.  When the output is silent
-    on one side, a one-sided difference against the unperturbed spike time
-    ``t_base`` is used instead (firing boundary); a silent base counts as the
-    no-spike penalty.  Silent on both sides gives 0.  Without ``t_base`` the
-    one-sided case runs a third simulation of the unperturbed network.
-    """
-    sim = sim or SimConfig()
-    if penalty is None:
-        penalty = sim.horizon
-    w = net.weight_vector()
-    if not 0 <= edge_index < w.size:
-        raise InvalidInputError(f"edge index {edge_index} out of range")
-
-    def t_at(delta: float) -> Optional[float]:
-        wp = w.copy()
-        wp[edge_index] += delta
-        trace = simulate_network(net.with_weights(wp).with_schedules(stimulus), sim)
-        return first_spike_time(trace, output_id)
-
-    t_plus = t_at(+eps)
-    t_minus = t_at(-eps)
-    if t_base is None and (t_plus is None) != (t_minus is None):
-        t0 = t_at(0.0)
-        t_base = penalty if t0 is None else t0
-    return _fd_slope(t_plus, t_minus, t_base, eps)
-
-
 def _fd_slope(
     t_plus: Optional[float], t_minus: Optional[float], t_base: Optional[float], eps: float
 ) -> float:
@@ -164,6 +117,8 @@ def train(
         raise InvalidInputError("invalid network: " + "; ".join(violations))
     if not dataset:
         raise InvalidInputError("dataset must be non-empty")
+    if output_id not in {n.id for n in net.neurons} | {s.id for s in net.sources}:
+        raise InvalidInputError(f"unknown id {output_id!r}")
 
     penalty = config.no_spike_penalty_time
     if penalty is None:
@@ -172,23 +127,26 @@ def train(
     history = TrainHistory()
     weights = net.weight_vector()
     n_edges = weights.size
+    edges = np.arange(n_edges)
     initial_loss: Optional[float] = None
+    # _simulate takes the weights from its batch, not from the network
+    row_nets = [net.with_schedules(stimulus) for stimulus, _ in dataset]
 
     for epoch in range(config.max_epochs):
-        current = net.with_weights(weights)
-        times = []
-        spiked = []
-        for stimulus, _t_des in dataset:
-            trace = simulate_network(current.with_schedules(stimulus), sim)
-            t = first_spike_time(trace, output_id)
-            spiked.append(t is not None)
-            times.append(penalty if t is None else t)
+        # per dataset row, one batched simulation: row 0 holds the current
+        # weights, rows 2j + 1 and 2j + 2 hold w + eps*e_j and w - eps*e_j
+        batch = np.repeat(weights[None, :], 2 * n_edges + 1, axis=0)
+        batch[2 * edges + 1, edges] += config.fd_epsilon
+        batch[2 * edges + 2, edges] -= config.fd_epsilon
+        t_out = []
+        for row_net in row_nets:
+            _, _, onsets = _simulate(row_net, batch, sim)
+            t_out.append([min(row) if row else None for row in onsets[output_id]])
+        times = [penalty if t[0] is None else t[0] for t in t_out]
         total = sum(loss(t, t_des) for t, (_, t_des) in zip(times, dataset))
 
         history.losses.append(total)
-        history.output_times.append(
-            [t if ok else None for t, ok in zip(times, spiked)]
-        )
+        history.output_times.append([t[0] for t in t_out])
         history.weights.append(weights.copy())
         history.epochs = epoch + 1
 
@@ -200,25 +158,17 @@ def train(
             )
 
         if all(
-            ok and abs(t - t_des) <= config.tol
-            for t, ok, (_, t_des) in zip(times, spiked, dataset)
+            t[0] is not None and abs(t[0] - t_des) <= config.tol
+            for t, (_, t_des) in zip(t_out, dataset)
         ):
             history.converged = True
             return net.with_weights(weights), history
 
-        # finite-difference jacobians: per row, one batched simulation of the
-        # 2E weight vectors w + eps*e_j (row 2j) and w - eps*e_j (row 2j + 1)
-        perturbed = np.repeat(weights[None, :], 2 * n_edges, axis=0)
-        edges = np.arange(n_edges)
-        perturbed[2 * edges, edges] += config.fd_epsilon
-        perturbed[2 * edges + 1, edges] -= config.fd_epsilon
         delta = np.zeros(n_edges)
-        for (stimulus, t_des), t_act in zip(dataset, times):
+        for t, t_act, (_, t_des) in zip(t_out, times, dataset):
             grad = loss_gradient_time(t_act, t_des)
-            _, _, onsets = _simulate(current.with_schedules(stimulus), perturbed, sim)
-            t_out = [min(row) if row else None for row in onsets[output_id]]
             for j in range(n_edges):
-                jac = _fd_slope(t_out[2 * j], t_out[2 * j + 1], t_act, config.fd_epsilon)
+                jac = _fd_slope(t[2 * j + 1], t[2 * j + 2], t_act, config.fd_epsilon)
                 delta[j] += weight_update(grad, jac, config.eta)
         weights = weights + delta
 

@@ -7,6 +7,7 @@ at 2.5 ns logical 1.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -21,6 +22,7 @@ from .network import (
     Synapse,
     Trace,
     _write_csvs,
+    atomic_write,
     first_spike_time,
     simulate_network,
 )
@@ -283,17 +285,15 @@ def xor_dataset(
 
 def write_row_traces(traces: list[Trace], out_dir) -> list:
     """Per-row trace CSVs named row<k>_<signal>.csv (drive, voltage, state),
-    from the row traces of ``run_xor_eval`` (``XorReport.traces``)."""
-    import os
-
+    from the row traces of ``run_xor_eval`` (``XorReport.traces``).  A row's
+    three files are written atomically, in one pass."""
     paths = []
     for k, trace in enumerate(traces, start=1):
         files = {}
         for kind, suffix in (("drive", "drive"), ("v", "voltage"), ("state", "state")):
             path = os.path.join(out_dir, f"row{k}_{suffix}.csv")
             files[path] = {n: s for n, s in trace.signals.items() if n.endswith("." + kind)}
-        _write_csvs(trace.time, [(path + ".tmp~", signals) for path, signals in files.items()])
-        for path in files:
-            os.replace(path + ".tmp~", path)
-            paths.append(path)
+        atomic_write(list(files),
+                     lambda *tmps: _write_csvs(trace.time, list(zip(tmps, files.values()))))
+        paths.extend(files)
     return paths

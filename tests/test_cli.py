@@ -119,12 +119,35 @@ class TestSimulate:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
 
-    def test_simulation_failure_exit_3(self, tmp_path):
-        # stimulus outside the horizon passes config validation but fails in
-        # the simulator
-        cfg = write_config(tmp_path, xor_doc(stimulus={"A": [99.0]}))
+    def test_simulation_failure_exit_3(self, tmp_path, capsys):
+        # a cyclic topology passes config validation but fails in the simulator
+        network = {
+            "sources": [{"id": "s"}],
+            "neurons": [{"id": "a"}, {"id": "b"}],
+            "synapses": [{"pre": "s", "post": "a", "weight": 1.0},
+                         {"pre": "a", "post": "b", "weight": 1.0},
+                         {"pre": "b", "post": "a", "weight": 1.0}],
+        }
+        cfg = write_config(tmp_path, {"schema_version": 1, "network": network})
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == EXIT_SIMULATION
+        assert "simulation failed: invalid network:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, key", [
+        (xor_doc(stimulus={"A": [6.0]}), "stimulus.A[0]"),
+        (xor_doc(stimulus={"A": [0.0], "B": [1.0, -0.5]}), "stimulus.B[1]"),
+        ({"schema_version": 1,
+          "network": {"sources": [{"id": "s", "spike_times": [0.0, 7.5]}],
+                      "neurons": [{"id": "n"}],
+                      "synapses": [{"pre": "s", "post": "n", "weight": 5.0}]}},
+         "network.sources[0].spike_times[1]"),
+    ])
+    def test_schedule_outside_horizon_exit_2(self, tmp_path, capsys, doc, key):
+        cfg = write_config(tmp_path, dict(doc, sim={"dt": 0.001, "horizon": 5.0}))
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"config error: {key}: spike time" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out" / "trace.csv")
 
 
 class TestTrain:
@@ -196,6 +219,13 @@ class TestTrain:
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_SIMULATION
         assert "simulation failed: unknown source 'A'" in capsys.readouterr().err
         assert not (out / "history.csv").exists()
+
+    def test_encoding_outside_horizon_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, xor_doc(sim={"dt": 0.001, "horizon": 5.0},
+                                             encoding={"t_spike": 6.0}))
+        code = main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "config error: encoding.t_spike: spike time 6.0 outside" in capsys.readouterr().err
 
     def test_seed_flag_overrides_config(self, tmp_path):
         doc = xor_doc(train={"max_epochs": 1, "seed": 2})

@@ -384,6 +384,37 @@ class TestBiasPeriod:
         assert cfg.encoding.bias_period == period
 
 
+class TestScheduleInHorizon:
+    """Every scheduled spike time lies in [0, sim.horizon]."""
+
+    SIM = {"dt": 0.001, "horizon": 5.0}
+
+    @pytest.mark.parametrize("encoding, key", [
+        ({"t_spike": 6.0}, "encoding.t_spike"),
+        ({"t_spike": -0.5}, "encoding.t_spike"),
+        ({"mode": "timing", "t_bit0": 5.5}, "encoding.t_bit0"),
+        ({"mode": "timing", "t_bit1": -1.0}, "encoding.t_bit1"),
+    ])
+    def test_encoding_rejected(self, encoding, key):
+        with pytest.raises(ConfigError, match="outside") as e:
+            parse_config(minimal(sim=self.SIM, encoding=encoding))
+        assert e.value.key == key
+
+    def test_bit_times_unused_in_presence_mode(self):
+        cfg = parse_config(minimal(sim=self.SIM, encoding={"t_bit0": 9.0, "t_bit1": -1.0}))
+        assert cfg.encoding.t_bit0 == 9.0
+
+    def test_horizon_end_points_accepted(self):
+        cfg = parse_config(minimal(sim=self.SIM, encoding={"t_spike": 5.0},
+                                   stimulus={"A": [0.0, 5.0]}))
+        assert cfg.stimulus == {"A": [0.0, 5.0]}
+
+    def test_stimulus_checked_against_sim_horizon(self):
+        with pytest.raises(ConfigError) as e:
+            parse_config(minimal(sim={"dt": 0.001, "horizon": 2.0}, stimulus={"bias": [2.5]}))
+        assert e.value.key == "stimulus.bias[0]"
+
+
 def field_names(cls):
     return [f.name for f in dataclasses.fields(cls)]
 

@@ -245,6 +245,19 @@ class TestTraceCsv:
             assert np.array_equal(data[:, j], trace.signals[name])
 
 
+class TestScheduleInHorizon:
+    @pytest.mark.parametrize("times", [(6.0,), (0.0, -0.5)])
+    def test_simulate_network_rejects(self, times):
+        net = chain_network().with_schedules({"src": list(times)})
+        with pytest.raises(InvalidInputError, match="outside \\[0, horizon\\]"):
+            simulate_network(net, SimConfig(dt=0.005, horizon=5.0))
+
+    def test_batched_core_rejects(self):
+        net = chain_network().with_schedules({"src": [7.5]})
+        with pytest.raises(InvalidInputError, match="outside \\[0, horizon\\]"):
+            _simulate(net, np.ones((3, 1)), SimConfig(dt=0.005, horizon=5.0))
+
+
 class TestBatchedCore:
     """``_simulate`` over B weight vectors equals B runs of ``simulate_network``."""
 

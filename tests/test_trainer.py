@@ -24,7 +24,6 @@ from mtjsnn.trainer import (
     TrainConfig,
     loss,
     loss_gradient_time,
-    spike_time_jacobian_fd,
     train,
     weight_update,
 )
@@ -138,13 +137,13 @@ class TestJacobianFd:
         expected = (t_plus - t_base) / eps
 
         calls = []
-        real = trainer.simulate_network
+        real = simulate_network
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(trainer, "simulate_network", counting)
+        monkeypatch.setitem(globals(), "simulate_network", counting)
         net = chain_network(lo)
         assert spike_time_jacobian_fd(net, self.STIM, 0, eps, sim=self.SIM) == expected
         assert len(calls) == 3   # +eps, -eps, then the unperturbed base
@@ -237,6 +236,38 @@ class TestTrain:
         assert len(lines) == 1 + hist.epochs
 
 
+def spike_time_jacobian_fd(net, stimulus, edge_index, eps, output_id="o1", sim=None,
+                           penalty=None, t_base=None):
+    """Finite-difference sensitivity of the output spike time to one weight:
+    the FD rule ``train`` batches, one weight and two simulations at a time.
+
+    Central difference over two full simulations.  When the output is silent
+    on one side, a one-sided difference against the unperturbed spike time
+    ``t_base`` is used instead (firing boundary); a silent base counts as the
+    no-spike penalty.  Silent on both sides gives 0.  Without ``t_base`` the
+    one-sided case runs a third simulation of the unperturbed network.
+    """
+    sim = sim or SimConfig()
+    if penalty is None:
+        penalty = sim.horizon
+    w = net.weight_vector()
+    if not 0 <= edge_index < w.size:
+        raise InvalidInputError(f"edge index {edge_index} out of range")
+
+    def t_at(delta):
+        wp = w.copy()
+        wp[edge_index] += delta
+        trace = simulate_network(net.with_weights(wp).with_schedules(stimulus), sim)
+        return first_spike_time(trace, output_id)
+
+    t_plus = t_at(+eps)
+    t_minus = t_at(-eps)
+    if t_base is None and (t_plus is None) != (t_minus is None):
+        t0 = t_at(0.0)
+        t_base = penalty if t0 is None else t0
+    return trainer._fd_slope(t_plus, t_minus, t_base, eps)
+
+
 def reference_train(net, dataset, config, sim, output_id="o1"):
     """Per-simulation FD training: the loop ``train`` batched.  One
     ``spike_time_jacobian_fd`` call per (row, edge), with ``t_base`` the
@@ -320,3 +351,62 @@ class TestBatchedFdMatchesPerSimulation:
         _, ref_hist = reference_train(net, dataset, config, sim)
         assert hist.output_times[0] == [None, None]
         assert_same_history(hist, ref_hist)
+
+
+class TestOneBatchPerRow:
+    """Each epoch simulates each dataset row once: the current weights and
+    their 2E finite-difference perturbations in one batch."""
+
+    def xor_problem(self, xor_config_path, seed):
+        from mtjsnn import cli
+        from mtjsnn.config import load_config
+        from mtjsnn.xorbench import xor_dataset
+
+        cfg = load_config(xor_config_path)
+        net = cli.initial_weights(cfg.network, cfg.train, seed)
+        dataset = xor_dataset(cfg.encoding, cfg.sim.horizon)
+        return net, dataset, cfg.train, SimConfig(dt=cfg.train.dt, horizon=cfg.sim.horizon)
+
+    def test_one_simulation_call_per_row_and_epoch(self, xor_config_path, monkeypatch):
+        from mtjsnn import network
+
+        net, dataset, config, sim = self.xor_problem(xor_config_path, 2)
+        config = dataclasses.replace(config, max_epochs=3)
+        rows = []
+        real = trainer._simulate
+
+        def counting(net, weights, sim):
+            rows.append(weights.shape[0])
+            return real(net, weights, sim)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("train called simulate_network")
+
+        monkeypatch.setattr(trainer, "_simulate", counting)
+        monkeypatch.setattr(network, "simulate_network", forbidden)
+        _, hist = train(net, dataset, config, sim=sim)
+        n_edges = net.weight_vector().size
+        assert hist.epochs == 3 and not hist.converged
+        assert rows == [2 * n_edges + 1] * (len(dataset) * hist.epochs)
+        assert not hasattr(trainer, "simulate_network")
+        assert not hasattr(trainer, "first_spike_time")
+
+    def test_converged_run_matches_reference(self, xor_config_path):
+        net, dataset, config, sim = self.xor_problem(xor_config_path, 1)
+        out, hist = train(net, dataset, config, sim=sim)
+        ref_out, ref_hist = reference_train(net, dataset, config, sim)
+        assert hist.converged and hist.epochs == 7
+        assert_same_history(hist, ref_hist)
+        assert out.weight_vector().tobytes() == ref_out.weight_vector().tobytes()
+
+    def test_schedule_outside_horizon_rejected(self):
+        net = chain_network(4.0)
+        sim = SimConfig(dt=0.002, horizon=5.0)
+        for stimulus in ({"src": [6.0]}, {"src": [-0.5]}):
+            with pytest.raises(InvalidInputError, match="outside"):
+                train(net, [(stimulus, 1.5)], TrainConfig(max_epochs=1), sim=sim)
+
+    def test_unknown_output_id_rejected(self):
+        with pytest.raises(InvalidInputError, match="unknown id 'zz'"):
+            train(chain_network(4.0), [({"src": [0.0]}, 1.5)], TrainConfig(max_epochs=1),
+                  sim=SimConfig(dt=0.002, horizon=5.0), output_id="zz")
