@@ -24,7 +24,7 @@ from .errors import InvalidInputError, NumericalFailureError
 
 TLR_BACKEND = "tlr"
 MACROSPIN_BACKEND = "macrospin"
-_CSV_CHUNK_ROWS = 2048
+_CSV_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -147,28 +147,40 @@ def _format_column(seg: np.ndarray) -> list[str]:
 def _write_csvs(time: np.ndarray, files: list[tuple[object, dict[str, np.ndarray]]]) -> None:
     """Write one CSV per ``(path, signals)`` pair: a ``time_ns`` column, then
     one column per signal, each float as its ``repr``.  The files share the
-    time column, which is formatted once."""
+    time column.  Each distinct chunk of a column is formatted once: columns
+    of the same rows with the same bytes there, in any of the files, reuse
+    its cells."""
     time = np.asarray(time, dtype=float)
     with contextlib.ExitStack() as stack:
         tables = []
         for path, signals in files:
             fh = stack.enter_context(open(path, "w"))
             fh.write("time_ns," + ",".join(signals) + "\n")
-            tables.append((fh, [np.asarray(c, dtype=float) for c in signals.values()]))
-        # a few thousand rows at a time: whole columns as strings would
-        # cost far more memory than the arrays
+            tables.append((fh, [time] + [np.asarray(c, dtype=float) for c in signals.values()]))
+        # a few hundred rows at a time: whole columns as strings would cost
+        # far more memory than the arrays.  Bytes, not float equality, pick
+        # the chunks to share, so 0.0 and -0.0 keep their own repr.
         for lo in range(0, time.size, _CSV_CHUNK_ROWS):
-            time_cells = _format_column(time[lo : lo + _CSV_CHUNK_ROWS])
+            memo: dict[bytes, list[str]] = {}
             for fh, cols in tables:
-                cells = [time_cells] + [_format_column(c[lo : lo + _CSV_CHUNK_ROWS]) for c in cols]
+                cells = []
+                for c in cols:
+                    seg = c[lo : lo + _CSV_CHUNK_ROWS]
+                    key = seg.tobytes()
+                    if key not in memo:
+                        memo[key] = _format_column(seg)
+                    cells.append(memo[key])
                 fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def atomic_write(paths: list, writer: Callable[..., None]) -> None:
     """Run ``writer(*tmp_paths)`` on one temporary file beside each of
-    ``paths``; once it returns, rename each onto its path.  On any exception
-    every temporary file left is removed, so a failed write leaves neither a
-    truncated file nor a temporary one behind."""
+    ``paths``; once it returns, rename each onto its path.  The files get
+    the mode ``open(path, "w")`` would give them, ``0o666`` less the umask.
+    On any exception every temporary file left is removed, so a failed write
+    leaves neither a truncated file nor a temporary one behind."""
+    umask = os.umask(0)
+    os.umask(umask)
     tmps = []
     try:
         for path in paths:
@@ -176,6 +188,7 @@ def atomic_write(paths: list, writer: Callable[..., None]) -> None:
                                        prefix=".tmp-", suffix="~")
             os.close(fd)
             tmps.append(tmp)
+            os.chmod(tmp, 0o666 & ~umask)
         writer(*tmps)
         for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)

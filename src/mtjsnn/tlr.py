@@ -333,10 +333,13 @@ def source_waveform(
     amplitude: float,
     duration: float,
 ) -> np.ndarray:
-    """Voltage trace of a source emitting the standard pulse at given onsets."""
+    """Voltage trace of a source emitting the standard pulse at given onsets
+    on the sorted grid ``time``."""
     v = np.zeros_like(time, dtype=float)
     for onset in spike_times:
-        mask = (time >= onset) & (time <= onset + duration)
-        x = (time[mask] - onset) / duration
-        v[mask] += _raised_cosine(amplitude, x)
+        # the grid is sorted, so this is the mask onset <= time <= onset + duration
+        a = np.searchsorted(time, onset, "left")
+        b = np.searchsorted(time, onset + duration, "right")
+        x = (time[a:b] - onset) / duration
+        v[a:b] += _raised_cosine(amplitude, x)
     return v

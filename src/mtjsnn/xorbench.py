@@ -285,15 +285,16 @@ def xor_dataset(
 
 def write_row_traces(traces: list[Trace], out_dir) -> list:
     """Per-row trace CSVs named row<k>_<signal>.csv (drive, voltage, state),
-    from the row traces of ``run_xor_eval`` (``XorReport.traces``).  A row's
-    three files are written atomically, in one pass."""
-    paths = []
+    from the row traces of ``run_xor_eval`` (``XorReport.traces``), which
+    must share one time grid.  All the files are written in one pass before
+    any is replaced, so a failure while writing replaces none of them."""
+    time = np.asarray(traces[0].time, dtype=float) if traces else np.zeros(0)
+    if any(np.asarray(t.time, dtype=float).tobytes() != time.tobytes() for t in traces):
+        raise InvalidInputError("row traces must share one time grid")
+    files = {}
     for k, trace in enumerate(traces, start=1):
-        files = {}
         for kind, suffix in (("drive", "drive"), ("v", "voltage"), ("state", "state")):
             path = os.path.join(out_dir, f"row{k}_{suffix}.csv")
             files[path] = {n: s for n, s in trace.signals.items() if n.endswith("." + kind)}
-        atomic_write(list(files),
-                     lambda *tmps: _write_csvs(trace.time, list(zip(tmps, files.values()))))
-        paths.extend(files)
-    return paths
+    atomic_write(list(files), lambda *tmps: _write_csvs(time, list(zip(tmps, files.values()))))
+    return list(files)

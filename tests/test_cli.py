@@ -293,3 +293,20 @@ class TestSweepLatency:
         lines = (out / "latency.csv").read_text().splitlines()[1:]
         values = [float(ln.split(",")[1]) for ln in lines]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+class TestOutputModes:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_bench_xor_outputs_follow_umask(self, tmp_path, xor_config_path, umask, mode):
+        out = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            code = main(["bench-xor", "--config", xor_config_path, "--out", str(out),
+                         "--seed", "2"])
+        finally:
+            os.umask(old)
+        assert code == EXIT_OK
+        names = sorted(p.name for p in out.iterdir())
+        assert len(names) == 15 and "xor_report.txt" in names
+        assert {oct(os.stat(out / name).st_mode & 0o777) for name in names} == {oct(mode)}

@@ -379,3 +379,73 @@ class TestTraceCsvBytes:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             [f"row{k}_{s}.csv" for k in range(1, 5) for s in ("drive", "voltage", "state")]
             + ["old.csv"])
+
+
+class TestCsvChunkMemo:
+    """``_write_csvs`` formats each distinct (row block, bytes) chunk once."""
+
+    def test_each_distinct_chunk_formatted_once(self, tmp_path, monkeypatch, xor_config_path):
+        from collections import Counter
+
+        from mtjsnn import network
+        from mtjsnn.cli import _run_training
+        from mtjsnn.xorbench import run_xor_eval, write_row_traces
+
+        cfg = load_config(xor_config_path)
+        net, _ = _run_training(cfg, 2)
+        traces = run_xor_eval(net, cfg.sim, cfg.encoding).traces
+        formatted = []
+        real = network._format_column
+
+        def recording(seg):
+            formatted.append(seg.tobytes())
+            return real(seg)
+
+        monkeypatch.setattr(network, "_format_column", recording)
+        write_row_traces(traces, tmp_path)
+        monkeypatch.undo()
+
+        n, size = network._CSV_CHUNK_ROWS, traces[0].time.size
+        columns = [traces[0].time] + [s for t in traces for s in t.signals.values()]
+        distinct = Counter()
+        for lo in range(0, size, n):
+            distinct.update({c[lo : lo + n].tobytes() for c in columns})
+        assert Counter(formatted) == distinct
+        assert len(formatted) < len(columns) * math.ceil(size / n) / 2
+        for k, trace in enumerate(traces, start=1):
+            for kind, suffix in (("drive", "drive"), ("v", "voltage"), ("state", "state")):
+                sub = Trace(trace.time, {name: s for name, s in trace.signals.items()
+                                         if name.endswith("." + kind)}, {})
+                reference_to_csv(sub, tmp_path / "old.csv")
+                assert ((tmp_path / f"row{k}_{suffix}.csv").read_bytes()
+                        == (tmp_path / "old.csv").read_bytes())
+
+    def test_columns_differing_in_one_signed_zero_or_nan_cell(self, tmp_path):
+        n = 700   # two write chunks: signed zeros in the first, nans in the second
+        base = np.random.default_rng(7).standard_normal(n)
+        base[3] = 0.0
+        base[[600, 650]] = np.nan
+        neg_zero, payload, neg_nan = base.copy(), base.copy(), base.copy()
+        neg_zero[3] = -0.0
+        payload.view(np.uint64)[600] ^= 1   # another nan payload
+        neg_nan[650] = -np.nan
+        assert np.isnan(payload[600]) and np.signbit(neg_nan[650])
+        signals = {"a.v": base, "b.v": neg_zero, "c.v": payload, "d.v": neg_nan}
+        trace = Trace(0.001 * np.arange(n), signals, {})
+        trace.to_csv(tmp_path / "new.csv")
+        reference_to_csv(trace, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        rows = (tmp_path / "new.csv").read_text().splitlines()
+        assert rows[4].split(",")[1:3] == ["0.0", "-0.0"]
+
+    @pytest.mark.parametrize("other_time", [0.002 * np.arange(11), 0.001 * np.arange(12)])
+    def test_row_traces_on_two_grids_rejected(self, tmp_path, other_time):
+        from mtjsnn.xorbench import write_row_traces
+
+        (tmp_path / "row1_drive.csv").write_text("old\n")
+        traces = [Trace(0.001 * np.arange(11), {"n.v": np.ones(11)}, {}),
+                  Trace(other_time, {"n.v": np.ones(other_time.size)}, {})]
+        with pytest.raises(InvalidInputError, match="one time grid"):
+            write_row_traces(traces, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["row1_drive.csv"]
+        assert (tmp_path / "row1_drive.csv").read_text() == "old\n"

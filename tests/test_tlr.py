@@ -18,6 +18,7 @@ from mtjsnn.tlr import (
     _run_batch,
     constant_drive_latency,
     run_tlr,
+    source_waveform,
     spike_waveform,
     tlr_step,
 )
@@ -445,3 +446,39 @@ class TestBatchedKernel:
         p = TlrParams(t_refractory=1.7e308)
         run = run_tlr(p, np.full(1001, 2.0), 0.001)
         assert len(run.onsets) == 1
+
+
+def reference_source_waveform(time, spike_times, amplitude, duration):
+    """The full-grid mask per onset that ``source_waveform`` replaced."""
+    v = np.zeros_like(time, dtype=float)
+    for onset in spike_times:
+        mask = (time >= onset) & (time <= onset + duration)
+        x = (time[mask] - onset) / duration
+        v[mask] += amplitude * (1.0 - np.cos(2.0 * np.pi * x)) / 2.0
+    return v
+
+
+class TestSourceWaveform:
+    def test_matches_mask_reference_bitwise(self):
+        rng = np.random.default_rng(4)
+        for _ in range(150):
+            dt = float(rng.choice([0.001, 0.002, 0.0037, 0.01]))
+            n_steps = int(rng.integers(10, 2000))
+            time = dt * np.arange(n_steps + 1)
+            horizon = float(time[-1])
+            duration = float(rng.choice([dt, 1.2, rng.uniform(0.01, 3.0), 2 * horizon]))
+            onsets = [0.0, horizon, float(time[rng.integers(n_steps + 1)]),
+                      float(time[-2]) + dt / 2]
+            onsets += rng.uniform(0.0, horizon, int(rng.integers(0, 20))).tolist()
+            onsets = [float(t) for t in rng.permutation(onsets)[: int(rng.integers(1, 24))]]
+            amplitude = float(rng.uniform(0.1, 2.0))
+            new = source_waveform(time, onsets, amplitude, duration)
+            ref = reference_source_waveform(time, onsets, amplitude, duration)
+            assert new.tobytes() == ref.tobytes()
+
+    def test_onsets_at_zero_on_grid_points_and_at_horizon(self):
+        time = 0.25 * np.arange(9)
+        for onsets in ([0.0], [0.5], [2.0], [0.0, 0.5, 2.0], []):
+            v = source_waveform(time, onsets, 1.0, 1.0)
+            assert v.tobytes() == reference_source_waveform(time, onsets, 1.0, 1.0).tobytes()
+        assert source_waveform(time, [0.5], 1.0, 1.0)[4] == 1.0   # the peak, on the grid

@@ -247,16 +247,13 @@ class TestWriteRowTraces:
         assert filecmp.cmp(tmp_path / "row1_voltage.csv", fresh_dir / "row1_voltage.csv",
                            shallow=False)
 
-    # each row formats 3 chunks of 13 columns (time plus 3 drive, 6 voltage
-    # and 3 state signals), so call 40 is the first of row 2
-    @pytest.mark.parametrize("fail_at, rows_done", [(1, 0), (6, 0), (40, 1)])
-    def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch, fail_at,
-                                                   rows_done):
+    @pytest.mark.parametrize("which", ["first", "middle", "last"])
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch, which):
         from mtjsnn import network
 
         traces = run_xor_eval(xor_reference_network(), SIM).traces
-        (tmp_path / "row1_drive.csv").write_text("old\n")
         calls = []
+        fail_at = None
         real = network._format_column
 
         def failing(seg):
@@ -266,11 +263,17 @@ class TestWriteRowTraces:
             return real(seg)
 
         monkeypatch.setattr(network, "_format_column", failing)
+        (tmp_path / "count").mkdir()
+        write_row_traces(traces, tmp_path / "count")
+        fail_at = {"first": 1, "middle": len(calls) // 2, "last": len(calls)}[which]
+        calls.clear()
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "row1_drive.csv").write_text("old\n")
         with pytest.raises(OSError, match="disk full"):
-            write_row_traces(traces, tmp_path)
-        # the failing row left neither its temporary files nor new contents;
-        # only the rows written completely before it were replaced
-        done = [f"row{k}_{s}.csv" for k in range(1, rows_done + 1)
-                for s in ("drive", "voltage", "state")]
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(done or ["row1_drive.csv"])
-        assert ((tmp_path / "row1_drive.csv").read_text() == "old\n") == (rows_done == 0)
+            write_row_traces(traces, out)
+        # the twelve files are replaced together, so a failure at any call
+        # leaves no temporary file, no new file and the old file as it was
+        assert len(calls) == fail_at
+        assert [p.name for p in out.iterdir()] == ["row1_drive.csv"]
+        assert (out / "row1_drive.csv").read_text() == "old\n"
