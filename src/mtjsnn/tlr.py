@@ -14,7 +14,7 @@ time in nanoseconds, output voltage in volts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,8 +22,6 @@ import numpy as np
 from .errors import InvalidInputError
 
 IDLE = "idle"
-SPIKING = "spiking"
-REFRACTORY = "refractory"
 
 _CHUNK_CELLS = 4096   # rows x steps one chunk of a batched TLR scan integrates
 
@@ -58,10 +56,12 @@ class TlrParams:
             raise InvalidInputError("latency_floor must be >= 0 and finite", key="latency_floor")
         if not (self.t_refractory >= 0 and math.isfinite(self.t_refractory)):
             raise InvalidInputError("t_refractory must be >= 0 and finite", key="t_refractory")
-        if self.rel_refraction_beta < 0:
-            raise InvalidInputError("rel_refraction_beta must be >= 0", key="rel_refraction_beta")
-        if self.rel_refraction_tau <= 0:
-            raise InvalidInputError("rel_refraction_tau must be > 0", key="rel_refraction_tau")
+        if not (self.rel_refraction_beta >= 0 and math.isfinite(self.rel_refraction_beta)):
+            raise InvalidInputError("rel_refraction_beta must be >= 0 and finite",
+                                    key="rel_refraction_beta")
+        if not (self.rel_refraction_tau > 0 and math.isfinite(self.rel_refraction_tau)):
+            raise InvalidInputError("rel_refraction_tau must be positive and finite",
+                                    key="rel_refraction_tau")
 
     @property
     def lockout(self) -> float:
@@ -79,90 +79,6 @@ class TlrState:
 def _raised_cosine(amplitude: float, x):
     """The pulse shape at phase ``x`` in [0, 1] of its duration."""
     return amplitude * (1.0 - np.cos(2.0 * np.pi * x)) / 2.0
-
-
-def spike_waveform(params: TlrParams, t_since_onset: float) -> float:
-    """Raised-cosine output pulse; 0 outside [0, spike_duration]."""
-    if t_since_onset < 0 or not math.isfinite(t_since_onset):
-        raise InvalidInputError("t_since_onset must be >= 0 and finite")
-    if t_since_onset > params.spike_duration:
-        return 0.0
-    x = t_since_onset / params.spike_duration
-    return float(_raised_cosine(params.spike_amplitude, x))
-
-
-def _output_voltage(params: TlrParams, onset: Optional[float], t: float) -> float:
-    if onset is None:
-        return 0.0
-    dt_on = t - onset
-    if dt_on < 0 or dt_on > params.spike_duration:
-        return 0.0
-    return spike_waveform(params, dt_on)
-
-
-def effective_threshold(params: TlrParams, t: float, last_onset: Optional[float]) -> float:
-    """Firing threshold, elevated after a spike when relative refraction is on."""
-    if last_onset is None or params.rel_refraction_beta == 0.0:
-        return params.i_threshold
-    elapsed = t - last_onset
-    if elapsed < 0:
-        return params.i_threshold
-    boost = params.rel_refraction_beta * math.exp(-elapsed / params.rel_refraction_tau)
-    return params.i_threshold * (1.0 + boost)
-
-
-def tlr_step(
-    state: TlrState,
-    params: TlrParams,
-    drive: float,
-    t: float,
-    dt: float,
-) -> tuple[TlrState, float, Optional[float]]:
-    """Advance the neuron from t to t+dt under a piecewise-constant drive.
-
-    Returns the new state, the output voltage at t+dt, and the spike onset
-    time if the threshold-crossing occurred during this step.  The onset is
-    the linearly interpolated crossing time plus ``latency_floor``.
-    """
-    if not math.isfinite(drive):
-        raise InvalidInputError("drive must be finite")
-    if not (dt > 0 and math.isfinite(dt)):
-        raise InvalidInputError("dt must be positive and finite")
-
-    t_end = t + dt
-    acc = state.accumulation
-    phase = state.phase
-    last = state.last_spike_onset
-    onset_out: Optional[float] = None
-
-    window_start = t
-    if phase != IDLE:
-        rearm = last + params.lockout
-        if t_end < rearm:
-            new_phase = SPIKING if t_end < last + params.spike_duration else REFRACTORY
-            new_state = replace(state, phase=new_phase)
-            return new_state, _output_voltage(params, last, t_end), None
-        # lockout ends inside this step; integrate only the remainder
-        window_start = rearm
-        phase = IDLE
-
-    width = t_end - window_start
-    if width > 0:
-        threshold = effective_threshold(params, window_start, last)
-        excess = drive - threshold
-        if excess > 0:
-            new_acc = acc + excess * width
-            if new_acc >= params.q_switch:
-                t_cross = window_start + (params.q_switch - acc) / excess
-                onset_out = t_cross + params.latency_floor
-                last = onset_out
-                acc = 0.0
-                phase = SPIKING
-            else:
-                acc = new_acc
-
-    new_state = TlrState(accumulation=acc, phase=phase, last_spike_onset=last)
-    return new_state, _output_voltage(params, last, t_end), onset_out
 
 
 def constant_drive_latency(params: TlrParams, drive: float) -> Optional[float]:
@@ -185,12 +101,14 @@ class TlrRun:
 
 
 def run_tlr(params: TlrParams, drive: np.ndarray, dt: float, t0: float = 0.0) -> TlrRun:
-    """Vectorized equivalent of repeatedly calling :func:`tlr_step`.
+    """Simulate one neuron over a fixed grid.
 
     ``drive`` holds grid-point samples; step k applies ``drive[k]`` over
     ``[t_k, t_k + dt]``, so the last sample is unused for integration.
-    Must agree with the step-by-step path to floating-point noise.  This is
-    the one-row case of the batched kernel the network simulation uses.
+    This is the one-row case of the batched kernel the network simulation
+    uses.  Its oracles live in ``tests/test_tlr.py``: onsets must agree to
+    floating-point noise with ``simulate_steps`` (built on the per-step
+    ``tlr_step``), and every array bit for bit with ``reference_run_tlr``.
     """
     drive = np.asarray(drive, dtype=float)
     if drive.ndim != 1 or drive.size < 2:

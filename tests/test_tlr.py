@@ -1,7 +1,13 @@
 """TLR neuron: threshold, latency law, refraction, waveform, step/vector parity,
-and the batched kernel against the one-row loop it replaced."""
+and the batched kernel against the one-row loop it replaced.
+
+The package runs one TLR model, the batched kernel behind ``run_tlr``.  Its
+two oracles live here: the per-step model (``tlr_step`` and its helpers,
+driven by ``simulate_steps``) and the one-row loop ``reference_run_tlr``."""
 
 import math
+from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -15,13 +21,99 @@ from mtjsnn.tlr import (
     TlrParams,
     TlrRun,
     TlrState,
+    _raised_cosine,
     _run_batch,
     constant_drive_latency,
     run_tlr,
     source_waveform,
-    spike_waveform,
-    tlr_step,
 )
+
+SPIKING = "spiking"
+REFRACTORY = "refractory"
+
+
+def spike_waveform(params: TlrParams, t_since_onset: float) -> float:
+    """Raised-cosine output pulse; 0 outside [0, spike_duration]."""
+    if t_since_onset < 0 or not math.isfinite(t_since_onset):
+        raise InvalidInputError("t_since_onset must be >= 0 and finite")
+    if t_since_onset > params.spike_duration:
+        return 0.0
+    x = t_since_onset / params.spike_duration
+    return float(_raised_cosine(params.spike_amplitude, x))
+
+
+def _output_voltage(params: TlrParams, onset: Optional[float], t: float) -> float:
+    if onset is None:
+        return 0.0
+    dt_on = t - onset
+    if dt_on < 0 or dt_on > params.spike_duration:
+        return 0.0
+    return spike_waveform(params, dt_on)
+
+
+def effective_threshold(params: TlrParams, t: float, last_onset: Optional[float]) -> float:
+    """Firing threshold, elevated after a spike when relative refraction is on."""
+    if last_onset is None or params.rel_refraction_beta == 0.0:
+        return params.i_threshold
+    elapsed = t - last_onset
+    if elapsed < 0:
+        return params.i_threshold
+    boost = params.rel_refraction_beta * math.exp(-elapsed / params.rel_refraction_tau)
+    return params.i_threshold * (1.0 + boost)
+
+
+def tlr_step(
+    state: TlrState,
+    params: TlrParams,
+    drive: float,
+    t: float,
+    dt: float,
+) -> tuple[TlrState, float, Optional[float]]:
+    """Advance the neuron from t to t+dt under a piecewise-constant drive.
+
+    Returns the new state, the output voltage at t+dt, and the spike onset
+    time if the threshold-crossing occurred during this step.  The onset is
+    the linearly interpolated crossing time plus ``latency_floor``.
+    """
+    if not math.isfinite(drive):
+        raise InvalidInputError("drive must be finite")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise InvalidInputError("dt must be positive and finite")
+
+    t_end = t + dt
+    acc = state.accumulation
+    phase = state.phase
+    last = state.last_spike_onset
+    onset_out: Optional[float] = None
+
+    window_start = t
+    if phase != IDLE:
+        rearm = last + params.lockout
+        if t_end < rearm:
+            new_phase = SPIKING if t_end < last + params.spike_duration else REFRACTORY
+            new_state = replace(state, phase=new_phase)
+            return new_state, _output_voltage(params, last, t_end), None
+        # lockout ends inside this step; integrate only the remainder
+        window_start = rearm
+        phase = IDLE
+
+    width = t_end - window_start
+    if width > 0:
+        threshold = effective_threshold(params, window_start, last)
+        excess = drive - threshold
+        if excess > 0:
+            new_acc = acc + excess * width
+            if new_acc >= params.q_switch:
+                t_cross = window_start + (params.q_switch - acc) / excess
+                onset_out = t_cross + params.latency_floor
+                last = onset_out
+                acc = 0.0
+                phase = SPIKING
+            else:
+                acc = new_acc
+
+    new_state = TlrState(accumulation=acc, phase=phase, last_spike_onset=last)
+    return new_state, _output_voltage(params, last, t_end), onset_out
 
 
 def simulate_steps(params, drive, dt):
@@ -130,6 +222,15 @@ class TestParams:
     def test_non_finite_timing_rejected(self, kwargs):
         with pytest.raises(InvalidInputError, match="finite"):
             TlrParams(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["rel_refraction_beta", "rel_refraction_tau"])
+    def test_non_finite_relative_refraction_rejected(self, key, value):
+        # a nan beta would read as 0 in the kernel, an inf one fills the
+        # accumulation with nan; the per-step model does neither
+        with pytest.raises(InvalidInputError, match="finite") as exc:
+            TlrParams(**{key: value})
+        assert exc.value.key == key
 
 
 class TestSpikeWaveform:
@@ -258,6 +359,29 @@ class TestStepSemantics:
         assert len(run.onsets) == len(ref)
         for a, b in zip(run.onsets, ref):
             assert a == pytest.approx(b, abs=1e-12)
+
+    def test_vectorized_matches_stepwise_random_parameters(self):
+        # t_refractory 0 ablates refraction and 0.3 re-arms inside the 1.2 ns
+        # pulse, so overlapping pulses and relative refraction are covered
+        rng = np.random.default_rng(11)
+        dt = 0.002
+        spikes = 0
+        for _ in range(200):
+            p = TlrParams(
+                spike_duration=1.2,
+                t_refractory=float(rng.choice([0.0, 0.3, 1.5])),
+                rel_refraction_beta=float(rng.choice([0.0, rng.uniform(0.0, 2.0)])),
+                rel_refraction_tau=float(rng.uniform(0.1, 3.0)),
+                latency_floor=float(rng.uniform(0.0, 0.5)),
+            )
+            drive = 1.5 * rng.random(1501) + 0.3
+            run = run_tlr(p, drive, dt)
+            ref = simulate_steps(p, drive, dt)
+            assert len(run.onsets) == len(ref)
+            for a, b in zip(run.onsets, ref):
+                assert a == pytest.approx(b, abs=1e-12)
+            spikes += len(ref)
+        assert spikes > 200
 
 
 class TestRefraction:
