@@ -3,14 +3,15 @@
 Exit codes:
     0  success
     2  config error (the offending key is named)
-    3  simulation failure
+    3  simulation failure: any other package error inside a command
     4  training epoch budget exhausted
     5  training divergence guard tripped
     6  bench-xor decode or mechanism-check failure
 
-All output files are written atomically (write to a temporary file in the
-same directory, then rename), so a crashed run never leaves a truncated
-CSV behind.
+Commands raise; ``main`` alone maps a package error to its exit code and
+its one stderr line.  Each command's output files are committed all or
+nothing (see ``network.atomic_write``), so a crashed run never leaves a
+truncated file or a mix of old and new outputs behind.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .config import Config, TrainSpec, load_config
 from .errors import ConfigError, DivergenceError, InvalidInputError, MtjsnnError
 from .macrospin import measure_latency
 from .network import Network, SimConfig, atomic_write, simulate_network
-from .tlr import TlrParams, run_tlr
+from .tlr import run_tlr
 from .trainer import TrainHistory, train
 from .xorbench import run_xor_eval, write_row_traces, xor_dataset
 
@@ -63,11 +64,7 @@ def cmd_simulate(cfg: Config, out_dir: str, seed: int) -> int:
     net = cfg.network
     if cfg.stimulus is not None:
         net = net.with_schedules(cfg.stimulus)
-    try:
-        trace = simulate_network(net, cfg.sim)
-    except MtjsnnError as exc:
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
+    trace = simulate_network(net, cfg.sim)
     atomic_write([os.path.join(out_dir, "trace.csv")], trace.to_csv)
     write_text(os.path.join(out_dir, "spikes.txt"), trace.spikes_text())
     return EXIT_OK
@@ -83,19 +80,10 @@ def _run_training(cfg: Config, seed: int) -> tuple[Network, TrainHistory]:
     return train(net0, dataset, cfg.train, sim=train_sim)
 
 
-def _train_and_write(cfg: Config, out_dir: str, seed: int) -> tuple[int, Optional[Network]]:
+def _train_and_write(cfg: Config, out_dir: str, seed: int) -> tuple[int, Network]:
     """Train, write weights.out and history.csv, and return the exit code
-    with the trained network (None when training raised)."""
-    try:
-        net, history = _run_training(cfg, seed)
-    except ConfigError:
-        raise
-    except DivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE, None
-    except MtjsnnError as exc:
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION, None
+    with the trained network."""
+    net, history = _run_training(cfg, seed)
     write_text(os.path.join(out_dir, "weights.out"), _weights_text(net))
     atomic_write([os.path.join(out_dir, "history.csv")], history.to_csv)
     if not history.converged:
@@ -112,11 +100,7 @@ def cmd_bench_xor(cfg: Config, out_dir: str, seed: int) -> int:
     code, net = _train_and_write(cfg, out_dir, seed)
     if code != EXIT_OK:
         return code
-    try:
-        report = run_xor_eval(net, cfg.sim, cfg.encoding)
-    except MtjsnnError as exc:
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
+    report = run_xor_eval(net, cfg.sim, cfg.encoding)
     write_row_traces(report.traces, out_dir)
     write_text(os.path.join(out_dir, "xor_report.txt"), report.text())
     print(report.text(), end="")
@@ -135,27 +119,19 @@ def cmd_bench_xor(cfg: Config, out_dir: str, seed: int) -> int:
     return EXIT_OK
 
 
-def _tlr_latency(params: TlrParams, drive: float, dt: float, horizon: float) -> Optional[float]:
-    n = int(round(horizon / dt))
-    run = run_tlr(params, np.full(n + 1, drive), dt)
-    return run.onsets[0] if run.onsets else None
-
-
 def cmd_sweep_latency(cfg: Config, out_dir: str, seed: int) -> int:
     sweep = cfg.sweep
     if sweep is None:
         raise ConfigError("missing sweep section", key="sweep")
+    n_steps = int(round(sweep.horizon / sweep.dt))
     rows = ["drive,latency_ns"]
-    try:
-        for drive in sweep.drives:
-            if sweep.backend == "tlr":
-                latency = _tlr_latency(sweep.params, drive, sweep.dt, sweep.horizon)
-            else:
-                latency = measure_latency(sweep.params, drive, sweep.dt, sweep.horizon)
-            rows.append(f"{repr(float(drive))},{'' if latency is None else repr(float(latency))}")
-    except MtjsnnError as exc:
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
+    for drive in sweep.drives:
+        if sweep.backend == "tlr":
+            onsets = run_tlr(sweep.params, np.full(n_steps + 1, drive), sweep.dt).onsets
+            latency = onsets[0] if onsets else None
+        else:
+            latency = measure_latency(sweep.params, drive, sweep.dt, sweep.horizon)
+        rows.append(f"{repr(float(drive))},{'' if latency is None else repr(float(latency))}")
     write_text(os.path.join(out_dir, "latency.csv"), "\n".join(rows) + "\n")
     return EXIT_OK
 
@@ -190,7 +166,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc.key or '<root>'}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InvalidInputError as exc:
+    except DivergenceError as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return EXIT_DIVERGENCE
+    except MtjsnnError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
 

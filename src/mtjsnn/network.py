@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import stat
 import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
@@ -173,15 +174,31 @@ def _write_csvs(time: np.ndarray, files: list[tuple[object, dict[str, np.ndarray
                 fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
+def _link_backup(path: str) -> str:
+    """Hard-link ``path`` to a fresh hidden name in its directory."""
+    while True:
+        backup = os.path.join(os.path.dirname(os.path.abspath(path)),
+                              f".bak-{os.urandom(6).hex()}~")
+        try:
+            os.link(path, backup, follow_symlinks=False)
+            return backup
+        except FileExistsError:
+            continue
+
+
 def atomic_write(paths: list, writer: Callable[..., None]) -> None:
     """Run ``writer(*tmp_paths)`` on one temporary file beside each of
-    ``paths``; once it returns, rename each onto its path.  The files get
-    the mode ``open(path, "w")`` would give them, ``0o666`` less the umask.
-    On any exception every temporary file left is removed, so a failed write
-    leaves neither a truncated file nor a temporary one behind."""
+    ``paths``, then commit them all or none.  Once the writer returns, each
+    existing path is hard-linked to a backup name beside it, and each
+    temporary file is renamed onto its path.  On any exception the replaced
+    paths get their backups back, the paths that did not exist before are
+    removed, and every temporary and backup file is removed, so a failed
+    write or rename leaves the outputs as they were, with no file added.  On
+    success the backups are removed.  The files get the mode
+    ``open(path, "w")`` would give them, ``0o666`` less the umask."""
     umask = os.umask(0)
     os.umask(umask)
-    tmps = []
+    tmps, backups, replaced = [], {}, []
     try:
         for path in paths:
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
@@ -190,13 +207,24 @@ def atomic_write(paths: list, writer: Callable[..., None]) -> None:
             tmps.append(tmp)
             os.chmod(tmp, 0o666 & ~umask)
         writer(*tmps)
+        for path in paths:   # renaming a file onto a directory fails, so none needs a backup
+            if os.path.lexists(path) and not stat.S_ISDIR(os.lstat(path).st_mode):
+                backups[path] = _link_backup(path)
         for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)
+            replaced.append(path)
     except BaseException:
-        for tmp in tmps:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        for path in replaced:
+            if path in backups:
+                os.replace(backups.pop(path), path)
+            else:
+                os.unlink(path)
+        for leftover in tmps + list(backups.values()):
+            if os.path.lexists(leftover):
+                os.unlink(leftover)
         raise
+    for backup in backups.values():
+        os.unlink(backup)
 
 
 def validate_topology(net: Network) -> list[str]:

@@ -33,14 +33,17 @@ class TrainConfig:
     no_spike_penalty_time: Optional[float] = None  # defaults to the sim horizon
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise InvalidInputError("eta must be >= 0", key="eta")
-        if self.fd_epsilon <= 0:
-            raise InvalidInputError("fd_epsilon must be > 0", key="fd_epsilon")
+        if not (self.eta >= 0 and math.isfinite(self.eta)):
+            raise InvalidInputError("eta must be >= 0 and finite", key="eta")
+        if not (self.fd_epsilon > 0 and math.isfinite(self.fd_epsilon)):
+            raise InvalidInputError("fd_epsilon must be > 0 and finite", key="fd_epsilon")
         if self.max_epochs < 1:
             raise InvalidInputError("max_epochs must be >= 1", key="max_epochs")
-        if self.tol <= 0:
-            raise InvalidInputError("tol must be > 0", key="tol")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise InvalidInputError("tol must be > 0 and finite", key="tol")
+        if self.no_spike_penalty_time is not None and not math.isfinite(self.no_spike_penalty_time):
+            raise InvalidInputError("no_spike_penalty_time must be finite",
+                                    key="no_spike_penalty_time")
 
 
 @dataclass

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError, MtjsnnError
 from .network import (
+    TLR_BACKEND,
     Network,
     Neuron,
     SimConfig,
@@ -218,7 +219,9 @@ def run_xor_eval(
     neuron fires; (2) latency shift: row (1,0) output trails row (0,0) by
     about the 0.5 ns code separation; (3) refraction: on row (0,1) the
     output neuron's drive goes suprathreshold again after its spike onset,
-    yet only one spike is emitted.
+    yet only one spike is emitted.  Check (3) reads the TLR threshold and
+    latency floor, so an output neuron of another backend raises
+    ``InvalidInputError``.
     """
     report = XorReport()
     traces: dict[tuple[int, int], Trace] = {}
@@ -257,12 +260,15 @@ def run_xor_eval(
 
     # (3) refraction on row (0,1): late suprathreshold drive, single onset
     t01 = traces[(0, 1)]
-    o1_params = net.neuron(OUTPUT_ID).params
+    o1 = net.neuron(OUTPUT_ID)
+    if o1.backend != TLR_BACKEND:
+        raise InvalidInputError(f"the refraction check needs a {TLR_BACKEND} output neuron;"
+                                f" {OUTPUT_ID!r} uses the {o1.backend} backend")
     onsets = t01.spike_onsets.get(OUTPUT_ID, [])
     if onsets:
-        first_crossing = onsets[0] - getattr(o1_params, "latency_floor", 0.0)
+        first_crossing = onsets[0] - o1.params.latency_floor
         intervals = _suprathreshold_intervals(
-            t01.time, t01.signals[f"{OUTPUT_ID}.drive"], o1_params.i_threshold
+            t01.time, t01.signals[f"{OUTPUT_ID}.drive"], o1.params.i_threshold
         )
         late_pulse = any(start > first_crossing for start, _ in intervals[1:])
         report.refraction_ok = late_pulse and len(onsets) == 1

@@ -13,6 +13,7 @@ import sys
 import pytest
 import yaml
 
+from mtjsnn import cli
 from mtjsnn.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -20,6 +21,14 @@ from mtjsnn.cli import (
     EXIT_OK,
     EXIT_SIMULATION,
     main,
+)
+from mtjsnn.errors import (
+    ConfigError,
+    DivergenceError,
+    InsufficientDataError,
+    InvalidInputError,
+    InvalidStateError,
+    NumericalFailureError,
 )
 
 
@@ -310,3 +319,79 @@ class TestOutputModes:
         names = sorted(p.name for p in out.iterdir())
         assert len(names) == 15 and "xor_report.txt" in names
         assert {oct(os.stat(out / name).st_mode & 0o777) for name in names} == {oct(mode)}
+
+
+# Every package error a command's callee raises maps to one exit code and
+# one stderr line.  The trainer is where divergence and config errors arise,
+# so those two are injected there only.
+_SIMULATION_FAILURES = [
+    (InvalidInputError, EXIT_SIMULATION, "simulation failed: "),
+    (InvalidStateError, EXIT_SIMULATION, "simulation failed: "),
+    (NumericalFailureError, EXIT_SIMULATION, "simulation failed: "),
+    (InsufficientDataError, EXIT_SIMULATION, "simulation failed: "),
+]
+_TRAINER_FAILURES = _SIMULATION_FAILURES + [
+    (DivergenceError, EXIT_DIVERGENCE, "training diverged: "),
+    (ConfigError, EXIT_CONFIG, "config error: train.eta: "),
+]
+_SWEEP = {"drives": [1.5, 2.0], "dt": 0.005, "horizon": 2.0}
+# (command, config document or None for configs/xor.yaml, callee, files left)
+_CALLEES = [
+    ("simulate", xor_doc(stimulus={"A": [0.0], "bias": [0.0]}), "simulate_network", []),
+    ("train", xor_doc(), "train", []),
+    ("bench-xor", xor_doc(), "train", []),
+    ("bench-xor", None, "run_xor_eval", ["history.csv", "weights.out"]),
+    ("sweep-latency", xor_doc(sweep=dict(_SWEEP, backend="tlr")), "run_tlr", []),
+    ("sweep-latency", xor_doc(sweep=dict(_SWEEP, backend="macrospin")), "measure_latency", []),
+]
+
+
+def _exit_code_cases():
+    for command, doc, callee, files in _CALLEES:
+        failures = _TRAINER_FAILURES if callee == "train" else _SIMULATION_FAILURES
+        for error, code, prefix in failures:
+            yield pytest.param(command, doc, callee, files, error, code, prefix,
+                               id=f"{command}-{callee}-{error.__name__}")
+
+
+class TestExitCodeTable:
+    @pytest.mark.parametrize("command, doc, callee, files, error, code, prefix",
+                             list(_exit_code_cases()))
+    def test_callee_failure_maps_to_exit_code(self, tmp_path, capsys, monkeypatch,
+                                              xor_config_path, command, doc, callee,
+                                              files, error, code, prefix):
+        def fail(*args, **kwargs):
+            if error is ConfigError:
+                raise ConfigError("injected failure", key="train.eta")
+            raise error("injected failure")
+
+        monkeypatch.setattr(cli, callee, fail)
+        cfg = xor_config_path if doc is None else write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == prefix + "injected failure\n"
+        assert captured.out == ""
+        assert sorted(os.listdir(out)) == files
+
+
+class TestBenchXorOutputBackend:
+    def test_macrospin_output_neuron_exit_3_names_backend(self, tmp_path, capsys, monkeypatch):
+        from dataclasses import replace
+
+        from mtjsnn.defaults import xor_reference_network
+        from mtjsnn.macrospin import MacrospinParams
+        from mtjsnn.network import MACROSPIN_BACKEND, Neuron
+        from mtjsnn.trainer import TrainHistory
+
+        net = xor_reference_network()
+        net = replace(net, neurons=tuple(
+            Neuron("o1", MACROSPIN_BACKEND, MacrospinParams()) if n.id == "o1" else n
+            for n in net.neurons))
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: (net, TrainHistory(converged=True)))
+        cfg = write_config(tmp_path, xor_doc(sim={"dt": 0.005, "horizon": 5.0}))
+        out = tmp_path / "out"
+        assert main(["bench-xor", "--config", cfg, "--out", str(out)]) == EXIT_SIMULATION
+        err = capsys.readouterr().err
+        assert err.startswith("simulation failed: ") and "macrospin" in err
+        assert sorted(os.listdir(out)) == ["history.csv", "weights.out"]

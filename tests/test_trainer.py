@@ -157,6 +157,15 @@ class TestJacobianFd:
             spike_time_jacobian_fd(chain_network(5.0), self.STIM, 7, 1e-3, sim=self.SIM)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["eta", "fd_epsilon", "tol", "no_spike_penalty_time"])
+    def test_non_finite_value_rejected_with_key(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"{field} must be") as e:
+            TrainConfig(**{field: value})
+        assert e.value.key == field
+
+
 class TestTrain:
     SIM = SimConfig(dt=0.002, horizon=5.0)
 

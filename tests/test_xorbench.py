@@ -1,6 +1,8 @@
 """XOR benchmark: encoding, decoding, network construction, mechanism checks."""
 
 import filecmp
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,15 @@ from hypothesis import strategies as st
 from mtjsnn import xorbench
 from mtjsnn.defaults import xor_reference_network
 from mtjsnn.errors import ConfigError, InvalidInputError, NumericalFailureError
-from mtjsnn.network import SimConfig, first_spike_time, simulate_network, validate_topology
+from mtjsnn.macrospin import MacrospinParams
+from mtjsnn.network import (
+    MACROSPIN_BACKEND,
+    Neuron,
+    SimConfig,
+    first_spike_time,
+    simulate_network,
+    validate_topology,
+)
 from mtjsnn.tlr import TlrParams
 from mtjsnn.xorbench import (
     XOR_ROWS,
@@ -224,6 +234,26 @@ class TestRowErrors:
         assert e.value.args == ("x",)
 
 
+def macrospin_output_network():
+    """The reference network with a default macrospin o1, which fires on row (0,1)."""
+    net = xor_reference_network()
+    neurons = tuple(Neuron("o1", MACROSPIN_BACKEND, MacrospinParams()) if n.id == "o1" else n
+                    for n in net.neurons)
+    synapses = tuple(replace(s, weight=3.0) if (s.pre, s.post) == ("bias", "o1") else s
+                     for s in net.synapses)
+    return replace(net, neurons=neurons, synapses=synapses)
+
+
+class TestNonTlrOutputNeuron:
+    def test_macrospin_output_neuron_rejected_by_backend(self):
+        sim = SimConfig(dt=0.005, horizon=5.0)
+        net = macrospin_output_network()
+        assert first_spike_time(simulate_network(
+            net.with_schedules(encode_inputs(XorRow(0, 1), horizon=5.0)), sim), "o1") is not None
+        with pytest.raises(InvalidInputError, match="'o1' uses the macrospin backend"):
+            run_xor_eval(net, sim)
+
+
 class TestWriteRowTraces:
     def test_each_row_simulated_once(self, tmp_path, monkeypatch):
         net = xor_reference_network()
@@ -277,3 +307,79 @@ class TestWriteRowTraces:
         assert len(calls) == fail_at
         assert [p.name for p in out.iterdir()] == ["row1_drive.csv"]
         assert (out / "row1_drive.csv").read_text() == "old\n"
+
+    # the twelve row files in the order write_row_traces renames them
+    ROW_FILES = [f"row{k}_{s}.csv" for k in range(1, 5) for s in ("drive", "voltage", "state")]
+
+    def old_outputs(self, out, names):
+        out.mkdir()
+        for name in names:
+            (out / name).write_text(f"old {name}\n")
+
+    def assert_old_outputs(self, out, names):
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        for name in names:
+            if (out / name).is_file():
+                assert (out / name).read_text() == f"old {name}\n"
+
+    def test_directory_in_place_of_last_row_file_replaces_nothing(self, tmp_path):
+        traces = run_xor_eval(xor_reference_network(), SIM).traces
+        out = tmp_path / "out"
+        self.old_outputs(out, self.ROW_FILES[:-1])
+        (out / self.ROW_FILES[-1]).mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_row_traces(traces, out)
+        self.assert_old_outputs(out, self.ROW_FILES)
+        assert (out / self.ROW_FILES[-1]).is_dir()
+
+    @pytest.mark.parametrize("fail_at", range(1, 13))
+    def test_failed_rename_restores_every_old_file(self, tmp_path, monkeypatch, fail_at):
+        from mtjsnn import network
+
+        traces = run_xor_eval(xor_reference_network(), SIM).traces
+        out = tmp_path / "out"
+        self.old_outputs(out, self.ROW_FILES)
+        calls = []
+        real = network.os.replace
+
+        def failing(src, dst):
+            calls.append(dst)
+            if len(calls) == fail_at:
+                raise OSError("rename failed")
+            return real(src, dst)
+
+        monkeypatch.setattr(network.os, "replace", failing)
+        with pytest.raises(OSError, match="rename failed"):
+            write_row_traces(traces, out)
+        monkeypatch.undo()
+        assert [os.path.basename(p) for p in calls[:fail_at]] == self.ROW_FILES[:fail_at]
+        self.assert_old_outputs(out, self.ROW_FILES)
+
+    def test_failed_rename_removes_new_files(self, tmp_path, monkeypatch):
+        from mtjsnn import network
+
+        traces = run_xor_eval(xor_reference_network(), SIM).traces
+        out = tmp_path / "out"
+        self.old_outputs(out, self.ROW_FILES[::2])
+        real = network.os.replace
+
+        def failing(src, dst):
+            if os.path.basename(dst) == self.ROW_FILES[-1]:
+                raise OSError("rename failed")
+            return real(src, dst)
+
+        monkeypatch.setattr(network.os, "replace", failing)
+        with pytest.raises(OSError, match="rename failed"):
+            write_row_traces(traces, out)
+        self.assert_old_outputs(out, self.ROW_FILES[::2])
+
+    def test_overwrite_leaves_no_backup_file(self, tmp_path):
+        traces = run_xor_eval(xor_reference_network(), SIM).traces
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        fresh.mkdir()
+        write_row_traces(traces, fresh)
+        self.old_outputs(out, self.ROW_FILES)
+        write_row_traces(traces, out)
+        assert sorted(p.name for p in out.iterdir()) == sorted(self.ROW_FILES)
+        for name in self.ROW_FILES:
+            assert filecmp.cmp(fresh / name, out / name, shallow=False)
