@@ -3,15 +3,19 @@
 Exit codes:
     0  success
     2  config error (the offending key is named)
-    3  simulation failure: any other package error inside a command
+    3  simulation or output failure: any other package error inside a
+       command, or an OSError while creating --out or writing outputs
     4  training epoch budget exhausted
     5  training divergence guard tripped
     6  bench-xor decode or mechanism-check failure
 
-Commands raise; ``main`` alone maps a package error to its exit code and
-its one stderr line.  Each command's output files are committed all or
+Commands raise; ``main`` alone maps a package error or an OSError to its
+exit code and its one stderr line.  Output files are committed all or
 nothing (see ``network.atomic_write``), so a crashed run never leaves a
-truncated file or a mix of old and new outputs behind.
+truncated file or a mix of old and new outputs behind.  ``simulate``,
+``train`` and ``sweep-latency`` commit their outputs once; ``bench-xor``
+commits three times: ``weights.out`` and ``history.csv`` after training,
+then the twelve row traces, then ``xor_report.txt``.
 """
 
 from __future__ import annotations
@@ -39,11 +43,13 @@ EXIT_DIVERGENCE = 5
 EXIT_MECHANISM = 6
 
 
+def _put_text(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def write_text(path: str, text: str) -> None:
-    def writer(tmp: str) -> None:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-    atomic_write([path], writer)
+    atomic_write([path], lambda tmp: _put_text(tmp, text))
 
 
 def _weights_text(net: Network) -> str:
@@ -65,8 +71,12 @@ def cmd_simulate(cfg: Config, out_dir: str, seed: int) -> int:
     if cfg.stimulus is not None:
         net = net.with_schedules(cfg.stimulus)
     trace = simulate_network(net, cfg.sim)
-    atomic_write([os.path.join(out_dir, "trace.csv")], trace.to_csv)
-    write_text(os.path.join(out_dir, "spikes.txt"), trace.spikes_text())
+
+    def writer(csv_tmp: str, spikes_tmp: str) -> None:
+        trace.to_csv(csv_tmp)
+        _put_text(spikes_tmp, trace.spikes_text())
+
+    atomic_write([os.path.join(out_dir, name) for name in ("trace.csv", "spikes.txt")], writer)
     return EXIT_OK
 
 
@@ -84,8 +94,12 @@ def _train_and_write(cfg: Config, out_dir: str, seed: int) -> tuple[int, Network
     """Train, write weights.out and history.csv, and return the exit code
     with the trained network."""
     net, history = _run_training(cfg, seed)
-    write_text(os.path.join(out_dir, "weights.out"), _weights_text(net))
-    atomic_write([os.path.join(out_dir, "history.csv")], history.to_csv)
+
+    def writer(weights_tmp: str, history_tmp: str) -> None:
+        _put_text(weights_tmp, _weights_text(net))
+        history.to_csv(history_tmp)
+
+    atomic_write([os.path.join(out_dir, name) for name in ("weights.out", "history.csv")], writer)
     if not history.converged:
         print(f"epoch budget exhausted after {history.epochs} epochs", file=sys.stderr)
         return EXIT_EPOCHS_EXHAUSTED, net
@@ -171,6 +185,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_DIVERGENCE
     except MtjsnnError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
+        return EXIT_SIMULATION
+    except OSError as exc:   # load_config maps its own OSErrors to ConfigError
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
 
 

@@ -22,8 +22,8 @@ import yaml
 
 from . import defaults
 from .errors import ConfigError, InvalidInputError
-from .macrospin import MacrospinParams
 from .network import (
+    BACKEND_PARAMS,
     MACROSPIN_BACKEND,
     TLR_BACKEND,
     Network,
@@ -38,8 +38,6 @@ from .trainer import TrainConfig
 from .xorbench import EncodingConfig, build_xor_network
 
 SCHEMA_VERSION = 1
-
-_BACKEND_PARAMS = {TLR_BACKEND: TlrParams, MACROSPIN_BACKEND: MacrospinParams}
 
 
 @dataclass(frozen=True)
@@ -173,9 +171,9 @@ def _build_with_params(cls, section: Any, path: str) -> Any:
     its ``backend``."""
     section = _expect_mapping(section, path)
     backend = str(section.get("backend", cls.backend))
-    if backend not in _BACKEND_PARAMS:
+    if backend not in BACKEND_PARAMS:
         raise ConfigError(f"unknown backend {backend!r}", key=f"{path}.backend")
-    params = _build(_BACKEND_PARAMS[backend], section.get("params", {}), f"{path}.params")
+    params = _build(BACKEND_PARAMS[backend], section.get("params", {}), f"{path}.params")
     # not a MacrospinParams rule: tests build such params to reach the circuit solve's error
     if backend == MACROSPIN_BACKEND and not params.transistor_k > 0:
         raise ConfigError("transistor_k must be > 0", key=f"{path}.params.transistor_k")
@@ -308,6 +306,9 @@ def load_config(path) -> Config:
             document = yaml.safe_load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}", key="<file>") from exc
+    except OSError as exc:   # a directory, no permission, a failed read
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}",
+                          key="<file>") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}", key="<file>") from exc
     return parse_config(document)

@@ -187,15 +187,13 @@ class MacrospinTrace:
 
     def switching_times(self) -> list[float]:
         """Times where the easy-axis projection crosses zero (linear interp)."""
-        a = self.alignment()
-        out = []
-        for k in range(a.size - 1):
-            if a[k] == 0.0:
-                out.append(float(self.time[k]))
-            elif a[k] * a[k + 1] < 0:
-                frac = a[k] / (a[k] - a[k + 1])
-                out.append(float(self.time[k] + frac * (self.time[k + 1] - self.time[k])))
-        return out
+        a, t = self.alignment(), self.time
+        zero = a[:-1] == 0.0   # a sample at exactly zero is its own crossing
+        k = np.flatnonzero(zero | (a[:-1] * a[1:] < 0))
+        out, sign_change = t[k], ~zero[k]
+        j = k[sign_change]
+        out[sign_change] = t[j] + a[j] / (a[j] - a[j + 1]) * (t[j + 1] - t[j])
+        return out.tolist()
 
 
 Waveform = Union[Callable[[float], float], np.ndarray, Sequence[float]]

@@ -25,6 +25,7 @@ from .errors import InvalidInputError, NumericalFailureError
 
 TLR_BACKEND = "tlr"
 MACROSPIN_BACKEND = "macrospin"
+BACKEND_PARAMS = {TLR_BACKEND: tlr.TlrParams, MACROSPIN_BACKEND: ms.MacrospinParams}
 _CSV_CHUNK_ROWS = 512
 
 
@@ -45,6 +46,14 @@ class Neuron:
     id: str
     backend: str = TLR_BACKEND
     params: Union[tlr.TlrParams, ms.MacrospinParams] = field(default_factory=tlr.TlrParams)
+
+    def __post_init__(self):
+        if self.backend not in BACKEND_PARAMS:
+            raise InvalidInputError(f"unknown backend {self.backend!r}", key="backend")
+        expected = BACKEND_PARAMS[self.backend]
+        if not isinstance(self.params, expected):
+            raise InvalidInputError(f"the {self.backend} backend needs {expected.__name__},"
+                                    f" not {type(self.params).__name__}", key="params")
 
 
 @dataclass(frozen=True)
@@ -343,7 +352,7 @@ def _simulate(
         try:
             if neuron.backend == TLR_BACKEND:
                 _, v_out, state_series, n_onsets = tlr._run_batch(neuron.params, drive, sim.dt)
-            elif neuron.backend == MACROSPIN_BACKEND:
+            else:   # macrospin
                 p = neuron.params
                 traces = [
                     ms.integrate_macrospin(ms.initial_state(p), p, d, sim.dt, sim.horizon)
@@ -352,8 +361,6 @@ def _simulate(
                 v_out = np.array([p.v_dd - trace.v_node for trace in traces])
                 state_series = np.array([trace.alignment() for trace in traces])
                 n_onsets = [trace.switching_times() for trace in traces]
-            else:
-                raise InvalidInputError(f"unknown backend {neuron.backend!r}")
         except NumericalFailureError as exc:
             raise NumericalFailureError(f"neuron {nid!r}: {exc}") from exc
         voltages[nid] = v_out

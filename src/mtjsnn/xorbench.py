@@ -191,22 +191,6 @@ class XorReport:
         return "\n".join(lines) + "\n"
 
 
-def _suprathreshold_intervals(time: np.ndarray, drive: np.ndarray, threshold: float) -> list[tuple[float, float]]:
-    """Contiguous intervals where the drive exceeds the firing threshold."""
-    above = drive > threshold
-    intervals = []
-    start = None
-    for k, flag in enumerate(above):
-        if flag and start is None:
-            start = time[k]
-        elif not flag and start is not None:
-            intervals.append((float(start), float(time[k - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(start), float(time[-1])))
-    return intervals
-
-
 def run_xor_eval(
     net: Network,
     sim: SimConfig = SimConfig(),
@@ -224,7 +208,6 @@ def run_xor_eval(
     ``InvalidInputError``.
     """
     report = XorReport()
-    traces: dict[tuple[int, int], Trace] = {}
     for row in XOR_ROWS:
         stimulus = encode_inputs(row, encoding, sim.horizon)
         try:
@@ -233,47 +216,33 @@ def run_xor_eval(
             message = exc.args[0] if exc.args else ""
             exc.args = (f"row (a={row.a}, b={row.b}): {message}",) + exc.args[1:]
             raise
-        traces[(row.a, row.b)] = trace
         report.traces.append(trace)
         onset = first_spike_time(trace, OUTPUT_ID)
         decoded = decode_output(onset)
-        passed = (
-            decoded == row.target_bit
-            and onset is not None
-            and abs(onset - row.target_time) <= tol
-        )
+        passed = decoded == row.target_bit and abs(onset - row.target_time) <= tol
         report.rows.append(RowResult(row=row, onset=onset, decoded=decoded, passed=passed))
+    t00, t01 = report.traces[:2]   # rows (0,0) and (0,1)
 
     # (1) threshold gating on row (0,0)
-    t00 = traces[(0, 0)]
     fired = [nid for nid in ("i1", "i2") if t00.spike_onsets.get(nid)]
     report.threshold_gate_ok = len(fired) == 1
 
     # (2) latency shift between rows (0,0) and (1,0)
-    on00 = first_spike_time(traces[(0, 0)], OUTPUT_ID)
-    on10 = first_spike_time(traces[(1, 0)], OUTPUT_ID)
+    on00, on10 = report.rows[0].onset, report.rows[2].onset
     if on00 is not None and on10 is not None:
-        shift = on10 - on00
-        report.latency_shift_ok = abs(shift - (T_ONE - T_ZERO)) <= 0.15
-    else:
-        report.latency_shift_ok = False
+        report.latency_shift_ok = abs(on10 - on00 - (T_ONE - T_ZERO)) <= 0.15
 
-    # (3) refraction on row (0,1): late suprathreshold drive, single onset
-    t01 = traces[(0, 1)]
+    # (3) refraction on row (0,1): a suprathreshold interval other than the
+    # first starts after the first crossing, yet only one onset follows
     o1 = net.neuron(OUTPUT_ID)
     if o1.backend != TLR_BACKEND:
         raise InvalidInputError(f"the refraction check needs a {TLR_BACKEND} output neuron;"
                                 f" {OUTPUT_ID!r} uses the {o1.backend} backend")
     onsets = t01.spike_onsets.get(OUTPUT_ID, [])
-    if onsets:
-        first_crossing = onsets[0] - o1.params.latency_floor
-        intervals = _suprathreshold_intervals(
-            t01.time, t01.signals[f"{OUTPUT_ID}.drive"], o1.params.i_threshold
-        )
-        late_pulse = any(start > first_crossing for start, _ in intervals[1:])
-        report.refraction_ok = late_pulse and len(onsets) == 1
-    else:
-        report.refraction_ok = False
+    if len(onsets) == 1:
+        above = t01.signals[f"{OUTPUT_ID}.drive"] > o1.params.i_threshold
+        starts = t01.time[above & ~np.r_[False, above[:-1]]]
+        report.refraction_ok = bool(np.any(starts[1:] > onsets[0] - o1.params.latency_floor))
 
     return report
 

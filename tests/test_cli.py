@@ -7,6 +7,7 @@ with small budgets.
 
 import filecmp
 import os
+import re
 import subprocess
 import sys
 
@@ -395,3 +396,72 @@ class TestBenchXorOutputBackend:
         err = capsys.readouterr().err
         assert err.startswith("simulation failed: ") and "macrospin" in err
         assert sorted(os.listdir(out)) == ["history.csv", "weights.out"]
+
+
+class TestOsErrors:
+    """An OSError on the config exits 2 and one on the outputs exits 3, each
+    with one stderr line; a failed commit adds and changes no output file."""
+
+    @staticmethod
+    def rename_error(out, name):
+        """The stderr line of renaming a temporary file onto the directory ``name``."""
+        return re.compile(re.escape("output error: [Errno 21] Is a directory: '")
+                          + re.escape(str(out)) + r"/\.tmp-\w+~' -> '"
+                          + re.escape(str(out / name)) + "'\n")
+
+    def test_config_directory_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(tmp_path), "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: <file>: cannot read config file"
+                                f" {tmp_path}: Is a directory\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_out_is_a_regular_file_exit_3(self, tmp_path, capsys, xor_config_path):
+        out = tmp_path / "out"
+        out.write_text("keep\n")
+        assert main(["simulate", "--config", xor_config_path, "--out", str(out)]) == EXIT_SIMULATION
+        captured = capsys.readouterr()
+        assert captured.err == f"output error: [Errno 17] File exists: '{out}'\n"
+        assert captured.out == ""
+        assert out.read_text() == "keep\n"
+        assert sorted(os.listdir(tmp_path)) == ["out"]
+
+    @pytest.mark.parametrize("old", [False, True], ids=["fresh", "existing"])
+    def test_directory_in_place_of_spikes_txt_exit_3(self, tmp_path, capsys, xor_config_path, old):
+        out = tmp_path / "out"
+        (out / "spikes.txt").mkdir(parents=True)
+        if old:
+            (out / "trace.csv").write_text("old trace\n")
+        assert main(["simulate", "--config", xor_config_path, "--out", str(out)]) == EXIT_SIMULATION
+        assert self.rename_error(out, "spikes.txt").fullmatch(capsys.readouterr().err)
+        assert sorted(os.listdir(out)) == (["spikes.txt", "trace.csv"] if old else ["spikes.txt"])
+        if old:
+            assert (out / "trace.csv").read_text() == "old trace\n"
+
+    @pytest.mark.parametrize("old", [False, True], ids=["fresh", "existing"])
+    def test_directory_in_place_of_history_csv_exit_3(self, tmp_path, capsys, xor_config_path,
+                                                      old):
+        out = tmp_path / "out"
+        (out / "history.csv").mkdir(parents=True)
+        if old:
+            (out / "weights.out").write_text("old weights\n")
+        assert main(["train", "--config", xor_config_path, "--out", str(out),
+                     "--seed", "2"]) == EXIT_SIMULATION
+        assert self.rename_error(out, "history.csv").fullmatch(capsys.readouterr().err)
+        assert sorted(os.listdir(out)) == (["history.csv", "weights.out"] if old
+                                           else ["history.csv"])
+        if old:
+            assert (out / "weights.out").read_text() == "old weights\n"
+
+    def test_directory_in_place_of_a_row_trace_exit_3(self, tmp_path, capsys, xor_config_path):
+        out = tmp_path / "out"
+        (out / "row4_state.csv").mkdir(parents=True)
+        assert main(["bench-xor", "--config", xor_config_path, "--out", str(out),
+                     "--seed", "2"]) == EXIT_SIMULATION
+        captured = capsys.readouterr()
+        assert self.rename_error(out, "row4_state.csv").fullmatch(captured.err)
+        assert captured.out == ""
+        # the training commit stands; the row traces and the report are not written
+        assert sorted(os.listdir(out)) == ["history.csv", "row4_state.csv", "weights.out"]

@@ -95,6 +95,19 @@ def reference_integrate(state, params, v_gate, dt, horizon):
                                     params=params)
 
 
+def reference_switching_times(trace):
+    """The per-sample loop ``MacrospinTrace.switching_times`` replaced."""
+    a = trace.alignment()
+    out = []
+    for k in range(a.size - 1):
+        if a[k] == 0.0:
+            out.append(float(trace.time[k]))
+        elif a[k] * a[k + 1] < 0:
+            frac = a[k] / (a[k] - a[k + 1])
+            out.append(float(trace.time[k] + frac * (trace.time[k + 1] - trace.time[k])))
+    return out
+
+
 class TestLlgsDerivative:
     def test_equilibria_exact(self):
         e = PARAMS.easy_axis
@@ -254,6 +267,55 @@ class TestIntegration:
     def test_bad_dt_rejected(self):
         with pytest.raises(InvalidInputError):
             integrate_macrospin(initial_state(PARAMS), PARAMS, lambda t: 0.0, 0.05, 1.0)
+
+
+class TestSwitchingTimes:
+    """``switching_times`` against the per-sample loop it replaced: equal
+    lists of Python floats, and no warning (pytest turns one into an error)."""
+
+    @staticmethod
+    def assert_matches_loop(trace):
+        times = trace.switching_times()
+        assert times == reference_switching_times(trace)
+        assert all(type(t) is float for t in times)
+        return times
+
+    @pytest.mark.parametrize("horizon", [3.5, 15.0])
+    @pytest.mark.parametrize("v_gate", CALIBRATION_GRID + (0.5,))
+    def test_integrator_traces(self, v_gate, horizon):
+        trace = integrate_macrospin(initial_state(PARAMS), PARAMS, lambda t: v_gate, 0.005,
+                                    horizon)
+        times = self.assert_matches_loop(trace)
+        if v_gate == 0.5:   # subthreshold
+            assert times == []
+
+    @staticmethod
+    def synthetic_trace(alignment, time):
+        # the easy axis is the x axis, so the projection of m is the alignment
+        alignment = np.asarray(alignment, dtype=float)
+        m = alignment[:, None] * PARAMS.easy_axis
+        assert np.array_equal(m @ PARAMS.easy_axis, alignment)
+        zeros = np.zeros(alignment.size)
+        return macrospin.MacrospinTrace(time=np.asarray(time, dtype=float), v_node=zeros,
+                                        i_device=zeros, m=m, params=PARAMS)
+
+    @pytest.mark.parametrize("alignment", [
+        [], [0.0], [0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0, 1.0],
+        [1.0, 0.0, 0.0, -1.0], [-0.5, 0.5, -0.5, 0.5], [1.0, -0.0, -1.0], [0.3, 0.3, 0.3],
+    ])
+    def test_exact_zeros_and_edges(self, alignment):
+        self.assert_matches_loop(self.synthetic_trace(alignment, 0.25 * np.arange(len(alignment))))
+
+    def test_random_alignments_with_exact_zeros(self):
+        rng = np.random.default_rng(11)
+        consecutive_zeros = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            alignment = rng.choice([-1.0, -0.4, 0.0, 0.0, 0.3, 1.0], n) * rng.uniform(0.1, 1.0, n)
+            time = rng.uniform(-1.0, 1.0) + np.cumsum(rng.uniform(0.001, 0.1, n))
+            consecutive_zeros += bool(np.any((alignment[:-1] == 0) & (alignment[1:] == 0)))
+            self.assert_matches_loop(self.synthetic_trace(alignment, time))
+        assert consecutive_zeros >= 100
 
 
 class TestThresholdExistence:

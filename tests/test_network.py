@@ -5,9 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_macrospin import reference_switching_times
+from test_tlr import reference_run_tlr
 
 from mtjsnn.config import load_config
 from mtjsnn.errors import InvalidInputError
+from mtjsnn.macrospin import MacrospinParams, initial_state, integrate_macrospin
 from mtjsnn.network import (
     Network,
     Neuron,
@@ -20,7 +25,7 @@ from mtjsnn.network import (
     simulate_network,
     validate_topology,
 )
-from mtjsnn.tlr import TlrParams, constant_drive_latency
+from mtjsnn.tlr import TlrParams, constant_drive_latency, source_waveform
 from mtjsnn.xorbench import build_xor_network
 
 
@@ -215,6 +220,26 @@ class TestSimulateNetwork:
         assert isinstance(trace.spike_onsets["m"], list)
 
 
+class TestNeuronBackend:
+    @pytest.mark.parametrize("backend, params, key", [
+        ("spiking", TlrParams(), "backend"),
+        ("tlr", MacrospinParams(), "params"),
+        ("macrospin", TlrParams(), "params"),
+        ("tlr", None, "params"),
+    ])
+    def test_mismatch_rejected_when_built(self, backend, params, key):
+        with pytest.raises(InvalidInputError) as e:
+            Neuron("n", backend, params)
+        assert e.value.key == key
+
+    def test_default_params_are_tlr(self):
+        assert isinstance(Neuron("n").params, TlrParams)
+        with pytest.raises(InvalidInputError) as e:
+            Neuron("m", "macrospin")
+        assert e.value.key == "params"
+        assert str(e.value) == "the macrospin backend needs MacrospinParams, not TlrParams"
+
+
 class TestFirstSpikeTime:
     def test_earliest_and_silent(self):
         from mtjsnn.network import Trace
@@ -291,6 +316,163 @@ class TestBatchedCore:
         weights = np.array([[1.5], [0.2], [1.5]])
         onsets = self.assert_rows_match(net, weights, SimConfig(dt=0.005, horizon=2.5))
         assert onsets["m"][0] == onsets["m"][2]
+
+
+def reference_simulate(net, sim):
+    """Network oracle for one weight row.  Each drive is summed from zeros
+    in synapse order, then each neuron runs alone: ``reference_run_tlr``
+    for TLR, the integrator and the per-sample crossing loop for macrospin."""
+    time = sim.dt * np.arange(int(round(sim.horizon / sim.dt)) + 1)
+    voltages = {src.id: source_waveform(time, list(src.spike_times), src.amplitude, src.duration)
+                for src in net.sources}
+    signals = {f"{sid}.v": v for sid, v in voltages.items()}
+    onsets = {src.id: list(src.spike_times) for src in net.sources}
+    pending = list(net.neurons)
+    while pending:
+        neuron = next(n for n in pending
+                      if all(s.pre in voltages for s in net.synapses if s.post == n.id))
+        pending.remove(neuron)
+        drive = np.zeros(time.size)
+        for s in net.synapses:
+            if s.post == neuron.id:
+                drive += s.weight * voltages[s.pre]
+        p = neuron.params
+        if neuron.backend == "tlr":
+            run = reference_run_tlr(p, drive, sim.dt)
+            v, state, spikes = run.v_out, run.accumulation, run.onsets
+        else:
+            trace = integrate_macrospin(initial_state(p), p, drive, sim.dt, sim.horizon)
+            v, state = p.v_dd - trace.v_node, trace.alignment()
+            spikes = reference_switching_times(trace)
+        voltages[neuron.id] = v
+        signals.update({f"{neuron.id}.drive": drive, f"{neuron.id}.v": v,
+                        f"{neuron.id}.state": state})
+        onsets[neuron.id] = spikes
+    return signals, onsets
+
+
+@st.composite
+def batched_networks(draw, macrospin=False):
+    """A random feedforward network, a grid and a ``(B, E)`` weight array.
+
+    1-3 sources and 1-6 neurons; each neuron takes in-edges from a random
+    subset of the sources and the neurons drawn before it, and the neuron
+    and synapse tuples are shuffled, so neither is in topological order.
+    Weights include 0 and negative values.  Each weight row copies an
+    earlier row and changes a few of its entries, or none, so rows repeat
+    in full or only on some neurons' in-edges.
+
+    With ``macrospin`` one neuron is a default macrospin neuron on a 1.5 ns
+    grid at 5 ps.  It always takes an in-edge from source ``s0``, a 1.5 ns
+    pulse at 0, weighted 5-8 in the first row: a weaker or later drive
+    cannot switch it before the horizon, and no crossing would be checked."""
+    def uniform(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    if macrospin:
+        dt, n_steps = 0.005, 300
+    else:
+        dt, n_steps = draw(st.sampled_from([0.005, 0.01])), draw(st.integers(100, 300))
+    sim = SimConfig(dt=dt, horizon=n_steps * dt)
+    on_grid = st.integers(0, n_steps).map(lambda k: k * dt)
+    sources = [
+        Source(f"s{k}", tuple(sorted(draw(st.lists(on_grid, min_size=1, max_size=3)))),
+               amplitude=uniform(0.5, 1.5), duration=uniform(0.2, 1.5))
+        for k in range(draw(st.integers(1, 3)))
+    ]
+    n_neurons = draw(st.integers(1, 6))
+    neurons, edges = [], []
+    for k in range(n_neurons):
+        neurons.append(Neuron(f"n{k}", "tlr", TlrParams(
+            i_threshold=uniform(0.2, 1.2),
+            q_switch=uniform(0.01, 0.2),
+            latency_floor=uniform(0.0, 0.5),
+            spike_amplitude=uniform(0.5, 1.5),
+            spike_duration=uniform(0.2, 1.5),
+            # 0 ablates refraction; a short window re-arms inside the horizon
+            t_refractory=draw(st.one_of(st.just(0.0), st.floats(0.05, 1.0), st.just(5.0))),
+            rel_refraction_beta=draw(st.one_of(st.just(0.0), st.floats(0.01, 2.0))),
+            rel_refraction_tau=uniform(0.1, 3.0),
+        )))
+        pres = [src.id for src in sources] + [f"n{j}" for j in range(k)]
+        edges += [(pre, f"n{k}") for pre in draw(st.lists(st.sampled_from(pres), unique=True))]
+    if macrospin:
+        k = draw(st.integers(0, n_neurons - 1))
+        neurons[k] = Neuron(f"n{k}", "macrospin", MacrospinParams())
+        sources[0] = Source("s0", (0.0,), amplitude=1.0, duration=1.5)
+        if ("s0", f"n{k}") not in edges:
+            edges.append(("s0", f"n{k}"))
+    edges = draw(st.permutations(edges))
+    # weight values come from a drawn seed: full-precision floats, whose
+    # sums round differently in another order
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def weight():
+        return [0.0, rng.uniform(-2.0, 0.0), rng.uniform(0.0, 8.0 if macrospin else 4.0)][
+            rng.integers(3)]
+
+    rows = [[weight() for _ in edges]]
+    if macrospin:
+        rows[0][edges.index(("s0", f"n{k}"))] = uniform(5.0, 8.0)
+    for _ in range(draw(st.integers(0, 19))):
+        row = list(rows[draw(st.integers(0, len(rows) - 1))])
+        if edges:
+            for e in draw(st.lists(st.integers(0, len(edges) - 1), max_size=3)):
+                row[e] = weight()
+        rows.append(row)
+    net = Network(neurons=tuple(draw(st.permutations(neurons))),
+                  synapses=tuple(Synapse(pre, post, 0.0) for pre, post in edges),
+                  sources=tuple(sources))
+    return net, np.array(rows, dtype=float), sim
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBatchedCoreDifferential:
+    """``_simulate`` over random feedforward networks and weight batches:
+    each row is bitwise equal to ``simulate_network`` on that row's weights
+    and to the per-row oracle ``reference_simulate``."""
+
+    def check(self, net, weights, sim):
+        time, signals, onsets = _simulate(net, weights, sim)
+        assert same_bits(time, sim.dt * np.arange(time.size))
+        assert all(np.all(np.isfinite(v)) for v in signals.values())
+        assert all(row == sorted(row) for rows in onsets.values() for row in rows)
+        per_row = {n.id: set() for n in net.neurons}   # (drive, v, state) bytes of each row
+        for b, w in enumerate(weights):
+            row_net = net.with_weights(w)
+            trace = simulate_network(row_net, sim)
+            ref_signals, ref_onsets = reference_simulate(row_net, sim)
+            assert set(trace.signals) == set(ref_signals) == set(signals)
+            for key, ref in ref_signals.items():
+                assert same_bits(trace.signals[key], ref), (b, key)
+            for nid, ref in ref_onsets.items():
+                assert onsets[nid][b] == trace.spike_onsets[nid] == ref, (b, nid)
+            for nid in per_row:
+                per_row[nid].add(tuple(trace.signals[f"{nid}.{kind}"].tobytes()
+                                       for kind in ("drive", "v", "state")))
+        for src in net.sources:
+            assert same_bits(signals[f"{src.id}.v"], trace.signals[f"{src.id}.v"])
+        # the deduplicated rows of each neuron are exactly the rows' own arrays
+        for nid, expected in per_row.items():
+            arrays = [signals[f"{nid}.{kind}"] for kind in ("drive", "v", "state")]
+            assert {tuple(a[r].tobytes() for a in arrays)
+                    for r in range(arrays[0].shape[0])} == expected, nid
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(batched_networks())
+    def test_tlr_networks(self, case):
+        self.check(*case)
+
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(batched_networks(macrospin=True))
+    def test_with_a_macrospin_neuron(self, case):
+        self.check(*case)
 
 
 def reference_to_csv(trace, path):

@@ -17,6 +17,7 @@ from mtjsnn.network import (
     MACROSPIN_BACKEND,
     Neuron,
     SimConfig,
+    Trace,
     first_spike_time,
     simulate_network,
     validate_topology,
@@ -185,6 +186,82 @@ class TestRunXorEval:
                 for wc in np.linspace(-2, 2, 9):
                     outs = [int(wa * a + wb * b + wc * c > 0) for a, b, c, _ in rows]
                     assert outs != [t for _, _, _, t in rows]
+
+
+def reference_suprathreshold_intervals(time: np.ndarray, drive: np.ndarray, threshold: float) -> list[tuple[float, float]]:
+    """Contiguous intervals where the drive exceeds the firing threshold."""
+    above = drive > threshold
+    intervals = []
+    start = None
+    for k, flag in enumerate(above):
+        if flag and start is None:
+            start = time[k]
+        elif not flag and start is not None:
+            intervals.append((float(start), float(time[k - 1])))
+            start = None
+    if start is not None:
+        intervals.append((float(start), float(time[-1])))
+    return intervals
+
+
+def reference_refraction_ok(trace, params):
+    """The refraction verdict built on the interval helper that
+    ``run_xor_eval`` replaced with a rising-edge scan."""
+    onsets = trace.spike_onsets.get("o1", [])
+    if onsets:
+        first_crossing = onsets[0] - params.latency_floor
+        intervals = reference_suprathreshold_intervals(
+            trace.time, trace.signals["o1.drive"], params.i_threshold
+        )
+        late_pulse = any(start > first_crossing for start, _ in intervals[1:])
+        return late_pulse and len(onsets) == 1
+    return False
+
+
+class TestRefractionMatchesIntervalHelper:
+    """``refraction_ok`` on o1 drives and onsets fed to ``run_xor_eval`` in
+    place of a simulation.  The times are multiples of 0.25 ns, so an onset
+    less the latency floor can land exactly on an interval start, and the
+    drive levels include the threshold itself."""
+
+    @staticmethod
+    def verdict(monkeypatch, params, time, drive, onsets):
+        trace = Trace(time, {"o1.drive": drive}, {"i1": [], "i2": [], "o1": onsets})
+        monkeypatch.setattr(xorbench, "simulate_network", lambda net, sim: trace)
+        got = run_xor_eval(build_xor_network(params), SIM).refraction_ok
+        assert type(got) is bool
+        assert got == reference_refraction_ok(trace, params)
+        return got
+
+    def test_random_drives(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        levels = np.array([0.0, 0.5, 1.0, 1.0, 1.5])   # the threshold is 1.0
+        verdicts = set()
+        for case in range(400):
+            n = int(rng.integers(2, 30))
+            drive = rng.choice(levels, n)
+            drive[0] = drive[-1] = [0.0, 1.5][case % 2]   # above or not at both ends
+            if case % 7 == 0:
+                drive[:] = [0.0, 1.5][case % 2]   # above at no sample or at all
+            time = 0.25 * np.arange(n)
+            params = TlrParams(latency_floor=float(rng.choice([0.0, 0.25, 0.5])))
+            grid = time + params.latency_floor
+            onsets = sorted(float(t) for t in rng.choice(grid, int(rng.integers(0, 3))))
+            verdicts.add(self.verdict(monkeypatch, params, time, drive, onsets))
+        assert verdicts == {False, True}
+
+    @pytest.mark.parametrize("drive,onsets,expected", [
+        ([1.5, 1.5, 0.0, 1.5], [0.75], False),   # the second start is at the first crossing
+        ([1.5, 1.5, 0.0, 1.5], [0.5], True),
+        ([0.0, 1.0, 0.0, 1.5], [0.0], False),    # at the threshold is not above it
+        ([0.0, 1.5, 1.5, 1.5], [0.0], False),    # one interval, starting after the crossing
+        ([0.0, 1.5, 0.0, 1.5], [0.25, 0.5], False),
+    ])
+    def test_edge_cases(self, monkeypatch, drive, onsets, expected):
+        params = TlrParams(latency_floor=0.0)
+        drive = np.array(drive)
+        time = 0.25 * np.arange(drive.size)
+        assert self.verdict(monkeypatch, params, time, drive, onsets) is expected
 
 
 class TwoArgumentError(NumericalFailureError):
