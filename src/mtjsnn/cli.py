@@ -171,6 +171,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--seed", type=int, default=None,
                        help="override the training seed from the config")
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:   # np.random.default_rng needs a seed >= 0
+        sub.choices[args.command].error(f"argument --seed: must be >= 0, got {args.seed}")
 
     try:
         cfg = load_config(args.config)

@@ -57,6 +57,11 @@ class TrainSpec(TrainConfig):
         _check_dt(self.dt)
         if self.init_jitter < 0:
             raise InvalidInputError("init_jitter must be >= 0", key="init_jitter")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be >= 0", key="seed")
+        for k, seed in enumerate(self.seeds):
+            if seed < 0:
+                raise InvalidInputError("seeds must be >= 0", key=f"seeds[{k}]")
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,13 @@ def _bool(value: Any, path: str) -> bool:
     return value
 
 
-_SCALARS = {float: _number, int: _int, bool: _bool, str: lambda value, path: str(value)}
+def _str(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"expected a string, got {value!r}", key=path)
+    return value
+
+
+_SCALARS = {float: _number, int: _int, bool: _bool, str: _str}
 
 
 def _value(kind: Any, value: Any, path: str) -> Any:
@@ -170,7 +181,7 @@ def _build_with_params(cls, section: Any, path: str) -> Any:
     """A Neuron or SweepSpec, whose ``params`` are the parameter class of
     its ``backend``."""
     section = _expect_mapping(section, path)
-    backend = str(section.get("backend", cls.backend))
+    backend = _str(section.get("backend", cls.backend), f"{path}.backend")
     if backend not in BACKEND_PARAMS:
         raise ConfigError(f"unknown backend {backend!r}", key=f"{path}.backend")
     params = _build(BACKEND_PARAMS[backend], section.get("params", {}), f"{path}.params")
@@ -302,12 +313,15 @@ def parse_config(document: Any) -> Config:
 def load_config(path) -> Config:
     """Read and validate a YAML config file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             document = yaml.safe_load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}", key="<file>") from exc
     except OSError as exc:   # a directory, no permission, a failed read
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}",
+                          key="<file>") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {path}: not UTF-8 text ({exc.reason})",
                           key="<file>") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}", key="<file>") from exc

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -196,38 +196,25 @@ class MacrospinTrace:
         return out.tolist()
 
 
-Waveform = Union[Callable[[float], float], np.ndarray, Sequence[float]]
-
-
-def _gate_at(waveform: Waveform, k: int, t: float) -> float:
-    if callable(waveform):
-        return float(waveform(t))
-    return float(waveform[k])
-
-
-def integrate_macrospin(
-    state: MacrospinState,
-    params: MacrospinParams,
-    v_gate_waveform: Waveform,
-    dt: float,
-    horizon: float,
-) -> MacrospinTrace:
+def integrate_macrospin(state: MacrospinState, params: MacrospinParams, v_gate: np.ndarray,
+                        dt: float) -> MacrospinTrace:
     """Fixed-step RK4 integration with per-step circuit solve.
 
-    The device current is solved self-consistently from the node equation
-    (``solve_node``, closed form) at the start of each step and held
-    constant across the RK4 stages; each stage input and each step result
-    is renormalized to unit length.  The step runs on the three components
-    of m as Python floats and writes every grid point into preallocated
-    arrays.  ``v_gate_waveform`` is either a callable of time or an array
-    of grid-point samples.
+    ``v_gate`` holds the gate voltage at each grid point; its N+1 samples
+    set a grid of N steps of ``dt`` from ``state.t``.  The device current
+    is solved self-consistently from the node equation (``solve_node``,
+    closed form) at the start of each step and held constant across the
+    RK4 stages; each stage input and each step result is renormalized to
+    unit length.  The step runs on the three components of m as Python
+    floats and writes every grid point into preallocated arrays.
     """
     if not (0 < dt <= 0.01):
         raise InvalidInputError("dt must be in (0, 0.01] ns")
-    if horizon < dt:
-        raise InvalidInputError("horizon must be >= dt")
+    v_gate = np.asarray(v_gate, dtype=float)
+    if v_gate.ndim != 1 or v_gate.size < 2:
+        raise InvalidInputError("v_gate must be a 1-D array of at least 2 samples")
 
-    n_steps = int(round(horizon / dt))
+    n_steps = v_gate.size - 1
     time = dt * np.arange(n_steps + 1) + state.t
     x, y, z = (float(c) for c in _check_unit(state.m))
 
@@ -236,10 +223,9 @@ def integrate_macrospin(
     m_series = np.empty((n_steps + 1, 3))
 
     h, h6 = 0.5 * dt, dt / 6.0
-    for k in range(n_steps + 1):
+    for k, gate in enumerate(v_gate.tolist()):
         r = _resistance(x, y, z, params)
-        v_gate = _gate_at(v_gate_waveform, k, time[k])
-        v_node, i_dev = solve_node(r, v_gate, params)
+        v_node, i_dev = solve_node(r, gate, params)
         v_node_series[k] = v_node
         i_series[k] = i_dev
         m_series[k] = (x, y, z)
@@ -264,6 +250,20 @@ def integrate_macrospin(
     return MacrospinTrace(time=time, v_node=v_node_series, i_device=i_series, m=m_series, params=params)
 
 
+def _run_batch(params: MacrospinParams, drive: np.ndarray, dt: float):
+    """The network kernel, with the contract of ``tlr._run_batch``: each row
+    of a ``(B, N+1)`` gate drive is a neuron started from
+    ``initial_state(params)``.  Returns the grid, the ``(B, N+1)`` output
+    voltage ``v_dd - v_node`` and alignment, and each row's switching times."""
+    v_out, alignment, onsets = np.empty(drive.shape), np.empty(drive.shape), []
+    for r, gate in enumerate(drive):
+        trace = integrate_macrospin(initial_state(params), params, gate, dt)
+        v_out[r] = params.v_dd - trace.v_node
+        alignment[r] = trace.alignment()
+        onsets.append(trace.switching_times())
+    return dt * np.arange(drive.shape[1]), v_out, alignment, onsets
+
+
 def measure_latency(
     params: MacrospinParams,
     v_gate: float,
@@ -272,7 +272,10 @@ def measure_latency(
     tilt_deg: float = 1.0,
 ) -> Optional[float]:
     """Switching latency under a constant gate voltage, or None if no switch."""
-    trace = integrate_macrospin(initial_state(params, tilt_deg), params, lambda t: v_gate, dt, horizon)
+    if not 0 < dt <= horizon:
+        raise InvalidInputError("horizon must be >= dt > 0")
+    gate = np.full(int(round(horizon / dt)) + 1, v_gate, dtype=float)
+    trace = integrate_macrospin(initial_state(params, tilt_deg), params, gate, dt)
     crossings = trace.switching_times()
     return crossings[0] if crossings else None
 

@@ -26,6 +26,8 @@ from .errors import InvalidInputError, NumericalFailureError
 TLR_BACKEND = "tlr"
 MACROSPIN_BACKEND = "macrospin"
 BACKEND_PARAMS = {TLR_BACKEND: tlr.TlrParams, MACROSPIN_BACKEND: ms.MacrospinParams}
+# (params, (B, N+1) drive, dt) -> grid, (B, N+1) output voltage and state, onsets per row
+_KERNELS = {TLR_BACKEND: tlr._run_batch, MACROSPIN_BACKEND: ms._run_batch}
 _CSV_CHUNK_ROWS = 512
 
 
@@ -350,17 +352,7 @@ def _simulate(
             v_pre = voltages[pre] if pre not in row_of else voltages[pre][row_of[pre][first]]
             drive += weights[first, e, None] * v_pre
         try:
-            if neuron.backend == TLR_BACKEND:
-                _, v_out, state_series, n_onsets = tlr._run_batch(neuron.params, drive, sim.dt)
-            else:   # macrospin
-                p = neuron.params
-                traces = [
-                    ms.integrate_macrospin(ms.initial_state(p), p, d, sim.dt, sim.horizon)
-                    for d in drive
-                ]
-                v_out = np.array([p.v_dd - trace.v_node for trace in traces])
-                state_series = np.array([trace.alignment() for trace in traces])
-                n_onsets = [trace.switching_times() for trace in traces]
+            _, v_out, state_series, n_onsets = _KERNELS[neuron.backend](neuron.params, drive, sim.dt)
         except NumericalFailureError as exc:
             raise NumericalFailureError(f"neuron {nid!r}: {exc}") from exc
         voltages[nid] = v_out

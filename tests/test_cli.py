@@ -129,6 +129,17 @@ class TestSimulate:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
 
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_bytes(b"\xff\xfe\x00bad")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: <file>: cannot read config file {cfg}:"
+                                " not UTF-8 text (invalid start byte)\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_simulation_failure_exit_3(self, tmp_path, capsys):
         # a cyclic topology passes config validation but fails in the simulator
         network = {
@@ -193,7 +204,7 @@ class TestTrain:
         assert f"config error: train.{next(iter(train))}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("train", [{"fd_epsilon": 0}, {"tol": 0}, {"dt": 0.02},
-                                       {"max_epochs": 0}])
+                                       {"max_epochs": 0}, {"seed": -1}])
     def test_out_of_range_train_value_exit_2(self, tmp_path, capsys, train):
         cfg = write_config(tmp_path, xor_doc(train=train))
         code = main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -236,6 +247,15 @@ class TestTrain:
         code = main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "config error: encoding.t_spike: spike time 6.0 outside" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys, xor_config_path):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as e:
+            main(["train", "--config", xor_config_path, "--out", str(out), "--seed", "-3"])
+        assert e.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "mtjsnn train: error: argument --seed: must be >= 0, got -3\n")
+        assert not out.exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         doc = xor_doc(train={"max_epochs": 1, "seed": 2})

@@ -198,6 +198,8 @@ class TestTrainSection:
         ([True, 2], "train.seeds[0]"),
         ([1, "x"], "train.seeds[1]"),
         ([1, 2.5], "train.seeds[1]"),
+        ([1, -2], "train.seeds[1]"),
+        ([-1, 2], "train.seeds[0]"),
     ])
     def test_bad_seed_element_names_key(self, seeds, key):
         with pytest.raises(ConfigError) as e:
@@ -214,6 +216,7 @@ class TestTrainSection:
         ("dt", -0.002),
         ("max_epochs", 0),
         ("max_epochs", -3),
+        ("seed", -1),
     ])
     def test_out_of_range_names_key(self, key, value):
         with pytest.raises(ConfigError) as e:
@@ -359,6 +362,16 @@ class TestKeyNamesField:
         (minimal(network={"sources": [{"id": "s", "duration": 0.0}]}),
          "network.sources[0].duration"),
         (minimal(network={"preset": "xor", "source_duration": -1.0}), "network.source_duration"),
+        # string-typed keys are not coerced: [1, 2] and null are not ids
+        (minimal(network={"sources": [{"id": [1, 2]}]}), "network.sources[0].id"),
+        (minimal(network={"sources": [{"id": None}]}), "network.sources[0].id"),
+        (minimal(network={"neurons": [{"id": 7}]}), "network.neurons[0].id"),
+        (minimal(network={"neurons": [{"id": "n", "backend": None}]}),
+         "network.neurons[0].backend"),
+        (minimal(network={"synapses": [{"pre": True, "post": "n", "weight": 1.0}]}),
+         "network.synapses[0].pre"),
+        (minimal(encoding={"mode": 1}), "encoding.mode"),
+        (minimal(sweep={"drives": [1.0], "backend": ["tlr"]}), "sweep.backend"),
     ])
     def test_key(self, doc, key):
         with pytest.raises(ConfigError) as e:

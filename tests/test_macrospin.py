@@ -198,7 +198,7 @@ class TestCircuitSolve:
         with pytest.raises(NumericalFailureError, match="no bracket"):
             solve_node(3.0, 1.5, params)
         with pytest.raises(NumericalFailureError, match="no bracket"):
-            integrate_macrospin(initial_state(params), params, lambda t: 1.5, 0.005, 0.1)
+            integrate_macrospin(initial_state(params), params, np.full(21, 1.5), 0.005)
 
     @pytest.mark.parametrize("v_gate", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_gate_rejected(self, v_gate):
@@ -207,13 +207,13 @@ class TestCircuitSolve:
         samples = np.full(21, 1.5)
         samples[7] = v_gate
         with pytest.raises(InvalidInputError):
-            integrate_macrospin(initial_state(PARAMS), PARAMS, samples, 0.005, 0.1)
+            integrate_macrospin(initial_state(PARAMS), PARAMS, samples, 0.005)
 
 
 class TestIntegration:
     def test_zero_gate_is_quiescent(self):
         state = initial_state(PARAMS, tilt_deg=0.0)  # exact -e, fixed point
-        trace = integrate_macrospin(state, PARAMS, lambda t: 0.0, 0.005, 1.0)
+        trace = integrate_macrospin(state, PARAMS, np.zeros(201), 0.005)
         assert np.allclose(trace.v_node, PARAMS.v_dd, atol=1e-8)
         assert np.allclose(trace.m, trace.m[0], atol=1e-12)
 
@@ -230,14 +230,14 @@ class TestIntegration:
         assert abs(np.linalg.norm(m_next) - 1.0) < 1e-8
 
     def test_suprathreshold_switches_once(self):
-        trace = integrate_macrospin(initial_state(PARAMS), PARAMS, lambda t: 1.5, 0.005, 15.0)
+        trace = integrate_macrospin(initial_state(PARAMS), PARAMS, np.full(3001, 1.5), 0.005)
         times = trace.switching_times()
         assert len(times) == 1
         align = trace.alignment()
         assert align[0] < -0.9 and align[-1] > 0.9
 
     def test_switching_produces_voltage_transient(self):
-        trace = integrate_macrospin(initial_state(PARAMS), PARAMS, lambda t: 1.5, 0.005, 15.0)
+        trace = integrate_macrospin(initial_state(PARAMS), PARAMS, np.full(3001, 1.5), 0.005)
         # AP and P states load the transistor differently, so the node moves
         assert trace.v_node.max() - trace.v_node.min() > 0.01
 
@@ -250,7 +250,7 @@ class TestIntegration:
     @pytest.mark.parametrize("v_gate", [0.85, 1.5])
     def test_matches_reference_integrator(self, v_gate):
         state = initial_state(PARAMS)
-        trace = integrate_macrospin(state, PARAMS, lambda t: v_gate, 0.005, 3.5)
+        trace = integrate_macrospin(state, PARAMS, np.full(701, v_gate), 0.005)
         ref = reference_integrate(state, PARAMS, v_gate, 0.005, 3.5)
         assert np.array_equal(trace.time, ref.time)
         assert np.max(np.abs(trace.m - ref.m)) <= 1e-5
@@ -261,12 +261,18 @@ class TestIntegration:
 
     def test_fixed_point_is_exact(self):
         state = MacrospinState(m=-PARAMS.easy_axis)
-        trace = integrate_macrospin(state, PARAMS, lambda t: 0.0, 0.005, 1.0)
+        trace = integrate_macrospin(state, PARAMS, np.zeros(201), 0.005)
         assert np.all(trace.m == -PARAMS.easy_axis)
 
     def test_bad_dt_rejected(self):
         with pytest.raises(InvalidInputError):
-            integrate_macrospin(initial_state(PARAMS), PARAMS, lambda t: 0.0, 0.05, 1.0)
+            integrate_macrospin(initial_state(PARAMS), PARAMS, np.zeros(21), 0.05)
+
+    @pytest.mark.parametrize("v_gate", [1.5, [], [1.5], np.full((1, 21), 1.5)],
+                             ids=["scalar", "empty", "one-sample", "2-D"])
+    def test_gate_not_a_1d_grid_rejected(self, v_gate):
+        with pytest.raises(InvalidInputError, match="v_gate must be a 1-D array of at least 2"):
+            integrate_macrospin(initial_state(PARAMS), PARAMS, v_gate, 0.005)
 
 
 class TestSwitchingTimes:
@@ -283,8 +289,8 @@ class TestSwitchingTimes:
     @pytest.mark.parametrize("horizon", [3.5, 15.0])
     @pytest.mark.parametrize("v_gate", CALIBRATION_GRID + (0.5,))
     def test_integrator_traces(self, v_gate, horizon):
-        trace = integrate_macrospin(initial_state(PARAMS), PARAMS, lambda t: v_gate, 0.005,
-                                    horizon)
+        gate = np.full(int(round(horizon / 0.005)) + 1, v_gate)
+        trace = integrate_macrospin(initial_state(PARAMS), PARAMS, gate, 0.005)
         times = self.assert_matches_loop(trace)
         if v_gate == 0.5:   # subthreshold
             assert times == []
@@ -342,14 +348,13 @@ class TestThresholdExistence:
 class TestRefractionEmerges:
     def test_second_pulse_during_ringdown_ignored(self):
         # a pulse long enough to switch, then an identical pulse right after
-        def single(t):
-            return 1.5 if t < 3.0 else 0.0
+        n = 2400   # 12 ns at 5 ps
+        t = 0.005 * np.arange(n + 1)
+        single = np.where(t < 3.0, 1.5, 0.0)
+        double = np.where((t < 3.0) | ((3.2 <= t) & (t < 6.2)), 1.5, 0.0)
 
-        def double(t):
-            return 1.5 if (t < 3.0 or 3.2 <= t < 6.2) else 0.0
-
-        t1 = integrate_macrospin(initial_state(PARAMS), PARAMS, single, 0.005, 12.0)
-        t2 = integrate_macrospin(initial_state(PARAMS), PARAMS, double, 0.005, 12.0)
+        t1 = integrate_macrospin(initial_state(PARAMS), PARAMS, single, 0.005)
+        t2 = integrate_macrospin(initial_state(PARAMS), PARAMS, double, 0.005)
         assert len(t1.switching_times()) == 1
         # the repeated pulse cannot switch back: same torque sign, same state
         assert len(t2.switching_times()) == 1

@@ -341,7 +341,7 @@ def reference_simulate(net, sim):
             run = reference_run_tlr(p, drive, sim.dt)
             v, state, spikes = run.v_out, run.accumulation, run.onsets
         else:
-            trace = integrate_macrospin(initial_state(p), p, drive, sim.dt, sim.horizon)
+            trace = integrate_macrospin(initial_state(p), p, drive, sim.dt)
             v, state = p.v_dd - trace.v_node, trace.alignment()
             spikes = reference_switching_times(trace)
         voltages[neuron.id] = v
