@@ -250,11 +250,13 @@ def integrate_macrospin(state: MacrospinState, params: MacrospinParams, v_gate: 
     return MacrospinTrace(time=time, v_node=v_node_series, i_device=i_series, m=m_series, params=params)
 
 
-def _run_batch(params: MacrospinParams, drive: np.ndarray, dt: float):
+def _run_batch(params: MacrospinParams, drive: np.ndarray, dt: float, *, workspace=None):
     """The network kernel, with the contract of ``tlr._run_batch``: each row
     of a ``(B, N+1)`` gate drive is a neuron started from
     ``initial_state(params)``.  Returns the grid, the ``(B, N+1)`` output
-    voltage ``v_dd - v_node`` and alignment, and each row's switching times."""
+    voltage ``v_dd - v_node`` and alignment, and each row's switching times.
+    It ignores ``workspace`` and always returns fresh arrays: its cost is the
+    integrator, not the allocation."""
     v_out, alignment, onsets = np.empty(drive.shape), np.empty(drive.shape), []
     for r, gate in enumerate(drive):
         trace = integrate_macrospin(initial_state(params), params, gate, dt)

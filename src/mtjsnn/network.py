@@ -26,7 +26,9 @@ from .errors import InvalidInputError, NumericalFailureError
 TLR_BACKEND = "tlr"
 MACROSPIN_BACKEND = "macrospin"
 BACKEND_PARAMS = {TLR_BACKEND: tlr.TlrParams, MACROSPIN_BACKEND: ms.MacrospinParams}
-# (params, (B, N+1) drive, dt) -> grid, (B, N+1) output voltage and state, onsets per row
+# (params, (B, N+1) drive, dt, workspace=None) -> grid, (B, N+1) output voltage
+# and state (None where a workspace skips them), onsets per row; both backends
+# are called with the same arguments
 _KERNELS = {TLR_BACKEND: tlr._run_batch, MACROSPIN_BACKEND: ms._run_batch}
 _CSV_CHUNK_ROWS = 512
 
@@ -303,8 +305,28 @@ def simulate_network(net: Network, sim: SimConfig) -> Trace:
     )
 
 
+class _Buffers:
+    """The arrays one neuron reuses from one ``_simulate`` call to the next,
+    one per role, and whether a synapse reads its output voltage on the
+    current call."""
+
+    def __init__(self):
+        self.arrays: dict[str, np.ndarray] = {}
+        self.v_read = True
+
+    def get(self, role: str, rows: int, size: int, dtype=float) -> np.ndarray:
+        """A view of the first ``rows`` rows of the role's ``(R, size)``
+        array.  The array is allocated only on a miss: the first use of the
+        role, ``R < rows`` or another ``size``."""
+        array = self.arrays.get(role)
+        if array is None or array.shape[0] < rows or array.shape[1] != size:
+            array = self.arrays[role] = np.empty((rows, size), dtype)
+        return array[:rows]
+
+
 def _simulate(
-    net: Network, weights: np.ndarray, sim: SimConfig
+    net: Network, weights: np.ndarray, sim: SimConfig,
+    workspace: Optional[dict[str, _Buffers]] = None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, list[list[float]]]]:
     """Simulate ``net`` once per row of the ``(B, E)`` weight array.
 
@@ -317,6 +339,17 @@ def _simulate(
     hold those rows only (a single row when B = 1).  Each drive sums its
     in-edges in synapse order starting from zeros, so a row gets the same
     floats as a one-row run.
+
+    ``workspace`` is private to one caller, the trainer: an empty dict on
+    the first call, then passed back unchanged on every later one.  It maps
+    each neuron id to its ``_Buffers``: the drive, the product temporary,
+    the gathered presynaptic rows and the kernel's own arrays.  With it the
+    call writes into those buffers, which the next call overwrites, and
+    computes only the onsets and the output voltages that a synapse reads:
+    the returned signals leave out the kernels' state series and the
+    voltage of each neuron no synapse reads, and the drives and voltages
+    they hold are views of the buffers.  The onsets are those of a call
+    without it, bit for bit.
     """
     n_rows = weights.shape[0]
     n_steps = int(round(sim.horizon / sim.dt))
@@ -337,6 +370,7 @@ def _simulate(
         signals[f"{src.id}.v"] = v
         onsets[src.id] = [[float(t) for t in src.spike_times]] * n_rows
 
+    read = {s.pre for s in net.synapses}
     order = _topo_order(net, [n.id for n in net.neurons])
     for nid in order:
         neuron = net.neuron(nid)
@@ -346,20 +380,37 @@ def _simulate(
         distinct: dict[bytes, int] = {}
         row = np.array([distinct.setdefault(k.tobytes(), len(distinct)) for k in key])
         first = np.unique(row, return_index=True)[1]
-        drive = np.zeros((first.size, time.size))
+        shape = (first.size, time.size)
+        buffers = None
+        if workspace is None:
+            drive, tmp = np.zeros(shape), None
+        else:
+            buffers = workspace.get(nid)
+            if buffers is None:
+                buffers = workspace[nid] = _Buffers()
+            buffers.v_read = nid in read
+            drive, tmp = buffers.get("drive", *shape), buffers.get("product", *shape)
+            drive.fill(0)
         for e in edges:
             pre = net.synapses[e].pre
-            v_pre = voltages[pre] if pre not in row_of else voltages[pre][row_of[pre][first]]
-            drive += weights[first, e, None] * v_pre
+            v_pre = voltages[pre]
+            if pre in row_of:
+                # "clip" never buffers ``out``; the rows are in range
+                v_pre = np.take(v_pre, row_of[pre][first], axis=0, mode="clip",
+                                out=None if buffers is None else buffers.get("gathered", *shape))
+            np.add(drive, np.multiply(weights[first, e, None], v_pre, out=tmp), out=drive)
         try:
-            _, v_out, state_series, n_onsets = _KERNELS[neuron.backend](neuron.params, drive, sim.dt)
+            _, v_out, state_series, n_onsets = _KERNELS[neuron.backend](
+                neuron.params, drive, sim.dt, workspace=buffers)
         except NumericalFailureError as exc:
             raise NumericalFailureError(f"neuron {nid!r}: {exc}") from exc
-        voltages[nid] = v_out
         row_of[nid] = row
         signals[f"{nid}.drive"] = drive
-        signals[f"{nid}.v"] = v_out
-        signals[f"{nid}.state"] = state_series
+        if v_out is not None:
+            voltages[nid] = v_out
+            signals[f"{nid}.v"] = v_out
+        if state_series is not None:
+            signals[f"{nid}.state"] = state_series
         n_onsets = [[float(t) for t in d] for d in n_onsets]
         onsets[nid] = [n_onsets[r] for r in row]
 

@@ -118,8 +118,8 @@ def run_tlr(params: TlrParams, drive: np.ndarray, dt: float, t0: float = 0.0) ->
 
 
 def _run_batch(
-    params: TlrParams, drive: np.ndarray, dt: float, t0: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
+    params: TlrParams, drive: np.ndarray, dt: float, t0: float = 0.0, *, workspace=None
+) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray], list[list[float]]]:
     """Kernel behind :func:`run_tlr`: each row of a ``(B, N+1)`` drive is an
     independent neuron with ``params``.
 
@@ -127,17 +127,26 @@ def _run_batch(
     one onset list per row.  Each row gets exactly the floats a one-row run
     of the same drive gives: the per-step arithmetic is elementwise and the
     accumulation is a sequential cumulative sum along the row.
+
+    ``workspace`` is the neuron's ``network._Buffers`` when the network
+    simulation runs with a workspace.  The kernel then keeps its ``above``
+    mask and output voltage in the workspace's buffers, which the next call
+    overwrites, and computes neither the accumulation nor, when
+    ``workspace.v_read`` is false, the output voltage; each of those is
+    returned as None.  The onsets do not change.
     """
-    if not np.all(np.isfinite(drive)):
+    n_rows, size = drive.shape
+    # one boolean array holds the finiteness test, then the ``above`` mask
+    mask = None if workspace is None else workspace.get("above", n_rows, size, bool)
+    if not np.isfinite(drive, out=mask).all():
         raise InvalidInputError("drive must be finite")
     if not (dt > 0 and math.isfinite(dt)):
         raise InvalidInputError("dt must be positive and finite")
 
-    n_rows, size = drive.shape
     n_steps = size - 1
     q = params.q_switch
     time = t0 + dt * np.arange(size)
-    acc_series = np.zeros((n_rows, size))
+    acc_series = np.zeros((n_rows, size)) if workspace is None else None
     onsets: list[list[float]] = [[] for _ in range(n_rows)]
 
     # Relative refraction only raises the threshold, so a step adds to the
@@ -147,7 +156,7 @@ def _run_batch(
     # one chunk of steps at a time, so a scan stops soon after a crossing.
     # ``supra`` holds the flat indices r * size + step of those steps; the
     # last sample is never integrated, so it marks the end of each row.
-    above = drive > params.i_threshold
+    above = np.greater(drive, params.i_threshold, out=mask)
     above[:, n_steps] = True
     supra = np.flatnonzero(above)
     pos = np.zeros(n_rows, dtype=int)          # next step to integrate
@@ -162,7 +171,7 @@ def _run_batch(
         # accumulation over the steps skipped; a row with none left is done
         nxt = supra[np.searchsorted(supra, alive * size + pos[alive])] - alive * size
         gap = (nxt > pos[alive]) & (carry[alive] != 0.0)
-        if gap.any():
+        if acc_series is not None and gap.any():
             for r, b in zip(alive[gap], nxt[gap]):
                 acc_series[r, pos[r] + 1 : b + 1] = 0.0 + carry[r]
         left = nxt < n_steps
@@ -205,8 +214,10 @@ def _run_batch(
         found = hit.any(axis=1)
         k = np.where(found, hit.argmax(axis=1), cols.size)
         # the accumulation is recorded up to a crossing; the spike resets it
-        for a, (r, begin, stop) in enumerate(zip(rows.tolist(), (p - c0).tolist(), k.tolist())):
-            acc_series[r, c0 + begin + 1 : c0 + stop + 1] = cum[a, begin:stop]
+        if acc_series is not None:
+            for a, (r, begin, stop) in enumerate(zip(rows.tolist(), (p - c0).tolist(),
+                                                     k.tolist())):
+                acc_series[r, c0 + begin + 1 : c0 + stop + 1] = cum[a, begin:stop]
         if not found.all():
             pos[rows[~found]] = c1
             carry[rows[~found]] = raw[~found, -1]
@@ -233,7 +244,13 @@ def _run_batch(
         if not (pos[alive] < n_steps).any():
             break
 
-    v = np.zeros((n_rows, size))
+    if workspace is None:
+        v = np.zeros((n_rows, size))
+    elif workspace.v_read:
+        v = workspace.get("v", n_rows, size)
+        v.fill(0)
+    else:
+        return time, None, None, onsets
     for r, row_onsets in enumerate(onsets):
         for onset in row_onsets:
             # the grid is sorted, so this is the mask onset <= time <= onset + duration

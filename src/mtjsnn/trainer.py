@@ -134,6 +134,9 @@ def train(
     initial_loss: Optional[float] = None
     # _simulate takes the weights from its batch, not from the network
     row_nets = [net.with_schedules(stimulus) for stimulus, _ in dataset]
+    # one workspace for every epoch: the simulations reuse its buffers and
+    # compute only the onsets and the voltages that synapses read
+    workspace: dict = {}
 
     for epoch in range(config.max_epochs):
         # per dataset row, one batched simulation: row 0 holds the current
@@ -143,7 +146,7 @@ def train(
         batch[2 * edges + 2, edges] -= config.fd_epsilon
         t_out = []
         for row_net in row_nets:
-            _, _, onsets = _simulate(row_net, batch, sim)
+            _, _, onsets = _simulate(row_net, batch, sim, workspace)
             t_out.append([min(row) if row else None for row in onsets[output_id]])
         times = [penalty if t[0] is None else t[0] for t in t_out]
         total = sum(loss(t, t_des) for t, (_, t_des) in zip(times, dataset))

@@ -198,6 +198,16 @@ class TestSimulateNetwork:
             assert np.array_equal(t1.signals[name], t2.signals[name])
         assert t1.spike_onsets == t2.spike_onsets
 
+    def test_returned_arrays_never_reused(self):
+        net = build_xor_network().with_schedules({"A": [0.0], "B": [0.5], "bias": [0.0]})
+        sim = SimConfig(dt=0.002, horizon=5.0)
+        first = simulate_network(net, sim)
+        _simulate(net, np.repeat(net.weight_vector()[None, :], 3, axis=0), sim, {})
+        later = simulate_network(net.with_weights(1.1 * net.weight_vector()), sim)
+        arrays = [first.time, *first.signals.values()]
+        assert not any(np.shares_memory(a, b)
+                       for a in arrays for b in [later.time, *later.signals.values()])
+
     def test_schedule_outside_horizon_rejected(self):
         net = chain_network().with_schedules({"src": [99.0]})
         with pytest.raises(InvalidInputError):
@@ -469,6 +479,51 @@ class TestBatchedCoreDifferential:
         self.check(*case)
 
     @settings(max_examples=6, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(batched_networks(macrospin=True))
+    def test_with_a_macrospin_neuron(self, case):
+        self.check(*case)
+
+
+class TestWorkspaceDifferential:
+    """``_simulate`` with a training workspace against ``_simulate`` without
+    one.  One workspace serves two calls, as across training epochs: a
+    finite-difference batch of 2E + 1 rows, then at most 2E drawn rows with
+    other weights and repeated rows.  Every onset and every voltage a
+    synapse reads is bitwise equal; the state series and the voltages no
+    synapse reads are left out."""
+
+    def check(self, net, weights, sim):
+        n_edges = len(net.synapses)
+        fd = np.repeat(weights[:1], 2 * n_edges + 1, axis=0)
+        fd[2 * np.arange(n_edges) + 1, np.arange(n_edges)] += 1e-3
+        fd[2 * np.arange(n_edges) + 2, np.arange(n_edges)] -= 1e-3
+        read = {s.pre for s in net.synapses}
+        backend = {n.id: n.backend for n in net.neurons}
+
+        def computed(key):   # the macrospin kernel ignores the workspace
+            nid, kind = key.rsplit(".", 1)
+            return (nid not in backend or kind == "drive" or backend[nid] == "macrospin"
+                    or kind == "v" and nid in read)
+
+        workspace = {}
+        for batch in (fd, weights[: max(2 * n_edges, 1)]):
+            time, signals, onsets = _simulate(net, batch, sim, workspace)
+            ref_time, ref_signals, ref_onsets = _simulate(net, batch, sim)
+            assert same_bits(time, ref_time)
+            assert onsets == ref_onsets
+            kept = {key for key in ref_signals if computed(key)}
+            assert set(signals) == kept
+            for key in kept:
+                assert same_bits(signals[key], ref_signals[key]), key
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(batched_networks())
+    def test_tlr_networks(self, case):
+        self.check(*case)
+
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     @given(batched_networks(macrospin=True))
     def test_with_a_macrospin_neuron(self, case):

@@ -384,9 +384,9 @@ class TestOneBatchPerRow:
         rows = []
         real = trainer._simulate
 
-        def counting(net, weights, sim):
+        def counting(net, weights, sim, workspace=None):
             rows.append(weights.shape[0])
-            return real(net, weights, sim)
+            return real(net, weights, sim, workspace)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("train called simulate_network")
@@ -407,6 +407,24 @@ class TestOneBatchPerRow:
         assert hist.converged and hist.epochs == 7
         assert_same_history(hist, ref_hist)
         assert out.weight_vector().tobytes() == ref_out.weight_vector().tobytes()
+
+    def test_reruns_identical_around_other_simulations(self, xor_config_path):
+        """Each call has its own workspace: simulations run between two
+        training calls, and their arrays, change neither run."""
+        from mtjsnn.xorbench import run_xor_eval
+
+        net, dataset, config, sim = self.xor_problem(xor_config_path, 2)
+        out, hist = train(net, dataset, config, sim=sim)
+        traces = [simulate_network(out.with_schedules(dataset[1][0]), sim)]
+        report = run_xor_eval(out, sim)
+        traces += report.traces
+        before = [[v.copy() for v in t.signals.values()] for t in traces]
+        out2, hist2 = train(net, dataset, config, sim=sim)
+        assert hist.converged and report.all_rows_pass
+        assert_same_history(hist, hist2)
+        assert out.weight_vector().tobytes() == out2.weight_vector().tobytes()
+        assert [[v.tobytes() for v in t.signals.values()] for t in traces] == \
+            [[v.tobytes() for v in arrays] for arrays in before]
 
     def test_schedule_outside_horizon_rejected(self):
         net = chain_network(4.0)
