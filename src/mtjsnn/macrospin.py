@@ -250,20 +250,23 @@ def integrate_macrospin(state: MacrospinState, params: MacrospinParams, v_gate: 
     return MacrospinTrace(time=time, v_node=v_node_series, i_device=i_series, m=m_series, params=params)
 
 
-def _run_batch(params: MacrospinParams, drive: np.ndarray, dt: float, *, workspace=None):
+def _run_batch(params: MacrospinParams, drive: np.ndarray, dt: float, *,
+               v: Optional[np.ndarray] = None,
+               state: Optional[np.ndarray] = None) -> list[list[float]]:
     """The network kernel, with the contract of ``tlr._run_batch``: each row
     of a ``(B, N+1)`` gate drive is a neuron started from
-    ``initial_state(params)``.  Returns the grid, the ``(B, N+1)`` output
-    voltage ``v_dd - v_node`` and alignment, and each row's switching times.
-    It ignores ``workspace`` and always returns fresh arrays: its cost is the
-    integrator, not the allocation."""
-    v_out, alignment, onsets = np.empty(drive.shape), np.empty(drive.shape), []
+    ``initial_state(params)``.  Returns each row's switching times, and
+    writes the output voltage ``v_dd - v_node`` into ``v`` and the alignment
+    into ``state`` when they are given."""
+    onsets = []
     for r, gate in enumerate(drive):
         trace = integrate_macrospin(initial_state(params), params, gate, dt)
-        v_out[r] = params.v_dd - trace.v_node
-        alignment[r] = trace.alignment()
+        if v is not None:
+            v[r] = params.v_dd - trace.v_node
+        if state is not None:
+            state[r] = trace.alignment()
         onsets.append(trace.switching_times())
-    return dt * np.arange(drive.shape[1]), v_out, alignment, onsets
+    return onsets
 
 
 def measure_latency(

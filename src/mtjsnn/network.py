@@ -26,9 +26,10 @@ from .errors import InvalidInputError, NumericalFailureError
 TLR_BACKEND = "tlr"
 MACROSPIN_BACKEND = "macrospin"
 BACKEND_PARAMS = {TLR_BACKEND: tlr.TlrParams, MACROSPIN_BACKEND: ms.MacrospinParams}
-# (params, (B, N+1) drive, dt, workspace=None) -> grid, (B, N+1) output voltage
-# and state (None where a workspace skips them), onsets per row; both backends
-# are called with the same arguments
+# (params, (B, N+1) drive, dt, *, v=None, state=None) -> onsets per row.  A
+# kernel writes the output voltage into ``v`` and its state into ``state``,
+# zero-filled (B, N+1) arrays from the caller, and computes neither when it
+# gets None; both backends are called with the same arguments
 _KERNELS = {TLR_BACKEND: tlr._run_batch, MACROSPIN_BACKEND: ms._run_batch}
 _CSV_CHUNK_ROWS = 512
 
@@ -307,20 +308,18 @@ def simulate_network(net: Network, sim: SimConfig) -> Trace:
 
 class _Buffers:
     """The arrays one neuron reuses from one ``_simulate`` call to the next,
-    one per role, and whether a synapse reads its output voltage on the
-    current call."""
+    one per role."""
 
     def __init__(self):
         self.arrays: dict[str, np.ndarray] = {}
-        self.v_read = True
 
-    def get(self, role: str, rows: int, size: int, dtype=float) -> np.ndarray:
+    def get(self, role: str, rows: int, size: int) -> np.ndarray:
         """A view of the first ``rows`` rows of the role's ``(R, size)``
         array.  The array is allocated only on a miss: the first use of the
         role, ``R < rows`` or another ``size``."""
         array = self.arrays.get(role)
         if array is None or array.shape[0] < rows or array.shape[1] != size:
-            array = self.arrays[role] = np.empty((rows, size), dtype)
+            array = self.arrays[role] = np.empty((rows, size))
         return array[:rows]
 
 
@@ -343,13 +342,15 @@ def _simulate(
     ``workspace`` is private to one caller, the trainer: an empty dict on
     the first call, then passed back unchanged on every later one.  It maps
     each neuron id to its ``_Buffers``: the drive, the product temporary,
-    the gathered presynaptic rows and the kernel's own arrays.  With it the
-    call writes into those buffers, which the next call overwrites, and
-    computes only the onsets and the output voltages that a synapse reads:
-    the returned signals leave out the kernels' state series and the
-    voltage of each neuron no synapse reads, and the drives and voltages
-    they hold are views of the buffers.  The onsets are those of a call
-    without it, bit for bit.
+    the gathered presynaptic rows and the output voltage.  With it the call
+    writes into those buffers, which the next call overwrites, and computes
+    only the onsets and the output voltages that a synapse reads: a kernel
+    gets a zeroed voltage buffer only for a neuron that a synapse reads,
+    and no state array.  The returned signals leave out the state series and
+    the voltage of each neuron no synapse reads, and the drives and voltages
+    they hold are views of the buffers.  Without a workspace every kernel
+    fills fresh zeroed voltage and state arrays.  The onsets are those of a
+    call without it, bit for bit.
     """
     n_rows = weights.shape[0]
     n_steps = int(round(sim.horizon / sim.dt))
@@ -384,13 +385,17 @@ def _simulate(
         buffers = None
         if workspace is None:
             drive, tmp = np.zeros(shape), None
+            v, state = np.zeros(shape), np.zeros(shape)
         else:
             buffers = workspace.get(nid)
             if buffers is None:
                 buffers = workspace[nid] = _Buffers()
-            buffers.v_read = nid in read
             drive, tmp = buffers.get("drive", *shape), buffers.get("product", *shape)
             drive.fill(0)
+            v = state = None
+            if nid in read:
+                v = buffers.get("v", *shape)
+                v.fill(0)
         for e in edges:
             pre = net.synapses[e].pre
             v_pre = voltages[pre]
@@ -400,18 +405,16 @@ def _simulate(
                                 out=None if buffers is None else buffers.get("gathered", *shape))
             np.add(drive, np.multiply(weights[first, e, None], v_pre, out=tmp), out=drive)
         try:
-            _, v_out, state_series, n_onsets = _KERNELS[neuron.backend](
-                neuron.params, drive, sim.dt, workspace=buffers)
+            n_onsets = _KERNELS[neuron.backend](neuron.params, drive, sim.dt, v=v, state=state)
         except NumericalFailureError as exc:
             raise NumericalFailureError(f"neuron {nid!r}: {exc}") from exc
         row_of[nid] = row
         signals[f"{nid}.drive"] = drive
-        if v_out is not None:
-            voltages[nid] = v_out
-            signals[f"{nid}.v"] = v_out
-        if state_series is not None:
-            signals[f"{nid}.state"] = state_series
-        n_onsets = [[float(t) for t in d] for d in n_onsets]
+        if v is not None:
+            voltages[nid] = v
+            signals[f"{nid}.v"] = v
+        if state is not None:
+            signals[f"{nid}.state"] = state
         onsets[nid] = [n_onsets[r] for r in row]
 
     return time, signals, onsets

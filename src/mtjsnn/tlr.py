@@ -113,40 +113,36 @@ def run_tlr(params: TlrParams, drive: np.ndarray, dt: float, t0: float = 0.0) ->
     drive = np.asarray(drive, dtype=float)
     if drive.ndim != 1 or drive.size < 2:
         raise InvalidInputError("drive must be a 1-D array of at least 2 samples")
-    time, v_out, acc, onsets = _run_batch(params, drive[None, :], dt, t0)
-    return TlrRun(time=time, v_out=v_out[0], accumulation=acc[0], onsets=onsets[0])
+    v, acc = np.zeros((1, drive.size)), np.zeros((1, drive.size))
+    onsets = _run_batch(params, drive[None, :], dt, t0, v=v, state=acc)
+    return TlrRun(time=t0 + dt * np.arange(drive.size), v_out=v[0], accumulation=acc[0],
+                  onsets=onsets[0])
 
 
 def _run_batch(
-    params: TlrParams, drive: np.ndarray, dt: float, t0: float = 0.0, *, workspace=None
-) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray], list[list[float]]]:
+    params: TlrParams, drive: np.ndarray, dt: float, t0: float = 0.0, *,
+    v: Optional[np.ndarray] = None, state: Optional[np.ndarray] = None,
+) -> list[list[float]]:
     """Kernel behind :func:`run_tlr`: each row of a ``(B, N+1)`` drive is an
     independent neuron with ``params``.
 
-    Returns the grid, the ``(B, N+1)`` output voltage and accumulation, and
-    one onset list per row.  Each row gets exactly the floats a one-row run
+    Returns one onset list per row.  ``v`` and ``state``, when given, are
+    zero-filled ``(B, N+1)`` arrays that receive the output voltage and the
+    accumulation; the kernel computes neither when it gets None, and the
+    onsets do not change.  Each row gets exactly the floats a one-row run
     of the same drive gives: the per-step arithmetic is elementwise and the
     accumulation is a sequential cumulative sum along the row.
-
-    ``workspace`` is the neuron's ``network._Buffers`` when the network
-    simulation runs with a workspace.  The kernel then keeps its ``above``
-    mask and output voltage in the workspace's buffers, which the next call
-    overwrites, and computes neither the accumulation nor, when
-    ``workspace.v_read`` is false, the output voltage; each of those is
-    returned as None.  The onsets do not change.
     """
     n_rows, size = drive.shape
     # one boolean array holds the finiteness test, then the ``above`` mask
-    mask = None if workspace is None else workspace.get("above", n_rows, size, bool)
-    if not np.isfinite(drive, out=mask).all():
+    mask = np.isfinite(drive)
+    if not mask.all():
         raise InvalidInputError("drive must be finite")
     if not (dt > 0 and math.isfinite(dt)):
         raise InvalidInputError("dt must be positive and finite")
 
     n_steps = size - 1
     q = params.q_switch
-    time = t0 + dt * np.arange(size)
-    acc_series = np.zeros((n_rows, size)) if workspace is None else None
     onsets: list[list[float]] = [[] for _ in range(n_rows)]
 
     # Relative refraction only raises the threshold, so a step adds to the
@@ -171,9 +167,9 @@ def _run_batch(
         # accumulation over the steps skipped; a row with none left is done
         nxt = supra[np.searchsorted(supra, alive * size + pos[alive])] - alive * size
         gap = (nxt > pos[alive]) & (carry[alive] != 0.0)
-        if acc_series is not None and gap.any():
+        if state is not None and gap.any():
             for r, b in zip(alive[gap], nxt[gap]):
-                acc_series[r, pos[r] + 1 : b + 1] = 0.0 + carry[r]
+                state[r, pos[r] + 1 : b + 1] = 0.0 + carry[r]
         left = nxt < n_steps
         alive, nxt = alive[left], nxt[left]
         if not alive.size:
@@ -214,10 +210,10 @@ def _run_batch(
         found = hit.any(axis=1)
         k = np.where(found, hit.argmax(axis=1), cols.size)
         # the accumulation is recorded up to a crossing; the spike resets it
-        if acc_series is not None:
+        if state is not None:
             for a, (r, begin, stop) in enumerate(zip(rows.tolist(), (p - c0).tolist(),
                                                      k.tolist())):
-                acc_series[r, c0 + begin + 1 : c0 + stop + 1] = cum[a, begin:stop]
+                state[r, c0 + begin + 1 : c0 + stop + 1] = cum[a, begin:stop]
         if not found.all():
             pos[rows[~found]] = c1
             carry[rows[~found]] = raw[~found, -1]
@@ -244,13 +240,9 @@ def _run_batch(
         if not (pos[alive] < n_steps).any():
             break
 
-    if workspace is None:
-        v = np.zeros((n_rows, size))
-    elif workspace.v_read:
-        v = workspace.get("v", n_rows, size)
-        v.fill(0)
-    else:
-        return time, None, None, onsets
+    if v is None:
+        return onsets
+    time = t0 + dt * np.arange(size)
     for r, row_onsets in enumerate(onsets):
         for onset in row_onsets:
             # the grid is sorted, so this is the mask onset <= time <= onset + duration
@@ -258,8 +250,7 @@ def _run_batch(
             b = np.searchsorted(time, onset + params.spike_duration, "right")
             x = (time[a:b] - onset) / params.spike_duration
             v[r, a:b] = _raised_cosine(params.spike_amplitude, x)
-
-    return time, v, acc_series, onsets
+    return onsets
 
 
 def source_waveform(

@@ -5,9 +5,22 @@ marker; the terminal summary prints one PASS/FAIL line per criterion so
 the acceptance status is readable without digging through the log.
 """
 
+import contextlib
 import os
+import warnings
 
 import pytest
+
+# On a failing example, hypothesis's pytest plugin imports this module, and
+# its libcst import emits a DeprecationWarning (mypy_extensions.TypedDict).
+# With ``filterwarnings = ["error"]`` that warning is raised inside the
+# report hooks, and the run stops with INTERNALERROR instead of reporting
+# one failure.  Importing the module here, with the warning ignored, spends
+# the warning before any test runs.  Without libcst the plugin skips the
+# import, and so does this.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 XOR_CONFIG = os.path.join(REPO_ROOT, "configs", "xor.yaml")

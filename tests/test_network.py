@@ -20,6 +20,7 @@ from mtjsnn.network import (
     Source,
     Synapse,
     Trace,
+    _KERNELS,
     _simulate,
     first_spike_time,
     simulate_network,
@@ -485,6 +486,42 @@ class TestBatchedCoreDifferential:
         self.check(*case)
 
 
+class TestKernelContract:
+    """Each ``_KERNELS`` entry returns the same onsets whichever of ``v`` and
+    ``state`` it is handed, and fills each one it gets, row by row, with the
+    one-row oracle's voltage and state, bit for bit."""
+
+    DT = 0.005
+
+    def oracle(self, backend, params, row):
+        if backend == "tlr":
+            run = reference_run_tlr(params, row, self.DT)
+            return run.v_out, run.accumulation, run.onsets
+        trace = integrate_macrospin(initial_state(params), params, row, self.DT)
+        return params.v_dd - trace.v_node, trace.alignment(), reference_switching_times(trace)
+
+    @pytest.mark.parametrize("backend", sorted(_KERNELS))
+    def test_fills_only_what_it_is_handed(self, backend):
+        t = self.DT * np.arange(601)
+        if backend == "tlr":
+            params = TlrParams(t_refractory=1.0)
+            drive = np.stack([np.where(t < 2.0, level, 0.0) for level in (0.5, 1.3, 2.5)])
+        else:
+            params = MacrospinParams()
+            drive = np.stack([np.full(t.size, level) for level in (0.0, 1.5, 2.0)])
+        refs = [self.oracle(backend, params, row) for row in drive]
+        assert sum(len(ref[2]) for ref in refs) >= 2
+        for with_v in (False, True):
+            for with_state in (False, True):
+                v = np.zeros(drive.shape) if with_v else None
+                state = np.zeros(drive.shape) if with_state else None
+                onsets = _KERNELS[backend](params, drive, self.DT, v=v, state=state)
+                assert onsets == [ref[2] for ref in refs]
+                for r, (ref_v, ref_state, _) in enumerate(refs):
+                    assert v is None or same_bits(v[r], ref_v), r
+                    assert state is None or same_bits(state[r], ref_state), r
+
+
 class TestWorkspaceDifferential:
     """``_simulate`` with a training workspace against ``_simulate`` without
     one.  One workspace serves two calls, as across training epochs: a
@@ -501,10 +538,9 @@ class TestWorkspaceDifferential:
         read = {s.pre for s in net.synapses}
         backend = {n.id: n.backend for n in net.neurons}
 
-        def computed(key):   # the macrospin kernel ignores the workspace
+        def computed(key):
             nid, kind = key.rsplit(".", 1)
-            return (nid not in backend or kind == "drive" or backend[nid] == "macrospin"
-                    or kind == "v" and nid in read)
+            return nid not in backend or kind == "drive" or kind == "v" and nid in read
 
         workspace = {}
         for batch in (fd, weights[: max(2 * n_edges, 1)]):

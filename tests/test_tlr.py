@@ -449,11 +449,11 @@ def _pulse_train(n, dt, pulses, level):
 
 def assert_rows_match_reference(params, drive, dt, t0=0.0):
     """Every row of the batched kernel equals the one-row reference, bit for bit."""
-    time, v_out, acc, onsets = _run_batch(params, drive, dt, t0)
+    v_out, acc = np.zeros(drive.shape), np.zeros(drive.shape)
+    onsets = _run_batch(params, drive, dt, t0, v=v_out, state=acc)
     spikes = 0
     for r, row in enumerate(drive):
         ref = reference_run_tlr(params, row, dt, t0)
-        assert time.tobytes() == ref.time.tobytes()
         assert onsets[r] == [float(t) for t in ref.onsets], r
         assert v_out[r].tobytes() == ref.v_out.tobytes(), r
         assert acc[r].tobytes() == ref.accumulation.tobytes(), r
@@ -501,7 +501,8 @@ class TestBatchedKernel:
                           _pulse_train(n, self.DT, [(0.2, 0.4), (2.0, 4.0)], 2.5),
                           np.full(n + 1, -3.0)])
         assert assert_rows_match_reference(p, drive, self.DT) > 0
-        _, v_out, acc, onsets = _run_batch(p, drive, self.DT)
+        v_out = np.zeros(drive.shape)
+        onsets = _run_batch(p, drive, self.DT, v=v_out)
         for r in (0, 1, 3):
             assert onsets[r] == [] and not v_out[r].any()
 
@@ -509,11 +510,13 @@ class TestBatchedKernel:
         p = TlrParams(t_refractory=1.0)
         drive = _pulse_train(2500, self.DT, [(0.1, 1.0), (1.5, 3.5)], 1.8)
         assert assert_rows_match_reference(p, drive[None, :], self.DT) >= 2
-        run = run_tlr(p, drive, self.DT)
-        ref = reference_run_tlr(p, drive, self.DT)
-        assert run.onsets == [float(t) for t in ref.onsets]
-        assert run.v_out.tobytes() == ref.v_out.tobytes()
-        assert run.accumulation.tobytes() == ref.accumulation.tobytes()
+        for t0 in (0.0, 1.3, -0.7):
+            run = run_tlr(p, drive, self.DT, t0)
+            ref = reference_run_tlr(p, drive, self.DT, t0)
+            assert run.time.tobytes() == ref.time.tobytes(), t0
+            assert run.onsets == [float(t) for t in ref.onsets]
+            assert run.v_out.tobytes() == ref.v_out.tobytes()
+            assert run.accumulation.tobytes() == ref.accumulation.tobytes()
 
     def test_random_parameters_and_offsets(self):
         rng = np.random.default_rng(3)
