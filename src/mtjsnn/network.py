@@ -111,10 +111,16 @@ def _check_dt(dt: float) -> None:
         raise InvalidInputError("dt must be in (0, 0.01] ns", key="dt")
 
 
+# the most steps a grid may have: 8 MB per signal row, over six times the
+# 160 ns at 1 ps of the longest shipped workload
+_MAX_STEPS = 1_000_000
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """A grid of ``round(horizon / dt)`` steps, so ``horizon`` must be a
-    whole number of steps (within a relative 1e-9) or the run would be cut."""
+    whole number of steps (within a relative 1e-9) or the run would be cut,
+    and at most ``_MAX_STEPS`` of them."""
 
     dt: float = 0.001    # ns
     horizon: float = 5.0  # ns
@@ -127,6 +133,9 @@ class SimConfig:
         if not (steps < math.inf and abs(steps - round(steps)) <= 1e-9 * steps):
             raise InvalidInputError(f"horizon must be a whole number of dt = {self.dt!r} ns steps",
                                     key="horizon")
+        if round(steps) > _MAX_STEPS:
+            raise InvalidInputError(f"horizon must be at most {_MAX_STEPS} steps of dt = "
+                                    f"{self.dt!r} ns", key="horizon")
 
 
 @dataclass
@@ -308,36 +317,48 @@ def simulate_network(net: Network, sim: SimConfig) -> Trace:
 
 class _Buffers:
     """The arrays one neuron reuses from one ``_simulate`` call to the next,
-    one per role."""
+    one flat array per role."""
 
     def __init__(self):
         self.arrays: dict[str, np.ndarray] = {}
 
     def get(self, role: str, rows: int, size: int) -> np.ndarray:
-        """A view of the first ``rows`` rows of the role's ``(R, size)``
-        array.  The array is allocated only on a miss: the first use of the
-        role, ``R < rows`` or another ``size``."""
+        """A contiguous ``(rows, size)`` view of the start of the role's flat
+        array, so calls on grids of any length share it.  The array is
+        allocated only on a miss: the first use of the role, or fewer than
+        ``rows * size`` cells."""
+        cells = rows * size
         array = self.arrays.get(role)
-        if array is None or array.shape[0] < rows or array.shape[1] != size:
-            array = self.arrays[role] = np.empty((rows, size))
-        return array[:rows]
+        if array is None or array.size < cells:
+            array = self.arrays[role] = np.empty(cells)
+        return array[:cells].reshape(rows, size)
 
 
 def _simulate(
     net: Network, weights: np.ndarray, sim: SimConfig,
-    workspace: Optional[dict[str, _Buffers]] = None,
+    workspace: Optional[dict[str, _Buffers]] = None, steps: Optional[int] = None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, list[list[float]]]]:
     """Simulate ``net`` once per row of the ``(B, E)`` weight array.
 
     The rows share the network's neurons, sources and grid, and every
     source schedule entry must lie in ``[0, horizon]``.  Returns the
     grid, the signals and one onset list per batch row for every id.  Source
-    voltages are ``(N+1,)`` arrays.  Batch rows whose in-edge weights and
-    presynaptic rows agree give a neuron the same output, so each neuron is
-    simulated once per distinct row and its drive, voltage and state arrays
-    hold those rows only (a single row when B = 1).  Each drive sums its
-    in-edges in synapse order starting from zeros, so a row gets the same
-    floats as a one-row run.
+    voltages are ``(N+1,)`` arrays.  Each drive sums, in synapse order and
+    starting from zeros, the in-edges whose presynaptic signal is nonzero
+    somewhere; an edge from a signal that is zero in every row would add
+    ``w * 0 = +-0.0`` to a drive that starts at ``+0.0``, which changes no
+    bit, so it is left out.  A row therefore gets the same floats as a
+    one-row run.  Batch rows whose weights on those edges and presynaptic
+    rows agree give a neuron the same output, so each neuron is simulated
+    once per distinct row and its drive, voltage and state arrays hold those
+    rows only (a single row when B = 1).  Every weight must be finite,
+    including those of the edges left out.
+
+    ``steps``, when given, simulates only the first ``steps`` steps of
+    ``sim``'s grid (at most its ``round(horizon / dt)``); the schedules are
+    still checked against ``sim.horizon``.  Both kernels are causal, so each
+    onset list is then the list prefix of the full grid's onsets whose
+    crossings lie inside the prefix.
 
     ``workspace`` is private to one caller, the trainer: an empty dict on
     the first call, then passed back unchanged on every later one.  It maps
@@ -352,14 +373,18 @@ def _simulate(
     fills fresh zeroed voltage and state arrays.  The onsets are those of a
     call without it, bit for bit.
     """
+    if not np.isfinite(weights).all():
+        raise InvalidInputError("weights must be finite")
     n_rows = weights.shape[0]
-    n_steps = int(round(sim.horizon / sim.dt))
-    time = sim.dt * np.arange(n_steps + 1)
+    if steps is None:
+        steps = int(round(sim.horizon / sim.dt))
+    time = sim.dt * np.arange(steps + 1)
 
     signals: dict[str, np.ndarray] = {}
     onsets: dict[str, list[list[float]]] = {}
     voltages: dict[str, np.ndarray] = {}
     row_of: dict[str, np.ndarray] = {}   # neuron id -> its array row per batch row
+    live = set()   # ids whose signal is nonzero somewhere
 
     for src in net.sources:
         for t_spk in src.spike_times:
@@ -370,12 +395,14 @@ def _simulate(
         voltages[src.id] = v
         signals[f"{src.id}.v"] = v
         onsets[src.id] = [[float(t) for t in src.spike_times]] * n_rows
+        if v.any():
+            live.add(src.id)
 
     read = {s.pre for s in net.synapses}
     order = _topo_order(net, [n.id for n in net.neurons])
     for nid in order:
         neuron = net.neuron(nid)
-        edges = [e for e, s in enumerate(net.synapses) if s.post == nid]
+        edges = [e for e, s in enumerate(net.synapses) if s.post == nid and s.pre in live]
         upstream = [row_of[net.synapses[e].pre] for e in edges if net.synapses[e].pre in row_of]
         key = np.column_stack([weights[:, edges]] + upstream)
         distinct: dict[bytes, int] = {}
@@ -413,6 +440,8 @@ def _simulate(
         if v is not None:
             voltages[nid] = v
             signals[f"{nid}.v"] = v
+            if v.any():
+                live.add(nid)
         if state is not None:
             signals[f"{nid}.state"] = state
         onsets[nid] = [n_onsets[r] for r in row]

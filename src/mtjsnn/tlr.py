@@ -19,11 +19,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 
 IDLE = "idle"
 
 _CHUNK_CELLS = 4096   # rows x steps one chunk of a batched TLR scan integrates
+# Each row of an N-step scan may emit at most max(N, _MIN_ONSET_BUDGET)
+# onsets.  A neuron whose t_refractory + latency_floor is at least dt
+# crosses at most once per step and never reaches it; one with neither
+# under a huge drive would otherwise fire without end
+_MIN_ONSET_BUDGET = 2048
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,9 @@ def _run_batch(
     accumulation; the kernel computes neither when it gets None, and the
     onsets do not change.  Each row gets exactly the floats a one-row run
     of the same drive gives: the per-step arithmetic is elementwise and the
-    accumulation is a sequential cumulative sum along the row.
+    accumulation is a sequential cumulative sum along the row.  Raises
+    ``NumericalFailureError`` when a row's onset stops advancing, or when
+    a row of an N-step grid passes its budget of ``max(N, 2048)`` onsets.
     """
     n_rows, size = drive.shape
     # one boolean array holds the finiteness test, then the ``above`` mask
@@ -142,6 +149,7 @@ def _run_batch(
         raise InvalidInputError("dt must be positive and finite")
 
     n_steps = size - 1
+    budget = max(n_steps, _MIN_ONSET_BUDGET)
     q = params.q_switch
     onsets: list[list[float]] = [[] for _ in range(n_rows)]
 
@@ -224,6 +232,10 @@ def _run_batch(
             acc_before = float(cum[a, kc - 1]) if kc > 0 else 0.0 + float(carry[r])
             step_start = float(resume[r]) if c == start[r] else t0 + dt * c
             onset = step_start + (q - acc_before) / float(excess[a, kc]) + params.latency_floor
+            if onset <= last[r]:
+                raise NumericalFailureError(f"spike onsets stopped advancing at {onset!r} ns")
+            if len(onsets[r]) == budget:
+                raise NumericalFailureError(f"more than {budget} spike onsets in one row")
             onsets[r].append(onset)
             last[r] = onset
             # re-arm inside the horizon; compared as floats so that a huge

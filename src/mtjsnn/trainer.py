@@ -10,6 +10,11 @@ unperturbed spike time is used, and silent on both sides gives 0.  Updates
 are batched over all dataset rows and applied once per epoch.  Each epoch
 simulates each dataset row once, as one batched network simulation of the
 current weights and the 2E weight vectors perturbed by +-fd_epsilon.
+Only the output's first onset is read, and the simulation is causal, so
+after epoch 0 a dataset row runs on a prefix of the grid that ends 0.3 ns
+past its latest first onset of the epoch before; the batch rows whose
+output has no onset inside the prefix run again, as one batch, on the full
+grid.  A row silent in every batch row runs on the full grid directly.
 """
 
 from __future__ import annotations
@@ -22,6 +27,11 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidInputError
 from .network import Network, SimConfig, _simulate, validate_topology
+
+# ns past a dataset row's latest output onset of the last epoch that its
+# next prefix grid runs to; a row that then fires later, or not at all,
+# falls back to the full grid
+_PREFIX_MARGIN = 0.3
 
 
 @dataclass(frozen=True)
@@ -137,6 +147,10 @@ def train(
     # one workspace for every epoch: the simulations reuse its buffers and
     # compute only the onsets and the voltages that synapses read
     workspace: dict = {}
+    # the grid steps each dataset row simulates next epoch, None for all of
+    # them: epoch 0 and a row silent in every batch row run the full grid
+    n_steps = int(round(sim.horizon / sim.dt))
+    steps: list[Optional[int]] = [None] * len(dataset)
 
     for epoch in range(config.max_epochs):
         # per dataset row, one batched simulation: row 0 holds the current
@@ -145,9 +159,19 @@ def train(
         batch[2 * edges + 1, edges] += config.fd_epsilon
         batch[2 * edges + 2, edges] -= config.fd_epsilon
         t_out = []
-        for row_net in row_nets:
-            _, _, onsets = _simulate(row_net, batch, sim, workspace)
-            t_out.append([min(row) if row else None for row in onsets[output_id]])
+        for k, row_net in enumerate(row_nets):
+            _, _, onsets = _simulate(row_net, batch, sim, workspace, steps[k])
+            t = [min(row) if row else None for row in onsets[output_id]]
+            silent = [b for b, t_b in enumerate(t) if t_b is None]
+            if steps[k] is not None and silent:
+                # rows silent inside the prefix, again on the full grid
+                _, _, onsets = _simulate(row_net, batch[silent], sim, workspace)
+                for b, row in zip(silent, onsets[output_id]):
+                    t[b] = min(row) if row else None
+            t_out.append(t)
+            fired = [t_b for t_b in t if t_b is not None]
+            prefix = math.ceil((max(fired) + _PREFIX_MARGIN) / sim.dt) if fired else n_steps
+            steps[k] = prefix if prefix < n_steps else None
         times = [penalty if t[0] is None else t[0] for t in t_out]
         total = sum(loss(t, t_des) for t, (_, t_des) in zip(times, dataset))
 

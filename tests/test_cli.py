@@ -13,6 +13,7 @@ import sys
 
 import pytest
 import yaml
+from test_tlr import time_limit
 
 from mtjsnn import cli
 from mtjsnn.cli import (
@@ -169,6 +170,39 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert f"config error: {key}: spike time" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out" / "trace.csv")
+
+    @pytest.mark.parametrize("command, doc, key", [
+        ("simulate", xor_doc(sim={"dt": 0.01, "horizon": 1e8}), "sim.horizon"),
+        ("train", xor_doc(sim={"dt": 0.01, "horizon": 10000.0}, train={"dt": 0.002}),
+         "train.dt"),
+        ("bench-xor", xor_doc(sim={"dt": 0.01, "horizon": 10000.0}, train={"dt": 0.005}),
+         "train.dt"),
+        ("sweep-latency", xor_doc(sweep={"drives": [1.5], "dt": 0.01, "horizon": 1e8}),
+         "sweep.horizon"),
+    ])
+    def test_grid_over_step_cap_exit_2(self, tmp_path, capsys, command, doc, key):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        with time_limit(10):
+            code = main([command, "--config", cfg, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config error: {key}: horizon must be at most 1000000 steps")
+        assert not out.exists() or not os.listdir(out)
+
+    @pytest.mark.parametrize("weight", [1e10, 1e300])
+    def test_neuron_that_never_stops_firing_exit_3(self, tmp_path, capsys, weight):
+        network = {
+            "sources": [{"id": "s", "spike_times": [0.0]}],
+            "neurons": [{"id": "n", "params": {"t_refractory": 0.0, "latency_floor": 0.0}}],
+            "synapses": [{"pre": "s", "post": "n", "weight": weight}],
+        }
+        cfg = write_config(tmp_path, {"schema_version": 1, "sim": {"dt": 0.01, "horizon": 5.0},
+                                      "network": network})
+        with time_limit(10):
+            code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_SIMULATION
+        assert capsys.readouterr().err.startswith("simulation failed: neuron 'n': ")
 
 
 class TestTrain:

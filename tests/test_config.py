@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mtjsnn.config import Config, SweepSpec, TrainSpec, load_config, parse_config
 from mtjsnn.errors import ConfigError
 from mtjsnn.macrospin import MacrospinParams
-from mtjsnn.network import Network, Neuron, SimConfig, Source, Synapse
+from mtjsnn.network import _MAX_STEPS, Network, Neuron, SimConfig, Source, Synapse
 from mtjsnn.tlr import TlrParams
 from mtjsnn.xorbench import EncodingConfig
 
@@ -311,6 +311,20 @@ class TestGrid:
             parse_config(grid_doc(section, dt, horizon))
         assert e.value.key == f"{section}.horizon"
 
+    @pytest.mark.parametrize("section", ["sim", "sweep"])
+    @pytest.mark.parametrize("dt,horizon", [
+        (0.01, 1e8), (0.01, 10000.01), (0.001, 1000.001), (0.01, 1e300),
+    ])
+    def test_grid_over_step_cap_names_key(self, section, dt, horizon):
+        with pytest.raises(ConfigError, match="at most 1000000 steps") as e:
+            parse_config(grid_doc(section, dt, horizon))
+        assert e.value.key == f"{section}.horizon"
+
+    @pytest.mark.parametrize("section", ["sim", "sweep"])
+    def test_grid_at_step_cap_accepted(self, section):
+        cfg = parse_config(grid_doc(section, 0.01, 10000.0))
+        assert getattr(cfg, section).horizon == 10000.0
+
     @pytest.mark.parametrize("sim,key", [
         ({"dt": 0.0}, "sim.dt"),
         ({"dt": 0.02}, "sim.dt"),
@@ -482,6 +496,9 @@ VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.text(max_size=4),
     st.floats(allow_nan=True, allow_infinity=True),
     st.floats(min_value=0.0, max_value=200.0),   # mostly off any dt grid
+    # whole numbers of every shipped dt, up to far past the grid's step cap
+    st.integers(10**5, 10**12).map(lambda k: k * 0.01),
+    st.sampled_from([1e8, 1e12, 1e300]),
     st.lists(st.one_of(st.integers(-3, 3), st.floats(-2.0, 2.0), st.text(max_size=2)),
              max_size=4),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
@@ -508,6 +525,11 @@ class TestMutatedDocuments:
         else:
             parent[path[-1]] = value
         try:
-            assert isinstance(parse_config(doc), Config)
+            cfg = parse_config(doc)
         except ConfigError as exc:
             assert re.split(r"[.\[]", exc.key)[0] in {*field_names(Config), "<root>"}, exc.key
+            return
+        assert isinstance(cfg, Config)
+        # every grid a parsed config holds can be allocated
+        for grid in (cfg.sim, cfg.sweep):
+            assert grid is None or round(grid.horizon / grid.dt) <= _MAX_STEPS

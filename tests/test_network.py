@@ -2,16 +2,17 @@
 the batched core behind it and the trace CSV writer."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_macrospin import reference_switching_times
-from test_tlr import reference_run_tlr
+from test_tlr import reference_run_tlr, time_limit
 
 from mtjsnn.config import load_config
-from mtjsnn.errors import InvalidInputError
+from mtjsnn.errors import InvalidInputError, NumericalFailureError
 from mtjsnn.macrospin import MacrospinParams, initial_state, integrate_macrospin
 from mtjsnn.network import (
     Network,
@@ -62,6 +63,18 @@ class TestSimConfig:
         with pytest.raises(InvalidInputError) as e:
             SimConfig(**kwargs)
         assert e.value.key == key
+
+    @pytest.mark.parametrize("dt,horizon", [
+        (0.01, 1e8), (0.01, 1e300), (0.001, 1000.001), (0.0001, 100.0002),
+    ])
+    def test_grid_over_step_cap_names_horizon(self, dt, horizon):
+        with pytest.raises(InvalidInputError, match="at most 1000000 steps") as e:
+            SimConfig(dt=dt, horizon=horizon)
+        assert e.value.key == "horizon"
+
+    @pytest.mark.parametrize("dt,horizon", [(0.01, 10000.0), (0.001, 1000.0), (0.001, 160.0)])
+    def test_grid_at_step_cap_accepted(self, dt, horizon):
+        assert SimConfig(dt=dt, horizon=horizon).horizon == horizon
 
 
 class TestWithSchedules:
@@ -564,6 +577,128 @@ class TestWorkspaceDifferential:
     @given(batched_networks(macrospin=True))
     def test_with_a_macrospin_neuron(self, case):
         self.check(*case)
+
+
+class TestPrefixGrid:
+    """Both kernels are causal: the first m steps of a grid give each row a
+    list prefix of the full grid's onsets.  ``_simulate(..., steps=m)``
+    relies on it, and the trainer's prefix grid relies on that."""
+
+    DT = 0.005
+
+    @pytest.mark.parametrize("backend", sorted(_KERNELS))
+    def test_kernel_onsets_of_a_drive_prefix(self, backend):
+        t = self.DT * np.arange(601)
+        if backend == "tlr":
+            params = TlrParams(t_refractory=0.4, latency_floor=0.1)
+            drive = np.stack([np.where(t < 2.5, level, 0.0) for level in (0.5, 1.3, 2.5, 40.0)])
+        else:
+            params = MacrospinParams()
+            drive = np.stack([np.full(t.size, level) for level in (0.0, 1.5, 2.0)])
+        full = _KERNELS[backend](params, drive, self.DT)
+        assert sum(len(row) for row in full) >= 2
+        cut = 0
+        for m in (1, 2, 37, 100, 173, 250, 331, 480, 599, 600):
+            part = _KERNELS[backend](params, drive[:, : m + 1], self.DT)
+            for p_row, f_row in zip(part, full):
+                assert p_row == f_row[: len(p_row)], m
+                cut += len(f_row) - len(p_row)
+        assert part == full
+        assert cut > 0   # some prefixes end before some onsets
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(batched_networks(), st.floats(0.0, 1.0))
+    def test_random_networks(self, case, fraction):
+        """On random networks, with and without one workspace shared by the
+        prefix and the full-grid call (as in training): the prefix grid is
+        the full grid's start, and every onset list a list prefix."""
+        net, weights, sim = case
+        n_steps = int(round(sim.horizon / sim.dt))
+        m = max(1, int(fraction * n_steps))
+        full_time, full_signals, full = _simulate(net, weights, sim)
+        for workspace in (None, {}):
+            time, signals, part = _simulate(net, weights, sim, workspace, m)
+            assert same_bits(time, full_time[: m + 1])
+            for src in net.sources:
+                key = f"{src.id}.v"
+                assert same_bits(signals[key], full_signals[key][: m + 1])
+            for nid, rows in full.items():
+                for b, row in enumerate(rows):
+                    assert part[nid][b] == row[: len(part[nid][b])], (nid, b)
+            if workspace is not None:
+                assert _simulate(net, weights, sim, workspace)[2] == full
+
+
+class TestSilentEdges:
+    """An edge whose presynaptic signal is zero in every row adds
+    ``w * 0 = +-0.0`` to a drive that starts at ``+0.0``: it leaves the drive
+    sum and the dedup key, and changes no bit."""
+
+    SIM = SimConfig(dt=0.005, horizon=4.0)
+
+    def network(self):
+        # "off" has no spike; "mute" sees 0.5 < i_threshold and never fires;
+        # "gate" fires only in the last row, so its edge to "o" is live
+        return Network(
+            neurons=(Neuron("o"), Neuron("mute"), Neuron("gate")),
+            synapses=(Synapse("on", "o", 0.0), Synapse("off", "o", 0.0),
+                      Synapse("on", "mute", 0.0), Synapse("mute", "o", 0.0),
+                      Synapse("off", "mute", 0.0), Synapse("on", "gate", 0.0),
+                      Synapse("gate", "o", 0.0)),
+            sources=(Source("on", (0.5,), 1.0, 1.2), Source("off", (), 1.0, 1.2)),
+        )
+
+    def weights(self):
+        rows = np.array([[3.0, -2.0, 0.5, 1.5, 4.0, 0.5, 1.0]] * 7)
+        rows[1, 1] = 7.25          # off -> o
+        rows[2, 3] = -0.125        # mute -> o
+        rows[3, 4] = -3.5          # off -> mute
+        rows[4, [1, 3, 4]] = 0.0
+        rows[5, 0] = 2.5           # on -> o
+        rows[6, 5] = 3.0           # on -> gate: gate fires
+        return rows
+
+    def test_rows_match_the_one_row_oracle(self):
+        net, weights = self.network(), self.weights()
+        for workspace in (None, {}):
+            _, signals, onsets = _simulate(net, weights, self.SIM, workspace)
+            # rows that differ only in silent edges share one kernel row
+            assert signals["o.drive"].shape[0] == 3
+            assert signals["mute.drive"].shape[0] == 1
+            assert signals["gate.drive"].shape[0] == 2
+            for b, w in enumerate(weights):
+                ref_signals, ref_onsets = reference_simulate(net.with_weights(w), self.SIM)
+                for nid in ("o", "mute", "gate"):
+                    assert onsets[nid][b] == ref_onsets[nid], (b, nid)
+                    assert any(same_bits(row, ref_signals[f"{nid}.drive"])
+                               for row in signals[f"{nid}.drive"]), (b, nid)
+            assert all(onsets["o"]) and onsets["mute"] == [[]] * 7
+            assert [bool(row) for row in onsets["gate"]] == [False] * 6 + [True]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_weight_on_a_silent_edge_rejected(self, bad):
+        weights = self.weights()
+        weights[2, 1] = bad        # off -> o
+        for workspace in (None, {}):
+            with pytest.raises(InvalidInputError, match="weights must be finite"):
+                _simulate(self.network(), weights, self.SIM, workspace)
+
+
+class TestNeverStopsFiring:
+    """A TLR neuron with neither refraction nor a latency floor re-arms at its
+    own onset, and under a huge drive would fire without end: at 1e10 its
+    onsets pass the kernel's budget, at 1e300 they stop advancing.  Either
+    raises NumericalFailureError naming the neuron, in well under 1 s."""
+
+    @pytest.mark.parametrize("weight,reason", [(1e10, "more than 2048 spike onsets"),
+                                               (1e300, "spike onsets stopped advancing")])
+    def test_fails_fast_naming_the_neuron(self, weight, reason):
+        net = chain_network(weight, t_refractory=0.0, latency_floor=0.0)
+        start = time.process_time()
+        with time_limit(10), pytest.raises(NumericalFailureError, match=f"neuron 'n': {reason}"):
+            simulate_network(net, SimConfig(dt=0.01, horizon=5.0))
+        assert time.process_time() - start < 1.0
 
 
 def reference_to_csv(trace, path):

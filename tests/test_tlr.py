@@ -5,7 +5,9 @@ The package runs one TLR model, the batched kernel behind ``run_tlr``.  Its
 two oracles live here: the per-step model (``tlr_step`` and its helpers,
 driven by ``simulate_steps``) and the one-row loop ``reference_run_tlr``."""
 
+import contextlib
 import math
+import signal
 from dataclasses import replace
 from typing import Optional
 
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtjsnn import tlr as tlr_module
-from mtjsnn.errors import InvalidInputError
+from mtjsnn.errors import InvalidInputError, NumericalFailureError
 from mtjsnn.tlr import (
     IDLE,
     TlrParams,
@@ -583,6 +585,54 @@ def reference_source_waveform(time, spike_times, amplitude, duration):
         x = (time[mask] - onset) / duration
         v[mask] += amplitude * (1.0 - np.cos(2.0 * np.pi * x)) / 2.0
     return v
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after ``seconds`` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestOnsetBudget:
+    """A row of an N-step scan emits at most max(N, 2048) onsets, and each
+    onset must come after the one before it."""
+
+    def test_one_crossing_per_step_stays_inside(self):
+        # t_refractory + latency_floor = dt: at most one crossing per step,
+        # here all 3000 of them, past the 2048 floor of the budget
+        for t_ref, floor in ((0.0, 0.001), (0.001, 0.0)):
+            params = TlrParams(t_refractory=t_ref, latency_floor=floor)
+            onsets = _run_batch(params, np.full((1, 3001), 1e6), 0.001)[0]
+            assert len(onsets) == 3000
+
+    def test_row_past_its_budget_raises(self):
+        params = TlrParams(t_refractory=0.0, latency_floor=0.0)
+        drive = np.zeros((2, 101))
+        drive[1] = 1e10
+        with time_limit(10), pytest.raises(NumericalFailureError, match="more than 2048"):
+            _run_batch(params, drive, 0.01)
+        # the same drive with a latency floor crosses once per step at most
+        onsets = _run_batch(replace(params, latency_floor=0.01), drive, 0.01)
+        assert onsets[0] == [] and 50 <= len(onsets[1]) <= 100
+
+    def test_onset_that_does_not_advance_raises(self):
+        # q / excess is far below an ulp of the onset time, so the onset
+        # rounds back to the step start it re-arms at
+        params = TlrParams(t_refractory=0.0, latency_floor=0.0)
+        drive = np.zeros((1, 101))
+        drive[0, 10:] = 1e300
+        with time_limit(10), pytest.raises(NumericalFailureError,
+                                           match="stopped advancing at 0.1 ns"):
+            _run_batch(params, drive, 0.01)
 
 
 class TestSourceWaveform:

@@ -2,6 +2,7 @@
 FD epoch against the per-simulation FD rule."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -362,6 +363,48 @@ class TestBatchedFdMatchesPerSimulation:
         assert_same_history(hist, ref_hist)
 
 
+def record_simulate(monkeypatch, output_id="o1"):
+    """Replace the trainer's ``_simulate`` with a recording wrapper.  Each
+    call appends ``(weights, steps, grid size, output onsets)``."""
+    calls = []
+    real = trainer._simulate
+    signature = inspect.signature(real)
+
+    def recording(*args, **kwargs):
+        arguments = signature.bind(*args, **kwargs).arguments
+        time, signals, onsets = real(*args, **kwargs)
+        calls.append((arguments["weights"].copy(), arguments.get("steps"), time.size,
+                      onsets[output_id]))
+        return time, signals, onsets
+
+    monkeypatch.setattr(trainer, "_simulate", recording)
+    return calls
+
+
+def call_groups(calls, n_batch, sim):
+    """Split recorded calls into one group per dataset row and epoch, and
+    check each: exactly one call of ``n_batch`` rows, then at most one more,
+    on the full grid, holding exactly the rows whose output onset list was
+    empty on the first call's prefix grid.  Returns ``(first, fallback or
+    None)`` per group."""
+    full_size = int(round(sim.horizon / sim.dt)) + 1
+    calls, groups = list(calls), []
+    while calls:
+        first = calls.pop(0)
+        weights, steps, size, onsets = first
+        assert weights.shape[0] == n_batch
+        assert size == (full_size if steps is None else steps + 1)
+        silent = [b for b, row in enumerate(onsets) if not row]
+        fallback = None
+        if steps is not None and silent:
+            assert calls, "no full-grid call for the rows silent in the prefix"
+            fallback = calls.pop(0)
+            assert fallback[1] is None and fallback[2] == full_size
+            assert fallback[0].tobytes() == weights[silent].tobytes()
+        groups.append((first, fallback))
+    return groups
+
+
 class TestOneBatchPerRow:
     """Each epoch simulates each dataset row once: the current weights and
     their 2E finite-difference perturbations in one batch."""
@@ -381,22 +424,16 @@ class TestOneBatchPerRow:
 
         net, dataset, config, sim = self.xor_problem(xor_config_path, 2)
         config = dataclasses.replace(config, max_epochs=3)
-        rows = []
-        real = trainer._simulate
-
-        def counting(net, weights, sim, workspace=None):
-            rows.append(weights.shape[0])
-            return real(net, weights, sim, workspace)
+        calls = record_simulate(monkeypatch)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("train called simulate_network")
 
-        monkeypatch.setattr(trainer, "_simulate", counting)
         monkeypatch.setattr(network, "simulate_network", forbidden)
         _, hist = train(net, dataset, config, sim=sim)
         n_edges = net.weight_vector().size
         assert hist.epochs == 3 and not hist.converged
-        assert rows == [2 * n_edges + 1] * (len(dataset) * hist.epochs)
+        assert len(call_groups(calls, 2 * n_edges + 1, sim)) == len(dataset) * hist.epochs
         assert not hasattr(trainer, "simulate_network")
         assert not hasattr(trainer, "first_spike_time")
 
@@ -437,3 +474,82 @@ class TestOneBatchPerRow:
         with pytest.raises(InvalidInputError, match="unknown id 'zz'"):
             train(chain_network(4.0), [({"src": [0.0]}, 1.5)], TrainConfig(max_epochs=1),
                   sim=SimConfig(dt=0.002, horizon=5.0), output_id="zz")
+
+
+def two_pulse_network(w_early, **params):
+    """``o1`` driven by an early and a late source pulse, each 2 ns long.
+    Weakened enough, the early pulse fails to fire ``o1``, and the late one,
+    at 3 ns, fires it after a prefix grid that an early onset set."""
+    return Network(
+        neurons=(Neuron("o1", "tlr", TlrParams(**params)),),
+        synapses=(Synapse("early", "o1", w_early), Synapse("late", "o1", 2.0)),
+        sources=(Source("early", amplitude=1.0, duration=2.0),
+                 Source("late", amplitude=1.0, duration=2.0)),
+    )
+
+
+class TestPrefixGrid:
+    """After epoch 0, each dataset row is simulated on a prefix of the grid
+    that ends past its latest output onset of the epoch before.  Rows whose
+    output has no onset inside the prefix are simulated again on the full
+    grid, so the history is the full-grid oracle's, bit for bit."""
+
+    SIM = SimConfig(dt=0.002, horizon=5.0)
+    BOTH = {"early": [0.0], "late": [3.0]}
+
+    def test_output_firing_after_the_prefix_falls_back(self, monkeypatch):
+        # epoch 1 fires o1 inside its prefixes; in epoch 2 the early pulse
+        # no longer fires it on row 0, the late pulse does at about 4.06 ns,
+        # and row 1 stays silent
+        dataset = [(self.BOTH, 4.0), ({"early": [0.5], "late": []}, 1.5)]
+        config = TrainConfig(eta=1.0, fd_epsilon=1e-3, tol=1e-3, max_epochs=3)
+        net = two_pulse_network(2.0)
+        calls = record_simulate(monkeypatch)
+        out, hist = train(net, dataset, config, sim=self.SIM)
+        monkeypatch.undo()
+        ref_out, ref_hist = reference_train(net, dataset, config, self.SIM)
+        assert_same_history(hist, ref_hist)
+        assert out.weight_vector().tobytes() == ref_out.weight_vector().tobytes()
+        groups = call_groups(calls, 5, self.SIM)
+        assert len(groups) == 6
+        first, fallback = groups[4]   # epoch 2, row 0
+        assert first[1] is not None and 4.0 > first[1] * self.SIM.dt
+        assert fallback is not None and all(fallback[3])
+        assert hist.output_times[2][0] > 4.0 and hist.output_times[2][1] is None
+
+    def test_rows_silent_in_the_prefix_rerun_alone(self, monkeypatch):
+        # the early weight sits at its firing boundary: only the +eps row
+        # fires on the early pulse, the other four on the late one, and a
+        # prefix that ends 1 ns before the latest onset cuts those four
+        lo, hi = 0.0, 5.0
+        while hi - lo > 1e-4:
+            mid = 0.5 * (lo + hi)
+            net = two_pulse_network(mid).with_schedules({"early": [0.0], "late": []})
+            fires = first_spike_time(simulate_network(net, self.SIM), "o1") is not None
+            lo, hi = (lo, mid) if fires else (mid, hi)
+        dataset = [(self.BOTH, 4.0)]
+        config = TrainConfig(eta=0.0, fd_epsilon=1e-3, tol=1e-3, max_epochs=2)
+        monkeypatch.setattr(trainer, "_PREFIX_MARGIN", -1.0)
+        calls = record_simulate(monkeypatch)
+        _, hist = train(two_pulse_network(lo), dataset, config, sim=self.SIM)
+        monkeypatch.undo()
+        _, ref_hist = reference_train(two_pulse_network(lo), dataset, config, self.SIM)
+        assert_same_history(hist, ref_hist)
+        (_, none), (first, fallback) = call_groups(calls, 5, self.SIM)
+        assert none is None and fallback is not None
+        assert [bool(row) for row in first[3]] == [False, True, False, False, False]
+        assert fallback[0].shape[0] == 4 and all(fallback[3])
+
+    def test_prefix_reaches_the_latest_crossing_step(self, monkeypatch):
+        # no latency floor and no margin: the prefix ends in the step just
+        # after the latest crossing, and no row falls back
+        dataset = [({"early": [0.0], "late": []}, 4.0), ({"early": [0.7], "late": []}, 4.0)]
+        config = TrainConfig(eta=0.0, fd_epsilon=1e-3, tol=1e-3, max_epochs=2)
+        net = two_pulse_network(2.0, latency_floor=0.0)
+        monkeypatch.setattr(trainer, "_PREFIX_MARGIN", 0.0)
+        calls = record_simulate(monkeypatch)
+        _, hist = train(net, dataset, config, sim=self.SIM)
+        groups = call_groups(calls, 5, self.SIM)
+        assert [fallback for _, fallback in groups] == [None] * 4
+        assert [first[1] is not None for first, _ in groups] == [False, False, True, True]
+        assert hist.output_times[1] == hist.output_times[0] != [None, None]
