@@ -137,7 +137,7 @@ def cmd_sweep_latency(cfg: Config, out_dir: str, seed: int) -> int:
     sweep = cfg.sweep
     if sweep is None:
         raise ConfigError("missing sweep section", key="sweep")
-    n_steps = int(round(sweep.horizon / sweep.dt))
+    n_steps = SimConfig(dt=sweep.dt, horizon=sweep.horizon).steps
     rows = ["drive,latency_ns"]
     for drive in sweep.drives:
         if sweep.backend == "tlr":

@@ -19,7 +19,7 @@ Units: time ns, field T, current mA, resistance kOhm, voltage V
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -45,6 +45,9 @@ class MacrospinParams:
     transistor_vt: float = 0.4      # V
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)).all():
+                raise InvalidInputError(f"{f.name} must be finite", key=f.name)
         if self.alpha <= 0:
             raise InvalidInputError("alpha must be > 0", key="alpha")
         if not self.r_parallel > 0:

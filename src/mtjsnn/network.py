@@ -133,9 +133,14 @@ class SimConfig:
         if not (steps < math.inf and abs(steps - round(steps)) <= 1e-9 * steps):
             raise InvalidInputError(f"horizon must be a whole number of dt = {self.dt!r} ns steps",
                                     key="horizon")
-        if round(steps) > _MAX_STEPS:
+        if self.steps > _MAX_STEPS:
             raise InvalidInputError(f"horizon must be at most {_MAX_STEPS} steps of dt = "
                                     f"{self.dt!r} ns", key="horizon")
+
+    @property
+    def steps(self) -> int:
+        """The number of grid steps, ``round(horizon / dt)``."""
+        return int(round(self.horizon / self.dt))
 
 
 @dataclass
@@ -315,28 +320,23 @@ def simulate_network(net: Network, sim: SimConfig) -> Trace:
     )
 
 
-class _Buffers:
-    """The arrays one neuron reuses from one ``_simulate`` call to the next,
-    one flat array per role."""
-
-    def __init__(self):
-        self.arrays: dict[str, np.ndarray] = {}
-
-    def get(self, role: str, rows: int, size: int) -> np.ndarray:
-        """A contiguous ``(rows, size)`` view of the start of the role's flat
-        array, so calls on grids of any length share it.  The array is
-        allocated only on a miss: the first use of the role, or fewer than
-        ``rows * size`` cells."""
-        cells = rows * size
-        array = self.arrays.get(role)
-        if array is None or array.size < cells:
-            array = self.arrays[role] = np.empty(cells)
-        return array[:cells].reshape(rows, size)
+def _zeros(arrays: dict, key: tuple[str, str], rows: int, size: int) -> np.ndarray:
+    """A zero-filled contiguous ``(rows, size)`` view of the start of the flat
+    array ``arrays[key]``, so calls on grids of any length share it.  The
+    array is allocated only when the key is missing or it has fewer than
+    ``rows * size`` cells; on reuse only the cells in the view are zeroed."""
+    cells = rows * size
+    array = arrays.get(key)
+    if array is None or array.size < cells:
+        array = arrays[key] = np.zeros(cells)
+    else:
+        array[:cells] = 0
+    return array[:cells].reshape(rows, size)
 
 
 def _simulate(
     net: Network, weights: np.ndarray, sim: SimConfig,
-    workspace: Optional[dict[str, _Buffers]] = None, steps: Optional[int] = None,
+    workspace: Optional[dict] = None, steps: Optional[int] = None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, list[list[float]]]]:
     """Simulate ``net`` once per row of the ``(B, E)`` weight array.
 
@@ -355,30 +355,30 @@ def _simulate(
     including those of the edges left out.
 
     ``steps``, when given, simulates only the first ``steps`` steps of
-    ``sim``'s grid (at most its ``round(horizon / dt)``); the schedules are
-    still checked against ``sim.horizon``.  Both kernels are causal, so each
+    ``sim``'s grid (at most ``sim.steps``); the schedules are still
+    checked against ``sim.horizon``.  Both kernels are causal, so each
     onset list is then the list prefix of the full grid's onsets whose
     crossings lie inside the prefix.
 
     ``workspace`` is private to one caller, the trainer: an empty dict on
-    the first call, then passed back unchanged on every later one.  It maps
-    each neuron id to its ``_Buffers``: the drive, the product temporary,
-    the gathered presynaptic rows and the output voltage.  With it the call
-    writes into those buffers, which the next call overwrites, and computes
-    only the onsets and the output voltages that a synapse reads: a kernel
-    gets a zeroed voltage buffer only for a neuron that a synapse reads,
-    and no state array.  The returned signals leave out the state series and
-    the voltage of each neuron no synapse reads, and the drives and voltages
-    they hold are views of the buffers.  Without a workspace every kernel
-    fills fresh zeroed voltage and state arrays.  The onsets are those of a
-    call without it, bit for bit.
+    the first call, then passed back unchanged on every later one.  It holds
+    one flat array per neuron for the drive, and one for the output voltage
+    of each neuron that a synapse reads; each call takes zeroed views of
+    them, which the next call overwrites.  With it the call computes only
+    the onsets and those voltages: a kernel gets a voltage array only for a
+    neuron that a synapse reads, and no state array.  The returned signals
+    leave out the state series and the voltage of each neuron no synapse
+    reads, and the drives and voltages they hold are views of the
+    workspace.  Without a workspace every array is fresh, and every kernel
+    fills a voltage and a state array.  The onsets are those of a call
+    without it, bit for bit.
     """
     if not np.isfinite(weights).all():
         raise InvalidInputError("weights must be finite")
     n_rows = weights.shape[0]
-    if steps is None:
-        steps = int(round(sim.horizon / sim.dt))
-    time = sim.dt * np.arange(steps + 1)
+    full = workspace is None
+    arrays = {} if full else workspace
+    time = sim.dt * np.arange((sim.steps if steps is None else steps) + 1)
 
     signals: dict[str, np.ndarray] = {}
     onsets: dict[str, list[list[float]]] = {}
@@ -409,28 +409,15 @@ def _simulate(
         row = np.array([distinct.setdefault(k.tobytes(), len(distinct)) for k in key])
         first = np.unique(row, return_index=True)[1]
         shape = (first.size, time.size)
-        buffers = None
-        if workspace is None:
-            drive, tmp = np.zeros(shape), None
-            v, state = np.zeros(shape), np.zeros(shape)
-        else:
-            buffers = workspace.get(nid)
-            if buffers is None:
-                buffers = workspace[nid] = _Buffers()
-            drive, tmp = buffers.get("drive", *shape), buffers.get("product", *shape)
-            drive.fill(0)
-            v = state = None
-            if nid in read:
-                v = buffers.get("v", *shape)
-                v.fill(0)
+        drive = _zeros(arrays, (nid, "drive"), *shape)
+        v = _zeros(arrays, (nid, "v"), *shape) if full or nid in read else None
+        state = _zeros(arrays, (nid, "state"), *shape) if full else None
         for e in edges:
             pre = net.synapses[e].pre
             v_pre = voltages[pre]
             if pre in row_of:
-                # "clip" never buffers ``out``; the rows are in range
-                v_pre = np.take(v_pre, row_of[pre][first], axis=0, mode="clip",
-                                out=None if buffers is None else buffers.get("gathered", *shape))
-            np.add(drive, np.multiply(weights[first, e, None], v_pre, out=tmp), out=drive)
+                v_pre = v_pre[row_of[pre][first]]
+            drive += weights[first, e, None] * v_pre
         try:
             n_onsets = _KERNELS[neuron.backend](neuron.params, drive, sim.dt, v=v, state=state)
         except NumericalFailureError as exc:

@@ -144,12 +144,13 @@ def train(
     initial_loss: Optional[float] = None
     # _simulate takes the weights from its batch, not from the network
     row_nets = [net.with_schedules(stimulus) for stimulus, _ in dataset]
-    # one workspace for every epoch: the simulations reuse its buffers and
-    # compute only the onsets and the voltages that synapses read
+    # one workspace for every epoch: the simulations reuse its drive and
+    # voltage arrays and compute only the onsets and the voltages that
+    # synapses read
     workspace: dict = {}
     # the grid steps each dataset row simulates next epoch, None for all of
     # them: epoch 0 and a row silent in every batch row run the full grid
-    n_steps = int(round(sim.horizon / sim.dt))
+    n_steps = sim.steps
     steps: list[Optional[int]] = [None] * len(dataset)
 
     for epoch in range(config.max_epochs):

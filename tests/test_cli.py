@@ -20,6 +20,7 @@ from mtjsnn.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
     EXIT_EPOCHS_EXHAUSTED,
+    EXIT_MECHANISM,
     EXIT_OK,
     EXIT_SIMULATION,
     main,
@@ -428,6 +429,29 @@ class TestExitCodeTable:
         assert captured.err == prefix + "injected failure\n"
         assert captured.out == ""
         assert sorted(os.listdir(out)) == files
+
+
+class TestBenchXorExits:
+    def test_epoch_budget_exhausted_exit_4_skips_evaluation(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, xor_doc(train={"max_epochs": 1}))
+        out = tmp_path / "out"
+        assert main(["bench-xor", "--config", cfg, "--out", str(out)]) == EXIT_EPOCHS_EXHAUSTED
+        captured = capsys.readouterr()
+        assert captured.err == "epoch budget exhausted after 1 epochs\n"
+        assert captured.out == ""
+        # no row traces and no report
+        assert sorted(os.listdir(out)) == ["history.csv", "weights.out"]
+
+    def test_decode_failure_exit_6_names_each_row(self, tmp_path, capsys):
+        # a weak bias->o1 weight: training converges at once under a 10 ns
+        # tolerance, and o1 misdecodes every row but (0, 0)
+        cfg = write_config(tmp_path, xor_doc(
+            network={"preset": "xor", "weights": {"bias->o1": 1.0}},
+            train={"init_jitter": 0.0, "tol": 10.0}))
+        out = tmp_path / "out"
+        assert main(["bench-xor", "--config", cfg, "--out", str(out)]) == EXIT_MECHANISM
+        assert capsys.readouterr().err == "".join(
+            f"decode failure on row (a={a}, b={b})\n" for a, b in ((0, 1), (1, 0), (1, 1)))
 
 
 class TestBenchXorOutputBackend:

@@ -1,5 +1,6 @@
 """Macrospin backend: LLGS field properties, circuit solve, calibration."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -106,6 +107,19 @@ def reference_switching_times(trace):
             frac = a[k] / (a[k] - a[k + 1])
             out.append(float(trace.time[k] + frac * (trace.time[k + 1] - trace.time[k])))
     return out
+
+
+class TestParams:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(MacrospinParams)])
+    def test_non_finite_field_rejected_with_key(self, field, value):
+        # NaN passes the `<= 0` rules; a NaN transistor_vt would build and
+        # never switch, and most other fields fail later with "no bracket"
+        if field == "polarizer":
+            value = (1.0, value, 0.0)
+        with pytest.raises(InvalidInputError, match=f"{field} must be finite") as e:
+            MacrospinParams(**{field: value})
+        assert e.value.key == field
 
 
 class TestLlgsDerivative:

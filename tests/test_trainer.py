@@ -41,6 +41,13 @@ def chain_network(weight):
     )
 
 
+def inhibitory_chain(weight):
+    """``chain_network`` with a source of amplitude -1: a larger weight
+    gives a weaker drive."""
+    net = chain_network(weight)
+    return dataclasses.replace(net, sources=(Source("src", amplitude=-1.0, duration=2.0),))
+
+
 class TestLoss:
     def test_examples(self):
         assert loss(2.5, 2.5) == 0.0
@@ -231,6 +238,13 @@ class TestTrain:
             train(net, near_dataset, TrainConfig(eta=5000.0, tol=1e-9, max_epochs=100),
                   sim=self.SIM)
 
+    def test_invalid_network_rejected_naming_the_violation(self):
+        net = Network(neurons=(Neuron("o1"),), synapses=(Synapse("ghost", "o1", 1.0),),
+                      sources=())
+        with pytest.raises(InvalidInputError,
+                           match="invalid network: synapse 'ghost'->'o1': unknown pre id"):
+            train(net, [({}, 1.5)], TrainConfig(max_epochs=1), sim=self.SIM)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(InvalidInputError):
             train(chain_network(4.0), [], TrainConfig())
@@ -361,6 +375,31 @@ class TestBatchedFdMatchesPerSimulation:
         _, ref_hist = reference_train(net, dataset, config, sim)
         assert hist.output_times[0] == [None, None]
         assert_same_history(hist, ref_hist)
+
+    def test_inhibitory_firing_boundary(self):
+        # the base row and -eps fire, +eps is silent, so epoch 0 takes the
+        # one-sided slope against the base spike time, (t_base - t_minus) / eps
+        sim, stim, eps = TestJacobianFd.SIM, TestJacobianFd.STIM, 1e-3
+
+        def t_out(weight):
+            net = inhibitory_chain(weight).with_schedules(stim)
+            return first_spike_time(simulate_network(net, sim), "o1")
+
+        lo, hi = -5.0, 0.0   # lo fires, hi is silent
+        while hi - lo > 1e-4:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if t_out(mid) is not None else (lo, mid)
+        t_base, t_minus = t_out(lo), t_out(lo - eps)
+        assert t_out(lo + eps) is None and None not in (t_base, t_minus)
+        slope = (t_base - t_minus) / eps
+        net = inhibitory_chain(lo)
+        assert spike_time_jacobian_fd(net, stim, 0, eps, sim=sim) == slope > 0
+        config = TrainConfig(eta=0.5, fd_epsilon=eps, tol=1e-3, max_epochs=2)
+        _, hist = train(net, [(stim, 1.0)], config, sim=sim)
+        _, ref_hist = reference_train(net, [(stim, 1.0)], config, sim)
+        assert_same_history(hist, ref_hist)
+        step = weight_update(loss_gradient_time(t_base, 1.0), slope, config.eta)
+        assert hist.weights[1][0] == lo + step != lo
 
 
 def record_simulate(monkeypatch, output_id="o1"):
