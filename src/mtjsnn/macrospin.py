@@ -57,6 +57,8 @@ class MacrospinParams:
         if self.v_dd <= 0:
             raise InvalidInputError("v_dd must be > 0", key="v_dd")
         p = np.asarray(self.polarizer, dtype=float)
+        if p.shape != (3,):
+            raise InvalidInputError("polarizer must have 3 components", key="polarizer")
         if abs(np.linalg.norm(p) - 1.0) > _UNIT_TOL:
             raise InvalidInputError("polarizer must be a unit vector", key="polarizer")
 

@@ -315,44 +315,60 @@ def simulate_network(net: Network, sim: SimConfig) -> Trace:
     time, signals, onsets = _simulate(net, net.weight_vector()[None, :], sim)
     return Trace(
         time=time,
-        signals={key: v if v.ndim == 1 else v[0] for key, v in signals.items()},
+        signals={key: v[0] for key, v in signals.items()},
         spike_onsets={nid: row_onsets[0] for nid, row_onsets in onsets.items()},
     )
 
 
-def _zeros(arrays: dict, key: tuple[str, str], rows: int, size: int) -> np.ndarray:
+def _zeros(arrays: dict, key: tuple, rows: int, size: int, clear: bool = True) -> np.ndarray:
     """A zero-filled contiguous ``(rows, size)`` view of the start of the flat
     array ``arrays[key]``, so calls on grids of any length share it.  The
     array is allocated only when the key is missing or it has fewer than
-    ``rows * size`` cells; on reuse only the cells in the view are zeroed."""
+    ``rows * size`` cells; on reuse only the cells in the view are zeroed,
+    and none of them when ``clear`` is False, for a caller that overwrites
+    them all."""
     cells = rows * size
     array = arrays.get(key)
     if array is None or array.size < cells:
         array = arrays[key] = np.zeros(cells)
-    else:
+    elif clear:
         array[:cells] = 0
     return array[:cells].reshape(rows, size)
+
+
+def _nonzero_rows(v: np.ndarray, row_of: np.ndarray) -> np.ndarray:
+    """Per batch row, 1 + its row of ``v`` where that row holds a nonzero,
+    else 0."""
+    return np.where(v.any(axis=1), np.arange(1, len(v) + 1), 0)[row_of]
 
 
 def _simulate(
     net: Network, weights: np.ndarray, sim: SimConfig,
     workspace: Optional[dict] = None, steps: Optional[int] = None,
+    schedules: Optional[list[dict[str, list[float]]]] = None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, list[list[float]]]]:
     """Simulate ``net`` once per row of the ``(B, E)`` weight array.
 
-    The rows share the network's neurons, sources and grid, and every
-    source schedule entry must lie in ``[0, horizon]``.  Returns the
-    grid, the signals and one onset list per batch row for every id.  Source
-    voltages are ``(N+1,)`` arrays.  Each drive sums, in synapse order and
-    starting from zeros, the in-edges whose presynaptic signal is nonzero
-    somewhere; an edge from a signal that is zero in every row would add
-    ``w * 0 = +-0.0`` to a drive that starts at ``+0.0``, which changes no
-    bit, so it is left out.  A row therefore gets the same floats as a
-    one-row run.  Batch rows whose weights on those edges and presynaptic
-    rows agree give a neuron the same output, so each neuron is simulated
-    once per distinct row and its drive, voltage and state arrays hold those
-    rows only (a single row when B = 1).  Every weight must be finite,
-    including those of the edges left out.
+    The rows share the network's neurons and grid.  ``schedules``, when
+    given, holds one dict per batch row that maps source ids to that row's
+    spike times, as ``Network.with_schedules`` takes them; a source a dict
+    leaves out keeps its own schedule, and without ``schedules`` every row
+    keeps them all.  Every schedule entry must lie in ``[0, horizon]``.
+    Returns the grid, the signals and one onset list per batch row for every
+    id.  Sources are treated like neurons: each is computed once per
+    distinct schedule among the rows, and its voltage is an ``(S, N+1)``
+    array of those rows only, with a map from batch row to array row.  Each
+    drive sums, in synapse order and starting from zeros, the ``w * v``
+    products of the in-edges.  An edge adds ``w * 0 = +-0.0`` where its
+    presynaptic row is zero, to a drive that starts at ``+0.0``, which
+    changes no bit, so the sum leaves out each edge whose signal is zero in
+    every row.  A row therefore gets the same floats as a one-row run of its
+    own weights and schedules.  Batch rows whose weights and presynaptic
+    rows agree on every edge whose presynaptic row is nonzero for them give
+    a neuron the same output, so each neuron is simulated once per distinct
+    row and its drive, voltage and state arrays hold those rows only (a
+    single row when B = 1).  Every weight must be finite, including those
+    of the edges left out.
 
     ``steps``, when given, simulates only the first ``steps`` steps of
     ``sim``'s grid (at most ``sim.steps``); the schedules are still
@@ -362,20 +378,30 @@ def _simulate(
 
     ``workspace`` is private to one caller, the trainer: an empty dict on
     the first call, then passed back unchanged on every later one.  It holds
-    one flat array per neuron for the drive, and one for the output voltage
-    of each neuron that a synapse reads; each call takes zeroed views of
-    them, which the next call overwrites.  With it the call computes only
-    the onsets and those voltages: a kernel gets a voltage array only for a
-    neuron that a synapse reads, and no state array.  The returned signals
-    leave out the state series and the voltage of each neuron no synapse
-    reads, and the drives and voltages they hold are views of the
-    workspace.  Without a workspace every array is fresh, and every kernel
-    fills a voltage and a state array.  The onsets are those of a call
-    without it, bit for bit.
+    one flat array per neuron for the drive, one for the output voltage of
+    each source and of each neuron that a synapse reads, and one for the
+    ``w * v`` products; each call takes views of them, which the next call
+    overwrites.  With it the call computes only the onsets and those
+    voltages: a kernel gets a voltage array only for a neuron that a synapse
+    reads, and no state array.  The returned signals leave out the state
+    series and the voltage of each neuron no synapse reads, and the drives
+    and voltages they hold are views of the workspace.  Without a workspace
+    every array is fresh, and every kernel fills a voltage and a state
+    array.  The onsets are those of a call without it, bit for bit.
     """
     if not np.isfinite(weights).all():
         raise InvalidInputError("weights must be finite")
     n_rows = weights.shape[0]
+    if schedules is None:
+        schedules = [{}] * n_rows
+    # rows that share a schedule dict share its conversion; the trainer
+    # passes one dict per dataset row
+    index: dict[int, int] = {}
+    stimulus_of = np.array([index.setdefault(id(s), len(index)) for s in schedules])
+    stimuli = list({id(s): s for s in schedules}.values())
+    unknown = set().union(*stimuli).difference(src.id for src in net.sources)
+    if unknown:
+        raise InvalidInputError(f"unknown source {sorted(unknown)[0]!r}")
     full = workspace is None
     arrays = {} if full else workspace
     time = sim.dt * np.arange((sim.steps if steps is None else steps) + 1)
@@ -383,41 +409,57 @@ def _simulate(
     signals: dict[str, np.ndarray] = {}
     onsets: dict[str, list[list[float]]] = {}
     voltages: dict[str, np.ndarray] = {}
-    row_of: dict[str, np.ndarray] = {}   # neuron id -> its array row per batch row
-    live = set()   # ids whose signal is nonzero somewhere
+    row_of: dict[str, np.ndarray] = {}   # id -> its array row per batch row
+    keyed: dict[str, np.ndarray] = {}    # id -> its _nonzero_rows
 
     for src in net.sources:
-        for t_spk in src.spike_times:
-            if not 0 <= t_spk <= sim.horizon:
-                raise InvalidInputError(
-                    f"source {src.id!r} schedule entry {t_spk} outside [0, horizon]")
-        v = tlr.source_waveform(time, list(src.spike_times), src.amplitude, src.duration)
+        # one row per distinct schedule, keyed by its float bytes, so that
+        # -0.0 and 0.0 keep rows of their own
+        distinct: dict[bytes, int] = {}
+        of_stimulus = np.array([
+            distinct.setdefault(np.array(s.get(src.id, src.spike_times), dtype=float).tobytes(),
+                                len(distinct))
+            for s in stimuli])
+        per_row = [np.frombuffer(key).tolist() for key in distinct]
+        v = _zeros(arrays, (src.id, "v"), len(per_row), time.size, clear=False)
+        for r, spike_times in enumerate(per_row):
+            for t_spk in spike_times:
+                if not 0 <= t_spk <= sim.horizon:
+                    raise InvalidInputError(
+                        f"source {src.id!r} schedule entry {t_spk} outside [0, horizon]")
+            v[r] = tlr.source_waveform(time, spike_times, src.amplitude, src.duration)
+        row_of[src.id] = of_stimulus[stimulus_of]
         voltages[src.id] = v
         signals[f"{src.id}.v"] = v
-        onsets[src.id] = [[float(t) for t in src.spike_times]] * n_rows
-        if v.any():
-            live.add(src.id)
+        onsets[src.id] = [per_row[r] for r in row_of[src.id].tolist()]
+        keyed[src.id] = _nonzero_rows(v, row_of[src.id])
 
     read = {s.pre for s in net.synapses}
+    # the w * v products of every edge, in turn
+    scratch = _zeros(arrays, ("product",), n_rows, time.size, clear=False).ravel()
     order = _topo_order(net, [n.id for n in net.neurons])
     for nid in order:
         neuron = net.neuron(nid)
-        edges = [e for e, s in enumerate(net.synapses) if s.post == nid and s.pre in live]
-        upstream = [row_of[net.synapses[e].pre] for e in edges if net.synapses[e].pre in row_of]
-        key = np.column_stack([weights[:, edges]] + upstream)
-        distinct: dict[bytes, int] = {}
+        edges = [e for e, s in enumerate(net.synapses) if s.post == nid and keyed[s.pre].any()]
+        # a batch row keys each edge by its weight and presynaptic row, or
+        # by (0.0, 0) where that row is zero and the edge adds nothing
+        pre_rows = np.array([keyed[net.synapses[e].pre] for e in edges],
+                            dtype=float).reshape(len(edges), n_rows).T
+        key = np.hstack([np.where(pre_rows > 0, weights[:, edges], 0.0), pre_rows])
+        distinct = {}
         row = np.array([distinct.setdefault(k.tobytes(), len(distinct)) for k in key])
         first = np.unique(row, return_index=True)[1]
         shape = (first.size, time.size)
         drive = _zeros(arrays, (nid, "drive"), *shape)
         v = _zeros(arrays, (nid, "v"), *shape) if full or nid in read else None
         state = _zeros(arrays, (nid, "state"), *shape) if full else None
+        product = scratch[: drive.size].reshape(shape)
         for e in edges:
             pre = net.synapses[e].pre
-            v_pre = voltages[pre]
-            if pre in row_of:
-                v_pre = v_pre[row_of[pre][first]]
-            drive += weights[first, e, None] * v_pre
+            # the indices are in range; the default mode would copy via a buffer
+            np.take(voltages[pre], row_of[pre][first], axis=0, out=product, mode="clip")
+            product *= weights[first, e, None]
+            drive += product
         try:
             n_onsets = _KERNELS[neuron.backend](neuron.params, drive, sim.dt, v=v, state=state)
         except NumericalFailureError as exc:
@@ -427,11 +469,10 @@ def _simulate(
         if v is not None:
             voltages[nid] = v
             signals[f"{nid}.v"] = v
-            if v.any():
-                live.add(nid)
+            keyed[nid] = _nonzero_rows(v, row)
         if state is not None:
             signals[f"{nid}.state"] = state
-        onsets[nid] = [n_onsets[r] for r in row]
+        onsets[nid] = [n_onsets[r] for r in row.tolist()]
 
     return time, signals, onsets
 

@@ -23,7 +23,9 @@ from .errors import InvalidInputError, NumericalFailureError
 
 IDLE = "idle"
 
-_CHUNK_CELLS = 4096   # rows x steps one chunk of a batched TLR scan integrates
+# rows x steps one chunk of a batched TLR scan integrates: a 76-row
+# training batch then advances about 100 steps per chunk
+_CHUNK_CELLS = 8192
 # Each row of an N-step scan may emit at most max(N, _MIN_ONSET_BUDGET)
 # onsets.  A neuron whose t_refractory + latency_floor is at least dt
 # crosses at most once per step and never reaches it; one with neither

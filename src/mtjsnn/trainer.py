@@ -8,13 +8,14 @@ respect to the simulator.  Where the output is silent on one side of the
 perturbation (the firing boundary), a one-sided difference against the
 unperturbed spike time is used, and silent on both sides gives 0.  Updates
 are batched over all dataset rows and applied once per epoch.  Each epoch
-simulates each dataset row once, as one batched network simulation of the
-current weights and the 2E weight vectors perturbed by +-fd_epsilon.
-Only the output's first onset is read, and the simulation is causal, so
-after epoch 0 a dataset row runs on a prefix of the grid that ends 0.3 ns
-past its latest first onset of the epoch before; the batch rows whose
-output has no onset inside the prefix run again, as one batch, on the full
-grid.  A row silent in every batch row runs on the full grid directly.
+is one batched network simulation of every dataset row, each with its own
+source schedules, times the current weights and the 2E weight vectors
+perturbed by +-fd_epsilon.  Only the output's first onset is read, and the
+simulation is causal, so after epoch 0 the batch runs on a prefix of the
+grid that ends 0.3 ns past the latest first onset of the epoch before.  At
+most one more batch follows on the full grid: the batch rows whose output
+has no onset inside the prefix, and every batch row of a dataset row that
+was silent in all of them the epoch before.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import numpy as np
 from .errors import DivergenceError, InvalidInputError
 from .network import Network, SimConfig, _simulate, validate_topology
 
-# ns past a dataset row's latest output onset of the last epoch that its
-# next prefix grid runs to; a row that then fires later, or not at all,
-# falls back to the full grid
+# ns past the latest output onset of the last epoch that the next prefix
+# grid runs to; a batch row that then fires later, or not at all, falls
+# back to the full grid
 _PREFIX_MARGIN = 0.3
 
 
@@ -141,38 +142,47 @@ def train(
     weights = net.weight_vector()
     n_edges = weights.size
     edges = np.arange(n_edges)
+    n_fd = 2 * n_edges + 1
     initial_loss: Optional[float] = None
-    # _simulate takes the weights from its batch, not from the network
-    row_nets = [net.with_schedules(stimulus) for stimulus, _ in dataset]
-    # one workspace for every epoch: the simulations reuse its drive and
-    # voltage arrays and compute only the onsets and the voltages that
-    # synapses read
+    # batch row k * n_fd + j holds dataset row k and weight vector j;
+    # _simulate takes the weights from the batch, not from the network
+    schedules = [stimulus for stimulus, _ in dataset for _ in range(n_fd)]
+    # one workspace for every epoch: the simulations reuse its drive,
+    # voltage and product arrays and compute only the onsets and the
+    # voltages that synapses read
     workspace: dict = {}
-    # the grid steps each dataset row simulates next epoch, None for all of
-    # them: epoch 0 and a row silent in every batch row run the full grid
+    # the grid steps the next epoch's batch simulates, None for all of them,
+    # and the dataset rows silent in every batch row, which skip the prefix
     n_steps = sim.steps
-    steps: list[Optional[int]] = [None] * len(dataset)
+    steps: Optional[int] = None
+    silent: set[int] = set()
 
     for epoch in range(config.max_epochs):
-        # per dataset row, one batched simulation: row 0 holds the current
-        # weights, rows 2j + 1 and 2j + 2 hold w + eps*e_j and w - eps*e_j
-        batch = np.repeat(weights[None, :], 2 * n_edges + 1, axis=0)
-        batch[2 * edges + 1, edges] += config.fd_epsilon
-        batch[2 * edges + 2, edges] -= config.fd_epsilon
-        t_out = []
-        for k, row_net in enumerate(row_nets):
-            _, _, onsets = _simulate(row_net, batch, sim, workspace, steps[k])
-            t = [min(row) if row else None for row in onsets[output_id]]
-            silent = [b for b, t_b in enumerate(t) if t_b is None]
-            if steps[k] is not None and silent:
-                # rows silent inside the prefix, again on the full grid
-                _, _, onsets = _simulate(row_net, batch[silent], sim, workspace)
-                for b, row in zip(silent, onsets[output_id]):
-                    t[b] = min(row) if row else None
-            t_out.append(t)
-            fired = [t_b for t_b in t if t_b is not None]
-            prefix = math.ceil((max(fired) + _PREFIX_MARGIN) / sim.dt) if fired else n_steps
-            steps[k] = prefix if prefix < n_steps else None
+        # per dataset row, row 0 holds the current weights, rows 2j + 1 and
+        # 2j + 2 hold w + eps*e_j and w - eps*e_j
+        fd = np.repeat(weights[None, :], n_fd, axis=0)
+        fd[2 * edges + 1, edges] += config.fd_epsilon
+        fd[2 * edges + 2, edges] -= config.fd_epsilon
+        batch = np.tile(fd, (len(dataset), 1))
+        t_rows: list[Optional[float]] = [None] * len(batch)   # output's first onset
+        rest = range(len(batch))   # the batch rows left for the full grid
+        if steps is not None:
+            rows = [b for b in rest if b // n_fd not in silent]
+            _, _, onsets = _simulate(net, batch[rows], sim, workspace, steps,
+                                     [schedules[b] for b in rows])
+            for b, row in zip(rows, onsets[output_id]):
+                t_rows[b] = min(row) if row else None
+            rest = [b for b in rest if t_rows[b] is None]
+        if rest:
+            _, _, onsets = _simulate(net, batch[rest], sim, workspace, None,
+                                     [schedules[b] for b in rest])
+            for b, row in zip(rest, onsets[output_id]):
+                t_rows[b] = min(row) if row else None
+        t_out = [t_rows[k * n_fd : (k + 1) * n_fd] for k in range(len(dataset))]
+        silent = {k for k, t in enumerate(t_out) if all(t_b is None for t_b in t)}
+        fired = [t_b for t_b in t_rows if t_b is not None]
+        prefix = math.ceil((max(fired) + _PREFIX_MARGIN) / sim.dt) if fired else n_steps
+        steps = prefix if prefix < n_steps else None
         times = [penalty if t[0] is None else t[0] for t in t_out]
         total = sum(loss(t, t_des) for t, (_, t_des) in zip(times, dataset))
 

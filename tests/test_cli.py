@@ -6,6 +6,8 @@ with small budgets.
 """
 
 import filecmp
+import hashlib
+import json
 import os
 import re
 import subprocess
@@ -543,3 +545,28 @@ class TestOsErrors:
         assert captured.out == ""
         # the training commit stands; the row traces and the report are not written
         assert sorted(os.listdir(out)) == ["history.csv", "row4_state.csv", "weights.out"]
+
+
+class TestReferenceOutputs:
+    """``bench-xor`` on the shipped config and training seeds 1-5, in-process:
+    each exit code, and the first 16 hex digits of the SHA-256 of every file
+    it writes, equal the ``train_seed=<k>`` entry that the benchmark recorded
+    in ``perfbench/reference.json``.  A change that is meant to keep every
+    CLI output byte-identical fails here if it does not.  The digests hold
+    for the numpy build and CPU they were recorded on."""
+
+    REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench", "reference.json")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_bench_xor_matches_the_recorded_outputs(self, tmp_path, capsys, xor_config_path,
+                                                     seed):
+        with open(self.REFERENCE) as fh:
+            expected = json.load(fh)["xor_bench"][f"train_seed={seed}"]
+        out = tmp_path / "out"
+        code = main(["bench-xor", "--config", xor_config_path, "--out", str(out),
+                     "--seed", str(seed)])
+        capsys.readouterr()
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+                   for path in sorted(out.iterdir())}
+        assert (code, digests) == (expected["exit"], expected["digests"])

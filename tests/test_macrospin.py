@@ -121,6 +121,14 @@ class TestParams:
             MacrospinParams(**{field: value})
         assert e.value.key == field
 
+    @pytest.mark.parametrize("polarizer", [(1.0, 0.0), (1.0, 0.0, 0.0, 0.0)])
+    def test_polarizer_of_other_length_rejected_with_key(self, polarizer):
+        # both are unit vectors, so only a length rule stops them; without
+        # it measure_latency raised a numpy ValueError
+        with pytest.raises(InvalidInputError, match="polarizer must have 3 components") as e:
+            MacrospinParams(polarizer=polarizer)
+        assert e.value.key == "polarizer"
+
 
 class TestLlgsDerivative:
     def test_equilibria_exact(self):

@@ -478,8 +478,9 @@ class TestBatchedCoreDifferential:
             for nid in per_row:
                 per_row[nid].add(tuple(trace.signals[f"{nid}.{kind}"].tobytes()
                                        for kind in ("drive", "v", "state")))
+        # one schedule per source: one voltage row each
         for src in net.sources:
-            assert same_bits(signals[f"{src.id}.v"], trace.signals[f"{src.id}.v"])
+            assert same_bits(signals[f"{src.id}.v"], trace.signals[f"{src.id}.v"][None, :])
         # the deduplicated rows of each neuron are exactly the rows' own arrays
         for nid, expected in per_row.items():
             arrays = [signals[f"{nid}.{kind}"] for kind in ("drive", "v", "state")]
@@ -579,6 +580,64 @@ class TestWorkspaceDifferential:
         self.check(*case)
 
 
+@st.composite
+def scheduled_networks(draw, macrospin=False):
+    """``batched_networks`` with one schedule dict per batch row.  The dicts
+    come from a pool of 1-3, each giving a random subset of the sources
+    spike times of their own, none among them (a source silent on those
+    rows only) or ``-0.0``.  Rows share a dict, or hold equal copies."""
+    net, weights, sim = draw(batched_networks(macrospin))
+    n_steps = int(round(sim.horizon / sim.dt))
+    on_grid = st.one_of(st.just(-0.0), st.integers(0, n_steps).map(lambda k: k * sim.dt))
+    ids = [src.id for src in net.sources]
+    pool = [{sid: sorted(draw(st.lists(on_grid, max_size=3)))
+             for sid in draw(st.lists(st.sampled_from(ids), unique=True))}
+            for _ in range(draw(st.integers(1, 3)))]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                          min_size=len(weights), max_size=len(weights)))
+    copies = draw(st.booleans())
+    schedules = [dict(pool[k]) if copies and b % 2 else pool[k] for b, k in enumerate(picks)]
+    return net, weights, sim, schedules
+
+
+class TestScheduleDifferential:
+    """``_simulate`` with a schedule per batch row: each row's onsets, with
+    and without a workspace, are those of ``simulate_network`` on that row's
+    weights and schedules, down to the sign of a zero, and the rows of
+    every full-mode signal are exactly the rows' own signals."""
+
+    def check(self, net, weights, sim, schedules):
+        _, signals, onsets = _simulate(net, weights, sim, schedules=schedules)
+        lean = _simulate(net, weights, sim, {}, schedules=schedules)[2]
+        per_row = {key: set() for key in signals}
+        for b, (w, schedule) in enumerate(zip(weights, schedules)):
+            trace = simulate_network(net.with_weights(w).with_schedules(schedule), sim)
+            for nid, expected in trace.spike_onsets.items():
+                assert repr(onsets[nid][b]) == repr(lean[nid][b]) == repr(expected), (b, nid)
+            assert set(trace.signals) == set(signals)
+            for key, signal in trace.signals.items():
+                per_row[key].add(signal.tobytes())
+        for key, expected in per_row.items():
+            assert {row.tobytes() for row in signals[key]} == expected, key
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(scheduled_networks())
+    def test_tlr_networks(self, case):
+        self.check(*case)
+
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(scheduled_networks(macrospin=True))
+    def test_with_a_macrospin_neuron(self, case):
+        self.check(*case)
+
+    def test_unknown_source_rejected(self):
+        with pytest.raises(InvalidInputError, match="unknown source 'zz'"):
+            _simulate(chain_network(), np.ones((2, 1)), SimConfig(dt=0.005, horizon=1.0),
+                      schedules=[{"src": [0.0]}, {"zz": [0.0]}])
+
+
 class TestPrefixGrid:
     """Both kernels are causal: the first m steps of a grid give each row a
     list prefix of the full grid's onsets.  ``_simulate(..., steps=m)``
@@ -622,7 +681,7 @@ class TestPrefixGrid:
             assert same_bits(time, full_time[: m + 1])
             for src in net.sources:
                 key = f"{src.id}.v"
-                assert same_bits(signals[key], full_signals[key][: m + 1])
+                assert same_bits(signals[key], full_signals[key][:, : m + 1])
             for nid, rows in full.items():
                 for b, row in enumerate(rows):
                     assert part[nid][b] == row[: len(part[nid][b])], (nid, b)

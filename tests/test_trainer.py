@@ -404,7 +404,7 @@ class TestBatchedFdMatchesPerSimulation:
 
 def record_simulate(monkeypatch, output_id="o1"):
     """Replace the trainer's ``_simulate`` with a recording wrapper.  Each
-    call appends ``(weights, steps, grid size, output onsets)``."""
+    call appends ``(weights, steps, grid size, output onsets, schedules)``."""
     calls = []
     real = trainer._simulate
     signature = inspect.signature(real)
@@ -413,7 +413,7 @@ def record_simulate(monkeypatch, output_id="o1"):
         arguments = signature.bind(*args, **kwargs).arguments
         time, signals, onsets = real(*args, **kwargs)
         calls.append((arguments["weights"].copy(), arguments.get("steps"), time.size,
-                      onsets[output_id]))
+                      onsets[output_id], arguments.get("schedules")))
         return time, signals, onsets
 
     monkeypatch.setattr(trainer, "_simulate", recording)
@@ -421,32 +421,45 @@ def record_simulate(monkeypatch, output_id="o1"):
 
 
 def call_groups(calls, n_batch, sim):
-    """Split recorded calls into one group per dataset row and epoch, and
-    check each: exactly one call of ``n_batch`` rows, then at most one more,
-    on the full grid, holding exactly the rows whose output onset list was
-    empty on the first call's prefix grid.  Returns ``(first, fallback or
-    None)`` per group."""
+    """Split recorded calls into one group per epoch, and check each: one
+    call, then at most one more, on the full grid.  A first call on the
+    full grid holds all ``n_batch`` batch rows and has no second one.  A
+    first call on a prefix grid is followed by a full-grid call exactly
+    when it left rows out or some of its rows have an empty output onset
+    list; that call holds the rows left out and, in batch order, those
+    silent rows.  Returns ``(first, fallback or None)`` per group."""
     full_size = int(round(sim.horizon / sim.dt)) + 1
+
+    def batch_rows(call, rows=None):
+        weights, schedules = call[0], call[4]
+        rows = range(len(weights)) if rows is None else rows
+        return [(weights[b].tobytes(), id(schedules[b])) for b in rows]
+
     calls, groups = list(calls), []
     while calls:
         first = calls.pop(0)
-        weights, steps, size, onsets = first
-        assert weights.shape[0] == n_batch
+        weights, steps, size, onsets, schedules = first
+        assert len(schedules) == weights.shape[0] <= n_batch
         assert size == (full_size if steps is None else steps + 1)
         silent = [b for b, row in enumerate(onsets) if not row]
         fallback = None
-        if steps is not None and silent:
-            assert calls, "no full-grid call for the rows silent in the prefix"
+        if steps is None:
+            assert weights.shape[0] == n_batch
+        elif silent or weights.shape[0] < n_batch:
+            assert calls, "no full-grid call for the rows left out or silent in the prefix"
             fallback = calls.pop(0)
             assert fallback[1] is None and fallback[2] == full_size
-            assert fallback[0].tobytes() == weights[silent].tobytes()
+            assert weights.shape[0] - len(silent) + fallback[0].shape[0] == n_batch
+            rest = iter(batch_rows(fallback))
+            assert all(row in rest for row in batch_rows(first, silent))
         groups.append((first, fallback))
     return groups
 
 
 class TestOneBatchPerRow:
-    """Each epoch simulates each dataset row once: the current weights and
-    their 2E finite-difference perturbations in one batch."""
+    """Each epoch simulates each dataset row once, all in one batch: every
+    dataset row with the current weights and their 2E finite-difference
+    perturbations."""
 
     def xor_problem(self, xor_config_path, seed):
         from mtjsnn import cli
@@ -472,7 +485,8 @@ class TestOneBatchPerRow:
         _, hist = train(net, dataset, config, sim=sim)
         n_edges = net.weight_vector().size
         assert hist.epochs == 3 and not hist.converged
-        assert len(call_groups(calls, 2 * n_edges + 1, sim)) == len(dataset) * hist.epochs
+        n_batch = len(dataset) * (2 * n_edges + 1)
+        assert len(call_groups(calls, n_batch, sim)) == hist.epochs
         assert not hasattr(trainer, "simulate_network")
         assert not hasattr(trainer, "first_spike_time")
 
@@ -528,10 +542,12 @@ def two_pulse_network(w_early, **params):
 
 
 class TestPrefixGrid:
-    """After epoch 0, each dataset row is simulated on a prefix of the grid
-    that ends past its latest output onset of the epoch before.  Rows whose
-    output has no onset inside the prefix are simulated again on the full
-    grid, so the history is the full-grid oracle's, bit for bit."""
+    """After epoch 0, the epoch's batch is simulated on a prefix of the grid
+    that ends past the latest output onset of the epoch before.  Rows whose
+    output has no onset inside the prefix, and the rows of a dataset row
+    silent in every batch row the epoch before, are simulated on the full
+    grid in one more call, so the history is the full-grid oracle's, bit
+    for bit."""
 
     SIM = SimConfig(dt=0.002, horizon=5.0)
     BOTH = {"early": [0.0], "late": [3.0]}
@@ -549,12 +565,32 @@ class TestPrefixGrid:
         ref_out, ref_hist = reference_train(net, dataset, config, self.SIM)
         assert_same_history(hist, ref_hist)
         assert out.weight_vector().tobytes() == ref_out.weight_vector().tobytes()
-        groups = call_groups(calls, 5, self.SIM)
-        assert len(groups) == 6
-        first, fallback = groups[4]   # epoch 2, row 0
+        groups = call_groups(calls, 10, self.SIM)
+        assert len(groups) == 3
+        first, fallback = groups[2]   # epoch 2
         assert first[1] is not None and 4.0 > first[1] * self.SIM.dt
-        assert fallback is not None and all(fallback[3])
+        # row 0's five batch rows fire after the prefix, row 1's not at all
+        assert fallback is not None
+        assert [bool(row) for row in fallback[3]] == [True] * 5 + [False] * 5
         assert hist.output_times[2][0] > 4.0 and hist.output_times[2][1] is None
+
+    def test_silent_dataset_row_skips_the_prefix(self, monkeypatch):
+        # as above, one epoch more: row 1 was silent in every batch row of
+        # epoch 2, so in epoch 3 only row 0 runs on the prefix grid
+        dataset = [(self.BOTH, 4.0), ({"early": [0.5], "late": []}, 1.5)]
+        config = TrainConfig(eta=1.0, fd_epsilon=1e-3, tol=1e-3, max_epochs=4)
+        net = two_pulse_network(2.0)
+        calls = record_simulate(monkeypatch)
+        out, hist = train(net, dataset, config, sim=self.SIM)
+        monkeypatch.undo()
+        ref_out, ref_hist = reference_train(net, dataset, config, self.SIM)
+        assert_same_history(hist, ref_hist)
+        assert out.weight_vector().tobytes() == ref_out.weight_vector().tobytes()
+        first, fallback = call_groups(calls, 10, self.SIM)[3]
+        assert first[1] is not None and all(first[3])
+        assert [s is self.BOTH for s in first[4]] == [True] * 5
+        assert fallback is not None and fallback[4] == [dataset[1][0]] * 5
+        assert hist.output_times[3][1] is None
 
     def test_rows_silent_in_the_prefix_rerun_alone(self, monkeypatch):
         # the early weight sits at its firing boundary: only the +eps row
@@ -588,7 +624,7 @@ class TestPrefixGrid:
         monkeypatch.setattr(trainer, "_PREFIX_MARGIN", 0.0)
         calls = record_simulate(monkeypatch)
         _, hist = train(net, dataset, config, sim=self.SIM)
-        groups = call_groups(calls, 5, self.SIM)
-        assert [fallback for _, fallback in groups] == [None] * 4
-        assert [first[1] is not None for first, _ in groups] == [False, False, True, True]
+        groups = call_groups(calls, 10, self.SIM)
+        assert [fallback for _, fallback in groups] == [None] * 2
+        assert [first[1] is not None for first, _ in groups] == [False, True]
         assert hist.output_times[1] == hist.output_times[0] != [None, None]
