@@ -12,7 +12,7 @@ is one batched network simulation of every dataset row, each with its own
 source schedules, times the current weights and the 2E weight vectors
 perturbed by +-fd_epsilon.  Only the output's first onset is read, and the
 simulation is causal, so after epoch 0 the batch runs on a prefix of the
-grid that ends 0.3 ns past the latest first onset of the epoch before.  At
+grid that ends 0.1 ns past the latest first onset of the epoch before.  At
 most one more batch follows on the full grid: the batch rows whose output
 has no onset inside the prefix, and every batch row of a dataset row that
 was silent in all of them the epoch before.
@@ -32,7 +32,7 @@ from .network import Network, SimConfig, _simulate, validate_topology
 # ns past the latest output onset of the last epoch that the next prefix
 # grid runs to; a batch row that then fires later, or not at all, falls
 # back to the full grid
-_PREFIX_MARGIN = 0.3
+_PREFIX_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
