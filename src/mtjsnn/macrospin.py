@@ -8,9 +8,10 @@ voltage is ``v_dd - i * R(m)``.  Switching of the free layer changes the
 MTJ resistance and shows up as a voltage transient at the node.
 
 The integrator steps the three components of m as plain Python floats: the
-LLGS right-hand side is written out component by component (``_llgs``) and
-the node voltage comes from the closed-form root of the series-circuit
-equation, so a step allocates no arrays.
+LLGS right-hand side is written out component by component (``_llgs_of``)
+and the node voltage comes from the closed-form root of the series-circuit
+equation (``_node_solver``), each with its parameter constants computed once
+per integration, so a step allocates no arrays.
 
 Units: time ns, field T, current mA, resistance kOhm, voltage V
 (mA * kOhm = V), gyromagnetic ratio rad/(ns*T).
@@ -19,6 +20,7 @@ Units: time ns, field T, current mA, resistance kOhm, voltage V
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
@@ -94,48 +96,67 @@ def initial_state(params: MacrospinParams, tilt_deg: float = 1.0) -> MacrospinSt
 
 def _check_unit(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
-    if m.shape != (3,) or abs(np.linalg.norm(m) - 1.0) > _UNIT_TOL:
+    # written so that a NaN norm fails it too
+    if m.shape != (3,) or not abs(np.linalg.norm(m) - 1.0) <= _UNIT_TOL:
         raise InvalidStateError("m must be a unit 3-vector")
     return m
 
 
-def _llgs(x: float, y: float, z: float, params: MacrospinParams,
-          i_device: float) -> tuple[float, float, float]:
-    """Components of dm/dt for m = (x, y, z); see ``llgs_derivative``."""
+def _llgs_of(params: MacrospinParams) -> Callable[[float, float, float, float],
+                                                  tuple[float, float, float]]:
+    """The LLGS right-hand side for ``params``.
+
+    Returns ``llgs(x, y, z, s)``: the components of dm/dt for m = (x, y, z)
+    under a spin-torque rate ``s = stt_coefficient * i_device``; see
+    ``llgs_derivative``.  The per-parameter constants are computed here, so
+    an integration computes them once, not once per stage.
+    """
     ex, ey, ez = params.polarizer
-    a = params.h_easy * (x * ex + y * ey + z * ez)
-    hx, hy, hz = a * ex, a * ey, a * ez - params.h_demag * z
+    h_easy, h_demag = params.h_easy, params.h_demag
     gp = params.gamma / (1.0 + params.alpha ** 2)
     gpa = gp * params.alpha
-    s = params.stt_coefficient * i_device
-    # m x h_eff, m x (m x h_eff), m x e, m x (m x e)
-    px, py, pz = y * hz - z * hy, z * hx - x * hz, x * hy - y * hx
-    qx, qy, qz = y * pz - z * py, z * px - x * pz, x * py - y * px
-    ux, uy, uz = y * ez - z * ey, z * ex - x * ez, x * ey - y * ex
-    wx, wy, wz = y * uz - z * uy, z * ux - x * uz, x * uy - y * ux
-    return (
-        (-gp * px - gpa * qx) + s * wx,
-        (-gp * py - gpa * qy) + s * wy,
-        (-gp * pz - gpa * qz) + s * wz,
-    )
+
+    def llgs(x: float, y: float, z: float, s: float) -> tuple[float, float, float]:
+        a = h_easy * (x * ex + y * ey + z * ez)
+        hx, hy, hz = a * ex, a * ey, a * ez - h_demag * z
+        # m x h_eff, m x (m x h_eff), m x e, m x (m x e)
+        px, py, pz = y * hz - z * hy, z * hx - x * hz, x * hy - y * hx
+        qx, qy, qz = y * pz - z * py, z * px - x * pz, x * py - y * px
+        ux, uy, uz = y * ez - z * ey, z * ex - x * ez, x * ey - y * ex
+        wx, wy, wz = y * uz - z * uy, z * ux - x * uz, x * uy - y * ux
+        return (
+            (-gp * px - gpa * qx) + s * wx,
+            (-gp * py - gpa * qy) + s * wy,
+            (-gp * pz - gpa * qz) + s * wz,
+        )
+
+    return llgs
 
 
 def llgs_derivative(m: np.ndarray, params: MacrospinParams, i_device: float) -> np.ndarray:
     """dm/dt in 1/ns; exactly orthogonal to m term by term."""
     x, y, z = _check_unit(m)
-    return np.array(_llgs(float(x), float(y), float(z), params, i_device))
+    return np.array(_llgs_of(params)(float(x), float(y), float(z),
+                                     params.stt_coefficient * i_device))
 
 
-def _resistance(x: float, y: float, z: float, params: MacrospinParams) -> float:
-    ex, ey, ez = params.polarizer
-    c = x * ex + y * ey + z * ez
+def _resistance(c: float, params: MacrospinParams) -> float:
+    """MTJ resistance at easy-axis projection ``c`` of m."""
     return params.r_parallel + (params.r_antiparallel - params.r_parallel) * (1.0 - c) / 2.0
 
 
 def mtj_resistance(m: np.ndarray, params: MacrospinParams) -> float:
     """Cosine interpolation between parallel and antiparallel resistance."""
     x, y, z = _check_unit(m)
-    return _resistance(float(x), float(y), float(z), params)
+    ex, ey, ez = params.polarizer
+    return _resistance(float(x) * ex + float(y) * ey + float(z) * ez, params)
+
+
+def _drain_current(v_ov: float, v_drain: float, k: float) -> float:
+    """Square-law drain current of a transistor that conducts (``v_ov > 0``)."""
+    if v_drain < v_ov:
+        return k * (v_ov * v_drain - 0.5 * v_drain * v_drain)
+    return 0.5 * k * v_ov * v_ov
 
 
 def nmos_current(v_gate: float, v_drain: float, params: MacrospinParams) -> float:
@@ -145,9 +166,31 @@ def nmos_current(v_gate: float, v_drain: float, params: MacrospinParams) -> floa
     v_ov = v_gate - params.transistor_vt
     if v_ov <= 0:
         return 0.0
-    if v_drain < v_ov:
-        return params.transistor_k * (v_ov * v_drain - 0.5 * v_drain * v_drain)
-    return 0.5 * params.transistor_k * v_ov * v_ov
+    return _drain_current(v_ov, v_drain, params.transistor_k)
+
+
+def _node_solver(params: MacrospinParams) -> Callable[[float, float], tuple[float, float]]:
+    """``solve(resistance, v_gate)``: ``solve_node`` with the parameters
+    read once."""
+    v_dd, vt, k = params.v_dd, params.transistor_vt, params.transistor_k
+    isfinite, sqrt = math.isfinite, math.sqrt
+
+    def solve(resistance: float, v_gate: float) -> tuple[float, float]:
+        if not isfinite(v_gate):
+            raise InvalidInputError("voltages must be finite")
+        v_ov = v_gate - vt
+        if v_ov <= 0:
+            return v_dd, 0.0
+        rk = resistance * k
+        v = v_dd - 0.5 * rk * v_ov * v_ov
+        if v < v_ov:
+            b = 1.0 + rk * v_ov
+            v = 2.0 * v_dd / (b + sqrt(b * b - 2.0 * rk * v_dd))
+        if not 0.0 <= v <= v_dd:
+            raise NumericalFailureError("circuit solve: no bracket in [0, v_dd]")
+        return v, _drain_current(v_ov, v, k)
+
+    return solve
 
 
 def solve_node(resistance: float, v_gate: float, params: MacrospinParams) -> tuple[float, float]:
@@ -162,20 +205,7 @@ def solve_node(resistance: float, v_gate: float, params: MacrospinParams) -> tup
     A root outside [0, v_dd] (for example a negative ``transistor_k``)
     raises ``NumericalFailureError``.
     """
-    if not math.isfinite(v_gate):
-        raise InvalidInputError("voltages must be finite")
-    v_dd = params.v_dd
-    v_ov = v_gate - params.transistor_vt
-    v = v_dd
-    if v_ov > 0:
-        rk = resistance * params.transistor_k
-        v = v_dd - 0.5 * rk * v_ov * v_ov
-        if v < v_ov:
-            b = 1.0 + rk * v_ov
-            v = 2.0 * v_dd / (b + math.sqrt(b * b - 2.0 * rk * v_dd))
-    if not 0.0 <= v <= v_dd:
-        raise NumericalFailureError("circuit solve: no bracket in [0, v_dd]")
-    return v, nmos_current(v_gate, v, params)
+    return _node_solver(params)(resistance, v_gate)
 
 
 @dataclass
@@ -201,6 +231,62 @@ class MacrospinTrace:
         return out.tolist()
 
 
+def _check_dt(dt: float) -> None:
+    if not (0 < dt <= 0.01):
+        raise InvalidInputError("dt must be in (0, 0.01] ns")
+
+
+def _integrate(state: MacrospinState, params: MacrospinParams, v_gate: list[float],
+               dt: float, stop_after_switch: bool = False) -> MacrospinTrace:
+    """The RK4 loop of ``integrate_macrospin`` on a checked grid of gate
+    samples.  With ``stop_after_switch`` the trace ends at the first sample
+    whose easy-axis projection has changed sign or left an exact zero, the
+    first sample at which a crossing can show in ``switching_times``."""
+    ex, ey, ez = params.polarizer
+    stt = params.stt_coefficient
+    llgs, solve = _llgs_of(params), _node_solver(params)
+    sqrt = math.sqrt
+    x, y, z = (float(c) for c in _check_unit(state.m))
+
+    n_steps = len(v_gate) - 1
+    time = dt * np.arange(n_steps + 1) + state.t
+    v_node_buf, i_buf, m_buf = array("d"), array("d"), array("d")
+    h, h6 = 0.5 * dt, dt / 6.0
+    c_prev = math.nan   # no sample before the first
+    for k, gate in enumerate(v_gate):
+        c = x * ex + y * ey + z * ez
+        v_node, i_dev = solve(_resistance(c, params), gate)
+        v_node_buf.append(v_node)
+        i_buf.append(i_dev)
+        m_buf.append(x)
+        m_buf.append(y)
+        m_buf.append(z)
+        if k == n_steps or stop_after_switch and (c_prev == 0.0 or c_prev * c < 0.0):
+            break
+        c_prev = c
+        s = stt * i_dev
+        k1x, k1y, k1z = llgs(x, y, z, s)
+        ax, ay, az = x + h * k1x, y + h * k1y, z + h * k1z
+        n = sqrt(ax * ax + ay * ay + az * az)
+        k2x, k2y, k2z = llgs(ax / n, ay / n, az / n, s)
+        ax, ay, az = x + h * k2x, y + h * k2y, z + h * k2z
+        n = sqrt(ax * ax + ay * ay + az * az)
+        k3x, k3y, k3z = llgs(ax / n, ay / n, az / n, s)
+        ax, ay, az = x + dt * k3x, y + dt * k3y, z + dt * k3z
+        n = sqrt(ax * ax + ay * ay + az * az)
+        k4x, k4y, k4z = llgs(ax / n, ay / n, az / n, s)
+        x = x + h6 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        y = y + h6 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        z = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        n = sqrt(x * x + y * y + z * z)
+        x, y, z = x / n, y / n, z / n
+
+    v_node = np.frombuffer(v_node_buf)
+    return MacrospinTrace(time=time[:v_node.size], v_node=v_node,
+                          i_device=np.frombuffer(i_buf),
+                          m=np.frombuffer(m_buf).reshape(-1, 3), params=params)
+
+
 def integrate_macrospin(state: MacrospinState, params: MacrospinParams, v_gate: np.ndarray,
                         dt: float) -> MacrospinTrace:
     """Fixed-step RK4 integration with per-step circuit solve.
@@ -211,48 +297,16 @@ def integrate_macrospin(state: MacrospinState, params: MacrospinParams, v_gate: 
     closed form) at the start of each step and held constant across the
     RK4 stages; each stage input and each step result is renormalized to
     unit length.  The step runs on the three components of m as Python
-    floats and writes every grid point into preallocated arrays.
+    floats, with the parameter constants of the LLGS right-hand side and
+    of the circuit solve computed once per call, and appends each grid
+    point's samples to 8-byte ``array("d")`` buffers that become the
+    trace's arrays without a copy.
     """
-    if not (0 < dt <= 0.01):
-        raise InvalidInputError("dt must be in (0, 0.01] ns")
+    _check_dt(dt)
     v_gate = np.asarray(v_gate, dtype=float)
     if v_gate.ndim != 1 or v_gate.size < 2:
         raise InvalidInputError("v_gate must be a 1-D array of at least 2 samples")
-
-    n_steps = v_gate.size - 1
-    time = dt * np.arange(n_steps + 1) + state.t
-    x, y, z = (float(c) for c in _check_unit(state.m))
-
-    v_node_series = np.empty(n_steps + 1)
-    i_series = np.empty(n_steps + 1)
-    m_series = np.empty((n_steps + 1, 3))
-
-    h, h6 = 0.5 * dt, dt / 6.0
-    for k, gate in enumerate(v_gate.tolist()):
-        r = _resistance(x, y, z, params)
-        v_node, i_dev = solve_node(r, gate, params)
-        v_node_series[k] = v_node
-        i_series[k] = i_dev
-        m_series[k] = (x, y, z)
-        if k == n_steps:
-            break
-        k1x, k1y, k1z = _llgs(x, y, z, params, i_dev)
-        ax, ay, az = x + h * k1x, y + h * k1y, z + h * k1z
-        n = math.sqrt(ax * ax + ay * ay + az * az)
-        k2x, k2y, k2z = _llgs(ax / n, ay / n, az / n, params, i_dev)
-        ax, ay, az = x + h * k2x, y + h * k2y, z + h * k2z
-        n = math.sqrt(ax * ax + ay * ay + az * az)
-        k3x, k3y, k3z = _llgs(ax / n, ay / n, az / n, params, i_dev)
-        ax, ay, az = x + dt * k3x, y + dt * k3y, z + dt * k3z
-        n = math.sqrt(ax * ax + ay * ay + az * az)
-        k4x, k4y, k4z = _llgs(ax / n, ay / n, az / n, params, i_dev)
-        x = x + h6 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y = y + h6 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        z = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        n = math.sqrt(x * x + y * y + z * z)
-        x, y, z = x / n, y / n, z / n
-
-    return MacrospinTrace(time=time, v_node=v_node_series, i_device=i_series, m=m_series, params=params)
+    return _integrate(state, params, v_gate.tolist(), dt)
 
 
 def _run_batch(params: MacrospinParams, drive: np.ndarray, dt: float, *,
@@ -281,12 +335,27 @@ def measure_latency(
     horizon: float = 15.0,
     tilt_deg: float = 1.0,
 ) -> Optional[float]:
-    """Switching latency under a constant gate voltage, or None if no switch."""
+    """Switching latency under a constant gate voltage, or None if no switch.
+
+    The latency is the first entry of ``switching_times()`` of the
+    ``integrate_macrospin`` trace over ``horizon``.  The integration stops
+    one step after the in-loop easy-axis projection first changes sign (or
+    leaves an exact zero) and reads that entry from the shorter trace, whose
+    samples are the full trace's first ones; when the shorter trace shows no
+    crossing, the full horizon runs again, so the answer is the full run's
+    bit for bit.
+    """
+    if not math.isfinite(horizon):
+        raise InvalidInputError("horizon must be finite", key="horizon")
     if not 0 < dt <= horizon:
         raise InvalidInputError("horizon must be >= dt > 0")
-    gate = np.full(int(round(horizon / dt)) + 1, v_gate, dtype=float)
-    trace = integrate_macrospin(initial_state(params, tilt_deg), params, gate, dt)
+    _check_dt(dt)
+    gate = np.full(int(round(horizon / dt)) + 1, v_gate, dtype=float).tolist()
+    state = initial_state(params, tilt_deg)
+    trace = _integrate(state, params, gate, dt, stop_after_switch=True)
     crossings = trace.switching_times()
+    if not crossings and trace.time.size < len(gate):
+        crossings = _integrate(state, params, gate, dt).switching_times()
     return crossings[0] if crossings else None
 
 

@@ -361,6 +361,19 @@ class TestSweepLatency:
         values = [float(ln.split(",")[1]) for ln in lines]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_macrospin_sweep_bytes_pinned(self, tmp_path):
+        # SHA-256 recorded with the integrator that ran every drive over the
+        # whole horizon; 0.5 and 0.8 V never switch within it
+        cfg = write_config(tmp_path, xor_doc(
+            sweep={"backend": "macrospin", "drives": [0.5, 0.8, 0.85, 1.0, 1.3, 2.5],
+                   "dt": 0.005, "horizon": 5.0}))
+        out = tmp_path / "out"
+        assert main(["sweep-latency", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        data = (out / "latency.csv").read_bytes()
+        assert b"\n0.5,\n0.8,\n" in data
+        assert hashlib.sha256(data).hexdigest() == (
+            "afd58505620e7592d757fba85c9f081eba360e60decbd252f7994d6b4a65135a")
+
 
 class TestOutputModes:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],

@@ -96,6 +96,93 @@ def reference_integrate(state, params, v_gate, dt, horizon):
                                     params=params)
 
 
+# The float integrator before its per-run constants, sample buffers and
+# first-switch stop: it reads the parameters in every stage and writes every
+# sample into preallocated arrays.  ``integrate_macrospin`` must equal it bit
+# for bit.
+
+def reference_float_llgs(x, y, z, params, i_device):
+    ex, ey, ez = params.polarizer
+    a = params.h_easy * (x * ex + y * ey + z * ez)
+    hx, hy, hz = a * ex, a * ey, a * ez - params.h_demag * z
+    gp = params.gamma / (1.0 + params.alpha ** 2)
+    gpa = gp * params.alpha
+    s = params.stt_coefficient * i_device
+    px, py, pz = y * hz - z * hy, z * hx - x * hz, x * hy - y * hx
+    qx, qy, qz = y * pz - z * py, z * px - x * pz, x * py - y * px
+    ux, uy, uz = y * ez - z * ey, z * ex - x * ez, x * ey - y * ex
+    wx, wy, wz = y * uz - z * uy, z * ux - x * uz, x * uy - y * ux
+    return (
+        (-gp * px - gpa * qx) + s * wx,
+        (-gp * py - gpa * qy) + s * wy,
+        (-gp * pz - gpa * qz) + s * wz,
+    )
+
+
+def reference_float_solve_node(resistance, v_gate, params):
+    v_dd = params.v_dd
+    v_ov = v_gate - params.transistor_vt
+    v = v_dd
+    if v_ov > 0:
+        rk = resistance * params.transistor_k
+        v = v_dd - 0.5 * rk * v_ov * v_ov
+        if v < v_ov:
+            b = 1.0 + rk * v_ov
+            v = 2.0 * v_dd / (b + math.sqrt(b * b - 2.0 * rk * v_dd))
+    if not 0.0 <= v <= v_dd:
+        raise NumericalFailureError("circuit solve: no bracket in [0, v_dd]")
+    if v_ov <= 0:
+        return v, 0.0
+    if v < v_ov:
+        return v, params.transistor_k * (v_ov * v - 0.5 * v * v)
+    return v, 0.5 * params.transistor_k * v_ov * v_ov
+
+
+def reference_float_integrate(state, params, v_gate, dt):
+    n_steps = v_gate.size - 1
+    time = dt * np.arange(n_steps + 1) + state.t
+    x, y, z = (float(c) for c in state.m)
+    ex, ey, ez = params.polarizer
+    v_node_series = np.empty(n_steps + 1)
+    i_series = np.empty(n_steps + 1)
+    m_series = np.empty((n_steps + 1, 3))
+    h, h6 = 0.5 * dt, dt / 6.0
+    for k, gate in enumerate(v_gate.tolist()):
+        c = x * ex + y * ey + z * ez
+        r = params.r_parallel + (params.r_antiparallel - params.r_parallel) * (1.0 - c) / 2.0
+        v_node, i_dev = reference_float_solve_node(r, gate, params)
+        v_node_series[k] = v_node
+        i_series[k] = i_dev
+        m_series[k] = (x, y, z)
+        if k == n_steps:
+            break
+        k1x, k1y, k1z = reference_float_llgs(x, y, z, params, i_dev)
+        ax, ay, az = x + h * k1x, y + h * k1y, z + h * k1z
+        n = math.sqrt(ax * ax + ay * ay + az * az)
+        k2x, k2y, k2z = reference_float_llgs(ax / n, ay / n, az / n, params, i_dev)
+        ax, ay, az = x + h * k2x, y + h * k2y, z + h * k2z
+        n = math.sqrt(ax * ax + ay * ay + az * az)
+        k3x, k3y, k3z = reference_float_llgs(ax / n, ay / n, az / n, params, i_dev)
+        ax, ay, az = x + dt * k3x, y + dt * k3y, z + dt * k3z
+        n = math.sqrt(ax * ax + ay * ay + az * az)
+        k4x, k4y, k4z = reference_float_llgs(ax / n, ay / n, az / n, params, i_dev)
+        x = x + h6 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        y = y + h6 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        z = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        n = math.sqrt(x * x + y * y + z * z)
+        x, y, z = x / n, y / n, z / n
+    return macrospin.MacrospinTrace(time=time, v_node=v_node_series, i_device=i_series,
+                                    m=m_series, params=params)
+
+
+def reference_latency(params, v_gate, dt, horizon, tilt_deg):
+    """The first crossing of the full-horizon float trace, or None."""
+    gate = np.full(int(round(horizon / dt)) + 1, v_gate, dtype=float)
+    crossings = reference_float_integrate(initial_state(params, tilt_deg), params, gate,
+                                          dt).switching_times()
+    return crossings[0] if crossings else None
+
+
 def reference_switching_times(trace):
     """The per-sample loop ``MacrospinTrace.switching_times`` replaced."""
     a = trace.alignment()
@@ -146,6 +233,10 @@ class TestLlgsDerivative:
         with pytest.raises(InvalidStateError):
             llgs_derivative(np.array([1.0, 1.0, 0.0]), PARAMS, 0.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(InvalidStateError, match="m must be a unit 3-vector"):
+            llgs_derivative(np.array([math.nan, 0.0, 0.0]), PARAMS, 0.0)
+
     def test_matches_reference(self):
         params = MacrospinParams(polarizer=(0.6, 0.0, 0.8))
         for p in (PARAMS, params):
@@ -163,6 +254,10 @@ class TestResistance:
         assert mtj_resistance(-e, PARAMS) == pytest.approx(PARAMS.r_antiparallel)
         mid = 0.5 * (PARAMS.r_parallel + PARAMS.r_antiparallel)
         assert mtj_resistance(perp, PARAMS) == pytest.approx(mid)
+
+    def test_nan_rejected(self):
+        with pytest.raises(InvalidStateError, match="m must be a unit 3-vector"):
+            mtj_resistance(np.array([math.nan, 0.0, 0.0]), PARAMS)
 
 
 class TestNmos:
@@ -295,6 +390,114 @@ class TestIntegration:
     def test_gate_not_a_1d_grid_rejected(self, v_gate):
         with pytest.raises(InvalidInputError, match="v_gate must be a 1-D array of at least 2"):
             integrate_macrospin(initial_state(PARAMS), PARAMS, v_gate, 0.005)
+
+
+ORACLE_PARAMS = [PARAMS, MacrospinParams(polarizer=(0.6, 0.8, 0.0), transistor_k=3.0)]
+
+
+def oracle_gate(kind):
+    t = 0.005 * np.arange(1201)
+    return {"constant": np.full(t.size, 1.3),
+            "ramp": np.linspace(0.0, 2.5, t.size),
+            "pulse": np.where((0.5 <= t) & (t < 3.0), 1.6, 0.2)}[kind]
+
+
+class TestFloatIntegratorOracle:
+    """``integrate_macrospin`` against ``reference_float_integrate``, bit for bit."""
+
+    @staticmethod
+    def assert_same(state, params, gate):
+        trace = integrate_macrospin(state, params, gate, 0.005)
+        ref = reference_float_integrate(state, params, gate, 0.005)
+        for name in ("time", "v_node", "i_device", "m"):
+            assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
+        return trace
+
+    @pytest.mark.parametrize("kind", ["constant", "ramp", "pulse"])
+    @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=["default", "tilted-polarizer"])
+    def test_gates(self, params, kind):
+        trace = self.assert_same(initial_state(params), params, oracle_gate(kind))
+        assert trace.switching_times()
+
+    @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=["default", "tilted-polarizer"])
+    def test_from_the_fixed_point(self, params):
+        state = MacrospinState(m=-params.easy_axis, t=0.75)
+        trace = self.assert_same(state, params, oracle_gate("pulse"))
+        assert np.all(trace.m == -params.easy_axis)
+
+
+class TestMeasureLatency:
+    """``measure_latency`` stops one step after the first switch and still
+    returns the full-horizon answer, bit for bit."""
+
+    @pytest.mark.parametrize("tilt_deg", [1.0, 0.0])
+    @pytest.mark.parametrize("v_gate,horizon,switches", [
+        (0.5, 5.0, False), (0.78, 5.0, False), (0.79, 5.0, False), (0.8, 5.0, False),
+        (0.81, 5.0, True), (0.82, 5.0, True), (0.85, 5.0, True), (1.3, 5.0, True),
+        (2.5, 5.0, True), (0.743, 15.0, False), (0.745, 15.0, True),
+    ])
+    def test_equals_the_full_run(self, v_gate, horizon, switches, tilt_deg):
+        expected = reference_latency(PARAMS, v_gate, 0.005, horizon, tilt_deg)
+        latency = measure_latency(PARAMS, v_gate, 0.005, horizon, tilt_deg)
+        assert latency == expected
+        if switches and tilt_deg != 0.0:   # tilt 0 starts on the fixed point
+            assert type(latency) is float
+        else:
+            assert latency is None
+
+    @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=["default", "tilted-polarizer"])
+    def test_stops_one_step_after_the_switch(self, monkeypatch, params):
+        traces = []
+        real = macrospin.MacrospinTrace.switching_times
+
+        def spy(trace):
+            traces.append(trace)
+            return real(trace)
+
+        monkeypatch.setattr(macrospin.MacrospinTrace, "switching_times", spy)
+        latency = measure_latency(params, 1.3, horizon=15.0)
+        (trace,) = traces
+        a = trace.alignment()
+        assert trace.time.size < 3001
+        assert a[-2] * a[-1] < 0 and np.all(a[:-2] * a[1:-1] > 0)
+        assert latency == real(trace)[0] and trace.time[-2] < latency < trace.time[-1]
+        monkeypatch.undo()
+        assert latency == reference_latency(params, 1.3, 0.005, 15.0, 1.0)
+
+    def test_falls_back_to_the_full_horizon(self, monkeypatch):
+        # a truncated trace that shows no crossing runs the full horizon again
+        sizes = []
+        real = macrospin.MacrospinTrace.switching_times
+
+        def no_crossing_when_truncated(trace):
+            sizes.append(trace.time.size)
+            return [] if trace.time.size < 1001 else real(trace)
+
+        monkeypatch.setattr(macrospin.MacrospinTrace, "switching_times",
+                            no_crossing_when_truncated)
+        latency = measure_latency(PARAMS, 1.3, 0.005, 5.0)
+        assert len(sizes) == 2 and sizes[0] < 1001 and sizes[1] == 1001
+        monkeypatch.undo()
+        assert latency == reference_latency(PARAMS, 1.3, 0.005, 5.0, 1.0) is not None
+
+    @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("search", [
+        lambda horizon: measure_latency(PARAMS, 1.3, horizon=horizon),
+        lambda horizon: find_switching_threshold(PARAMS, horizon=horizon),
+        lambda horizon: calibrate_tlr(PARAMS, CALIBRATION_GRID, horizon=horizon),
+    ], ids=["measure_latency", "find_switching_threshold", "calibrate_tlr"])
+    def test_non_finite_horizon_rejected_before_integrating(self, monkeypatch, search,
+                                                            horizon):
+        calls = []
+        monkeypatch.setattr(macrospin, "_integrate", lambda *a, **k: calls.append(a))
+        with pytest.raises(InvalidInputError, match="horizon must be finite") as e:
+            search(horizon)
+        assert e.value.key == "horizon"
+        assert calls == []
+
+    def test_nan_tilt_rejected(self):
+        with pytest.raises(InvalidStateError, match="m must be a unit 3-vector"):
+            measure_latency(PARAMS, 1.3, tilt_deg=math.nan)
 
 
 class TestSwitchingTimes:
