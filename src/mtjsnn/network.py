@@ -42,6 +42,8 @@ class Source:
     duration: float = 1.2    # ns
 
     def __post_init__(self):
+        if not math.isfinite(self.amplitude):
+            raise InvalidInputError("amplitude must be finite", key="amplitude")
         if not 0 < self.duration < math.inf:
             raise InvalidInputError("duration must be > 0 and finite", key="duration")
 
@@ -320,22 +322,6 @@ def simulate_network(net: Network, sim: SimConfig) -> Trace:
     )
 
 
-def _zeros(arrays: dict, key: tuple, rows: int, size: int, clear: bool = True) -> np.ndarray:
-    """A zero-filled contiguous ``(rows, size)`` view of the start of the flat
-    array ``arrays[key]``, so calls on grids of any length share it.  The
-    array is allocated only when the key is missing or it has fewer than
-    ``rows * size`` cells; on reuse only the cells in the view are zeroed,
-    and none of them when ``clear`` is False, for a caller that overwrites
-    them all."""
-    cells = rows * size
-    array = arrays.get(key)
-    if array is None or array.size < cells:
-        array = arrays[key] = np.zeros(cells)
-    elif clear:
-        array[:cells] = 0
-    return array[:cells].reshape(rows, size)
-
-
 def _nonzero_rows(v: np.ndarray, row_of: np.ndarray) -> np.ndarray:
     """Per batch row, 1 + its row of ``v`` where that row holds a nonzero,
     else 0."""
@@ -343,9 +329,8 @@ def _nonzero_rows(v: np.ndarray, row_of: np.ndarray) -> np.ndarray:
 
 
 def _simulate(
-    net: Network, weights: np.ndarray, sim: SimConfig,
-    workspace: Optional[dict] = None, steps: Optional[int] = None,
-    schedules: Optional[list[dict[str, list[float]]]] = None,
+    net: Network, weights: np.ndarray, sim: SimConfig, steps: Optional[int] = None,
+    schedules: Optional[list[dict[str, list[float]]]] = None, *, lean: bool = False,
 ) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, list[list[float]]]]:
     """Simulate ``net`` once per row of the ``(B, E)`` weight array.
 
@@ -376,18 +361,12 @@ def _simulate(
     onset list is then the list prefix of the full grid's onsets whose
     crossings lie inside the prefix.
 
-    ``workspace`` is private to one caller, the trainer: an empty dict on
-    the first call, then passed back unchanged on every later one.  It holds
-    one flat array per neuron for the drive, one for the output voltage of
-    each source and of each neuron that a synapse reads, and one for the
-    ``w * v`` products; each call takes views of them, which the next call
-    overwrites.  With it the call computes only the onsets and those
-    voltages: a kernel gets a voltage array only for a neuron that a synapse
-    reads, and no state array.  The returned signals leave out the state
-    series and the voltage of each neuron no synapse reads, and the drives
-    and voltages they hold are views of the workspace.  Without a workspace
-    every array is fresh, and every kernel fills a voltage and a state
-    array.  The onsets are those of a call without it, bit for bit.
+    ``lean`` is for the trainer, which reads only onsets: the call then
+    computes only the onsets and the voltages that synapses read.  A kernel
+    gets a voltage array only for a neuron that a synapse reads, and no
+    state array, and the returned signals leave out the state series and
+    the voltage of each neuron no synapse reads.  The onsets are those of a
+    full call, bit for bit.  Every returned array is fresh.
     """
     if not np.isfinite(weights).all():
         raise InvalidInputError("weights must be finite")
@@ -402,8 +381,6 @@ def _simulate(
     unknown = set().union(*stimuli).difference(src.id for src in net.sources)
     if unknown:
         raise InvalidInputError(f"unknown source {sorted(unknown)[0]!r}")
-    full = workspace is None
-    arrays = {} if full else workspace
     time = sim.dt * np.arange((sim.steps if steps is None else steps) + 1)
 
     signals: dict[str, np.ndarray] = {}
@@ -421,7 +398,7 @@ def _simulate(
                                 len(distinct))
             for s in stimuli])
         per_row = [np.frombuffer(key).tolist() for key in distinct]
-        v = _zeros(arrays, (src.id, "v"), len(per_row), time.size, clear=False)
+        v = np.zeros((len(per_row), time.size))
         for r, spike_times in enumerate(per_row):
             for t_spk in spike_times:
                 if not 0 <= t_spk <= sim.horizon:
@@ -436,7 +413,7 @@ def _simulate(
 
     read = {s.pre for s in net.synapses}
     # the w * v products of every edge, in turn
-    scratch = _zeros(arrays, ("product",), n_rows, time.size, clear=False).ravel()
+    scratch = np.empty(n_rows * time.size)
     order = _topo_order(net, [n.id for n in net.neurons])
     for nid in order:
         neuron = net.neuron(nid)
@@ -450,20 +427,22 @@ def _simulate(
         row = np.array([distinct.setdefault(k.tobytes(), len(distinct)) for k in key])
         first = np.unique(row, return_index=True)[1]
         shape = (first.size, time.size)
-        drive = _zeros(arrays, (nid, "drive"), *shape)
-        v = _zeros(arrays, (nid, "v"), *shape) if full or nid in read else None
-        state = _zeros(arrays, (nid, "state"), *shape) if full else None
+        drive = np.zeros(shape)
+        v = None if lean and nid not in read else np.zeros(shape)
+        state = None if lean else np.zeros(shape)
         product = scratch[: drive.size].reshape(shape)
-        for e in edges:
-            pre = net.synapses[e].pre
-            # the indices are in range; the default mode would copy via a buffer
-            np.take(voltages[pre], row_of[pre][first], axis=0, out=product, mode="clip")
-            product *= weights[first, e, None]
-            drive += product
+        # a sum that overflows is left to the kernel's finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            for e in edges:
+                pre = net.synapses[e].pre
+                # the indices are in range; the default mode would copy via a buffer
+                np.take(voltages[pre], row_of[pre][first], axis=0, out=product, mode="clip")
+                product *= weights[first, e, None]
+                drive += product
         try:
             n_onsets = _KERNELS[neuron.backend](neuron.params, drive, sim.dt, v=v, state=state)
-        except NumericalFailureError as exc:
-            raise NumericalFailureError(f"neuron {nid!r}: {exc}") from exc
+        except (InvalidInputError, NumericalFailureError) as exc:
+            raise type(exc)(f"neuron {nid!r}: {exc}") from exc
         row_of[nid] = row
         signals[f"{nid}.drive"] = drive
         if v is not None:

@@ -56,6 +56,8 @@ class TlrParams:
             raise InvalidInputError("i_threshold must be positive and finite", key="i_threshold")
         if not (self.q_switch > 0 and math.isfinite(self.q_switch)):
             raise InvalidInputError("q_switch must be positive and finite", key="q_switch")
+        if not math.isfinite(self.spike_amplitude):
+            raise InvalidInputError("spike_amplitude must be finite", key="spike_amplitude")
         if not (self.spike_duration > 0 and math.isfinite(self.spike_duration)):
             raise InvalidInputError("spike_duration must be positive and finite",
                                     key="spike_duration")

@@ -21,6 +21,7 @@ was silent in all of them the epoch before.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,6 +49,8 @@ class TrainConfig:
             raise InvalidInputError("eta must be >= 0 and finite", key="eta")
         if not (self.fd_epsilon > 0 and math.isfinite(self.fd_epsilon)):
             raise InvalidInputError("fd_epsilon must be > 0 and finite", key="fd_epsilon")
+        if not isinstance(self.max_epochs, numbers.Integral):
+            raise InvalidInputError("max_epochs must be an integer", key="max_epochs")
         if self.max_epochs < 1:
             raise InvalidInputError("max_epochs must be >= 1", key="max_epochs")
         if not (self.tol > 0 and math.isfinite(self.tol)):
@@ -145,12 +148,9 @@ def train(
     n_fd = 2 * n_edges + 1
     initial_loss: Optional[float] = None
     # batch row k * n_fd + j holds dataset row k and weight vector j;
-    # _simulate takes the weights from the batch, not from the network
+    # _simulate takes the weights from the batch, not from the network, and
+    # in lean mode computes only the onsets and the voltages synapses read
     schedules = [stimulus for stimulus, _ in dataset for _ in range(n_fd)]
-    # one workspace for every epoch: the simulations reuse its drive,
-    # voltage and product arrays and compute only the onsets and the
-    # voltages that synapses read
-    workspace: dict = {}
     # the grid steps the next epoch's batch simulates, None for all of them,
     # and the dataset rows silent in every batch row, which skip the prefix
     n_steps = sim.steps
@@ -168,14 +168,14 @@ def train(
         rest = range(len(batch))   # the batch rows left for the full grid
         if steps is not None:
             rows = [b for b in rest if b // n_fd not in silent]
-            _, _, onsets = _simulate(net, batch[rows], sim, workspace, steps,
-                                     [schedules[b] for b in rows])
+            _, _, onsets = _simulate(net, batch[rows], sim, steps,
+                                     [schedules[b] for b in rows], lean=True)
             for b, row in zip(rows, onsets[output_id]):
                 t_rows[b] = min(row) if row else None
             rest = [b for b in rest if t_rows[b] is None]
         if rest:
-            _, _, onsets = _simulate(net, batch[rest], sim, workspace, None,
-                                     [schedules[b] for b in rest])
+            _, _, onsets = _simulate(net, batch[rest], sim, None,
+                                     [schedules[b] for b in rest], lean=True)
             for b, row in zip(rest, onsets[output_id]):
                 t_rows[b] = min(row) if row else None
         t_out = [t_rows[k * n_fd : (k + 1) * n_fd] for k in range(len(dataset))]

@@ -375,6 +375,25 @@ class TestSweepLatency:
             "afd58505620e7592d757fba85c9f081eba360e60decbd252f7994d6b4a65135a")
 
 
+class TestSimulatePinned:
+    def test_two_row_stimulus_bytes_pinned(self, tmp_path):
+        # rows (1,0) then (0,1): A at 0 ns, B at 8 ns, o1 fires at 2.4984...
+        # and 10.4984... ns
+        cfg = write_config(tmp_path, xor_doc(
+            sim={"dt": 0.001, "horizon": 16.0},
+            stimulus={"A": [0.0], "B": [8.0], "bias": [0.0, 8.0]}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert (out / "spikes.txt").read_text().splitlines()[-1].startswith(
+            "o1: 2.4984166957449983 10.4984166957449")
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("trace.csv", "spikes.txt")}
+        assert digests == {
+            "trace.csv": "f810bf994ec1b153960d63103f12a450f4c4d2dddec14adab926b688ae1c3fec",
+            "spikes.txt": "518e8652bdd0915fb882bc378cf978c9d8441ebeaaf4f2242cdf64498dec8250",
+        }
+
+
 class TestOutputModes:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["umask022", "umask077"])

@@ -334,6 +334,13 @@ class TestIntegration:
         assert np.allclose(trace.v_node, PARAMS.v_dd, atol=1e-8)
         assert np.allclose(trace.m, trace.m[0], atol=1e-12)
 
+    def test_polarizer_along_z_tilts_toward_x(self):
+        # z x e vanishes, so the tilt falls back to the x direction
+        params = MacrospinParams(polarizer=(0.0, 0.0, 1.0))
+        th = math.radians(1.0)
+        assert np.array_equal(initial_state(params).m,
+                              np.array([math.sin(th), 0.0, -math.cos(th)]))
+
     def test_norm_drift_per_step(self):
         # single RK4 update before renormalization, dt = 1 ps
         dt = 0.001

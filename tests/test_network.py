@@ -77,6 +77,26 @@ class TestSimConfig:
         assert SimConfig(dt=dt, horizon=horizon).horizon == horizon
 
 
+class TestNetworkChecks:
+    def test_unknown_neuron_rejected(self):
+        with pytest.raises(InvalidInputError, match="unknown neuron 'zz'"):
+            chain_network().neuron("zz")
+
+    @pytest.mark.parametrize("weights", [[], [1.0, 2.0]])
+    def test_weight_vector_of_wrong_length_rejected(self, weights):
+        with pytest.raises(InvalidInputError, match="weight vector length mismatch"):
+            chain_network().with_weights(np.array(weights))
+
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+    def test_non_finite_source_amplitude_rejected(self, amplitude):
+        with pytest.raises(InvalidInputError) as e:
+            Source("s", (0.0,), amplitude=amplitude)
+        assert e.value.key == "amplitude"
+
+    def test_negative_source_amplitude_accepted(self):
+        assert Source("s", (0.0,), amplitude=-1.0).amplitude == -1.0
+
+
 class TestWithSchedules:
     def test_unknown_source_rejected(self):
         net = chain_network()
@@ -216,7 +236,7 @@ class TestSimulateNetwork:
         net = build_xor_network().with_schedules({"A": [0.0], "B": [0.5], "bias": [0.0]})
         sim = SimConfig(dt=0.002, horizon=5.0)
         first = simulate_network(net, sim)
-        _simulate(net, np.repeat(net.weight_vector()[None, :], 3, axis=0), sim, {})
+        _simulate(net, np.repeat(net.weight_vector()[None, :], 3, axis=0), sim, lean=True)
         later = simulate_network(net.with_weights(1.1 * net.weight_vector()), sim)
         arrays = [first.time, *first.signals.values()]
         assert not any(np.shares_memory(a, b)
@@ -537,8 +557,8 @@ class TestKernelContract:
 
 
 class TestWorkspaceDifferential:
-    """``_simulate`` with a training workspace against ``_simulate`` without
-    one.  One workspace serves two calls, as across training epochs: a
+    """``_simulate`` in lean mode, as in training, against a full call.  Two
+    lean calls follow each other, as across training epochs: a
     finite-difference batch of 2E + 1 rows, then at most 2E drawn rows with
     other weights and repeated rows.  Every onset and every voltage a
     synapse reads is bitwise equal; the state series and the voltages no
@@ -556,9 +576,8 @@ class TestWorkspaceDifferential:
             nid, kind = key.rsplit(".", 1)
             return nid not in backend or kind == "drive" or kind == "v" and nid in read
 
-        workspace = {}
         for batch in (fd, weights[: max(2 * n_edges, 1)]):
-            time, signals, onsets = _simulate(net, batch, sim, workspace)
+            time, signals, onsets = _simulate(net, batch, sim, lean=True)
             ref_time, ref_signals, ref_onsets = _simulate(net, batch, sim)
             assert same_bits(time, ref_time)
             assert onsets == ref_onsets
@@ -601,14 +620,14 @@ def scheduled_networks(draw, macrospin=False):
 
 
 class TestScheduleDifferential:
-    """``_simulate`` with a schedule per batch row: each row's onsets, with
-    and without a workspace, are those of ``simulate_network`` on that row's
+    """``_simulate`` with a schedule per batch row: each row's onsets, in
+    full and in lean mode, are those of ``simulate_network`` on that row's
     weights and schedules, down to the sign of a zero, and the rows of
     every full-mode signal are exactly the rows' own signals."""
 
     def check(self, net, weights, sim, schedules):
         _, signals, onsets = _simulate(net, weights, sim, schedules=schedules)
-        lean = _simulate(net, weights, sim, {}, schedules=schedules)[2]
+        lean = _simulate(net, weights, sim, schedules=schedules, lean=True)[2]
         per_row = {key: set() for key in signals}
         for b, (w, schedule) in enumerate(zip(weights, schedules)):
             trace = simulate_network(net.with_weights(w).with_schedules(schedule), sim)
@@ -669,15 +688,15 @@ class TestPrefixGrid:
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     @given(batched_networks(), st.floats(0.0, 1.0))
     def test_random_networks(self, case, fraction):
-        """On random networks, with and without one workspace shared by the
-        prefix and the full-grid call (as in training): the prefix grid is
-        the full grid's start, and every onset list a list prefix."""
+        """On random networks, in full mode and in lean mode followed by a
+        lean full-grid call (as in training): the prefix grid is the full
+        grid's start, and every onset list a list prefix."""
         net, weights, sim = case
         n_steps = int(round(sim.horizon / sim.dt))
         m = max(1, int(fraction * n_steps))
         full_time, full_signals, full = _simulate(net, weights, sim)
-        for workspace in (None, {}):
-            time, signals, part = _simulate(net, weights, sim, workspace, m)
+        for lean in (False, True):
+            time, signals, part = _simulate(net, weights, sim, m, lean=lean)
             assert same_bits(time, full_time[: m + 1])
             for src in net.sources:
                 key = f"{src.id}.v"
@@ -685,8 +704,8 @@ class TestPrefixGrid:
             for nid, rows in full.items():
                 for b, row in enumerate(rows):
                     assert part[nid][b] == row[: len(part[nid][b])], (nid, b)
-            if workspace is not None:
-                assert _simulate(net, weights, sim, workspace)[2] == full
+            if lean:
+                assert _simulate(net, weights, sim, lean=True)[2] == full
 
 
 class TestSilentEdges:
@@ -720,8 +739,8 @@ class TestSilentEdges:
 
     def test_rows_match_the_one_row_oracle(self):
         net, weights = self.network(), self.weights()
-        for workspace in (None, {}):
-            _, signals, onsets = _simulate(net, weights, self.SIM, workspace)
+        for lean in (False, True):
+            _, signals, onsets = _simulate(net, weights, self.SIM, lean=lean)
             # rows that differ only in silent edges share one kernel row
             assert signals["o.drive"].shape[0] == 3
             assert signals["mute.drive"].shape[0] == 1
@@ -739,9 +758,9 @@ class TestSilentEdges:
     def test_non_finite_weight_on_a_silent_edge_rejected(self, bad):
         weights = self.weights()
         weights[2, 1] = bad        # off -> o
-        for workspace in (None, {}):
+        for lean in (False, True):
             with pytest.raises(InvalidInputError, match="weights must be finite"):
-                _simulate(self.network(), weights, self.SIM, workspace)
+                _simulate(self.network(), weights, self.SIM, lean=lean)
 
 
 class TestNeverStopsFiring:
@@ -758,6 +777,16 @@ class TestNeverStopsFiring:
         with time_limit(10), pytest.raises(NumericalFailureError, match=f"neuron 'n': {reason}"):
             simulate_network(net, SimConfig(dt=0.01, horizon=5.0))
         assert time.process_time() - start < 1.0
+
+
+class TestOverflowingDrive:
+    def test_names_the_neuron_without_a_warning(self):
+        # two finite in-edges whose sum overflows to inf
+        net = Network(neurons=(Neuron("n"),),
+                      synapses=(Synapse("s", "n", 1e308), Synapse("s", "n", 1e308)),
+                      sources=(Source("s", (0.0,)),))
+        with pytest.raises(InvalidInputError, match="neuron 'n': drive must be finite"):
+            simulate_network(net, SimConfig(dt=0.01, horizon=5.0))
 
 
 def reference_to_csv(trace, path):

@@ -235,6 +235,17 @@ class TestParams:
         assert exc.value.key == key
 
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_spike_amplitude_rejected(self, value):
+        # a nan amplitude would reach v_out as nan without an error
+        with pytest.raises(InvalidInputError, match="finite") as exc:
+            TlrParams(spike_amplitude=value)
+        assert exc.value.key == "spike_amplitude"
+
+    def test_negative_spike_amplitude_accepted(self):
+        assert TlrParams(spike_amplitude=-1.0).spike_amplitude == -1.0
+
+
 class TestSpikeWaveform:
     def test_edges_and_peak(self):
         p = TlrParams(spike_amplitude=0.8, spike_duration=2.0)

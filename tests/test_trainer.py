@@ -173,6 +173,16 @@ class TestTrainConfig:
             TrainConfig(**{field: value})
         assert e.value.key == field
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None])
+    def test_non_integer_epoch_budget_rejected(self, value):
+        # 2.5 would otherwise fail late, in range(), with a bare TypeError
+        with pytest.raises(InvalidInputError, match="max_epochs must be an integer") as e:
+            TrainConfig(max_epochs=value)
+        assert e.value.key == "max_epochs"
+
+    def test_numpy_integer_epoch_budget_accepted(self):
+        assert TrainConfig(max_epochs=np.int64(3)).max_epochs == 3
+
 
 class TestTrain:
     SIM = SimConfig(dt=0.002, horizon=5.0)
@@ -499,8 +509,8 @@ class TestOneBatchPerRow:
         assert out.weight_vector().tobytes() == ref_out.weight_vector().tobytes()
 
     def test_reruns_identical_around_other_simulations(self, xor_config_path):
-        """Each call has its own workspace: simulations run between two
-        training calls, and their arrays, change neither run."""
+        """Training shares no arrays across calls: simulations run between
+        two training calls, and their arrays, change neither run."""
         from mtjsnn.xorbench import run_xor_eval
 
         net, dataset, config, sim = self.xor_problem(xor_config_path, 2)
