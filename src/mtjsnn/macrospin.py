@@ -75,6 +75,12 @@ class MacrospinState:
     t: float = 0.0  # ns
 
 
+def _length(v: np.ndarray) -> float:
+    """Length of a 3-vector, taken as the integrator takes it (no BLAS)."""
+    x, y, z = v.tolist()
+    return math.sqrt(x * x + y * y + z * z)
+
+
 def initial_state(params: MacrospinParams, tilt_deg: float = 1.0) -> MacrospinState:
     """Antiparallel state tilted in-plane by a fixed angle.
 
@@ -84,14 +90,14 @@ def initial_state(params: MacrospinParams, tilt_deg: float = 1.0) -> MacrospinSt
     e = params.easy_axis
     # in-plane perpendicular direction (easy axis is in-plane by convention)
     perp = np.cross(np.array([0.0, 0.0, 1.0]), e)
-    n = np.linalg.norm(perp)
+    n = _length(perp)
     if n < 1e-12:
         perp = np.array([1.0, 0.0, 0.0])
     else:
         perp = perp / n
     th = math.radians(tilt_deg)
     m = -math.cos(th) * e + math.sin(th) * perp
-    return MacrospinState(m=m / np.linalg.norm(m), t=0.0)
+    return MacrospinState(m=m / _length(m), t=0.0)
 
 
 def _check_unit(m: np.ndarray) -> np.ndarray:
@@ -217,8 +223,10 @@ class MacrospinTrace:
     params: MacrospinParams = field(repr=False, default=None)
 
     def alignment(self) -> np.ndarray:
-        """Projection of m on the easy axis (+1 parallel, -1 antiparallel)."""
-        return self.m @ self.params.easy_axis
+        """Projection of m on the easy axis (+1 parallel, -1 antiparallel),
+        in the integrator's own arithmetic, ``x*ex + y*ey + z*ez``."""
+        ex, ey, ez = self.params.polarizer
+        return self.m[:, 0] * ex + self.m[:, 1] * ey + self.m[:, 2] * ez
 
     def switching_times(self) -> list[float]:
         """Times where the easy-axis projection crosses zero (linear interp)."""
@@ -232,8 +240,9 @@ class MacrospinTrace:
 
 
 def _check_dt(dt: float) -> None:
-    if not (0 < dt <= 0.01):
-        raise InvalidInputError("dt must be in (0, 0.01] ns")
+    """The step rule of every simulation grid."""
+    if not 0 < dt <= 0.01:
+        raise InvalidInputError("dt must be in (0, 0.01] ns", key="dt")
 
 
 def _integrate(state: MacrospinState, params: MacrospinParams, v_gate: list[float],
@@ -338,24 +347,21 @@ def measure_latency(
     """Switching latency under a constant gate voltage, or None if no switch.
 
     The latency is the first entry of ``switching_times()`` of the
-    ``integrate_macrospin`` trace over ``horizon``.  The integration stops
-    one step after the in-loop easy-axis projection first changes sign (or
-    leaves an exact zero) and reads that entry from the shorter trace, whose
-    samples are the full trace's first ones; when the shorter trace shows no
-    crossing, the full horizon runs again, so the answer is the full run's
+    ``integrate_macrospin`` trace over ``horizon``.  One integration runs:
+    it stops one step after the in-loop easy-axis projection first changes
+    sign (or leaves an exact zero), and ``alignment()`` computes that
+    projection with the same float expression, so the shorter trace, whose
+    samples are the full trace's first ones, shows the same first crossing,
     bit for bit.
     """
     if not math.isfinite(horizon):
         raise InvalidInputError("horizon must be finite", key="horizon")
-    if not 0 < dt <= horizon:
-        raise InvalidInputError("horizon must be >= dt > 0")
     _check_dt(dt)
+    if not dt <= horizon:
+        raise InvalidInputError("horizon must be >= dt", key="horizon")
     gate = np.full(int(round(horizon / dt)) + 1, v_gate, dtype=float).tolist()
     state = initial_state(params, tilt_deg)
-    trace = _integrate(state, params, gate, dt, stop_after_switch=True)
-    crossings = trace.switching_times()
-    if not crossings and trace.time.size < len(gate):
-        crossings = _integrate(state, params, gate, dt).switching_times()
+    crossings = _integrate(state, params, gate, dt, stop_after_switch=True).switching_times()
     return crossings[0] if crossings else None
 
 

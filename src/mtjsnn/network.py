@@ -22,6 +22,7 @@ import numpy as np
 from . import macrospin as ms
 from . import tlr
 from .errors import InvalidInputError, NumericalFailureError
+from .macrospin import _check_dt
 
 TLR_BACKEND = "tlr"
 MACROSPIN_BACKEND = "macrospin"
@@ -105,12 +106,6 @@ class Network:
             else:
                 new.append(src)
         return replace(self, sources=tuple(new))
-
-
-def _check_dt(dt: float) -> None:
-    """The step rule of every simulation grid."""
-    if not 0 < dt <= 0.01:
-        raise InvalidInputError("dt must be in (0, 0.01] ns", key="dt")
 
 
 # the most steps a grid may have: 8 MB per signal row, over six times the
@@ -385,7 +380,6 @@ def _simulate(
 
     signals: dict[str, np.ndarray] = {}
     onsets: dict[str, list[list[float]]] = {}
-    voltages: dict[str, np.ndarray] = {}
     row_of: dict[str, np.ndarray] = {}   # id -> its array row per batch row
     keyed: dict[str, np.ndarray] = {}    # id -> its _nonzero_rows
 
@@ -406,7 +400,6 @@ def _simulate(
                         f"source {src.id!r} schedule entry {t_spk} outside [0, horizon]")
             v[r] = tlr.source_waveform(time, spike_times, src.amplitude, src.duration)
         row_of[src.id] = of_stimulus[stimulus_of]
-        voltages[src.id] = v
         signals[f"{src.id}.v"] = v
         onsets[src.id] = [per_row[r] for r in row_of[src.id].tolist()]
         keyed[src.id] = _nonzero_rows(v, row_of[src.id])
@@ -436,7 +429,7 @@ def _simulate(
             for e in edges:
                 pre = net.synapses[e].pre
                 # the indices are in range; the default mode would copy via a buffer
-                np.take(voltages[pre], row_of[pre][first], axis=0, out=product, mode="clip")
+                np.take(signals[f"{pre}.v"], row_of[pre][first], axis=0, out=product, mode="clip")
                 product *= weights[first, e, None]
                 drive += product
         try:
@@ -446,7 +439,6 @@ def _simulate(
         row_of[nid] = row
         signals[f"{nid}.drive"] = drive
         if v is not None:
-            voltages[nid] = v
             signals[f"{nid}.v"] = v
             keyed[nid] = _nonzero_rows(v, row)
         if state is not None:

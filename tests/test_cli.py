@@ -37,6 +37,10 @@ from mtjsnn.errors import (
 )
 
 
+# an easy axis with no zero component, off the x-y plane
+OFF_PLANE_POLARIZER = [0.48, 0.6, 0.64]
+
+
 def write_config(tmp_path, doc, name="config.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc))
@@ -374,8 +378,40 @@ class TestSweepLatency:
         assert hashlib.sha256(data).hexdigest() == (
             "afd58505620e7592d757fba85c9f081eba360e60decbd252f7994d6b4a65135a")
 
+    def test_off_plane_polarizer_sweep_bytes_pinned(self, tmp_path):
+        # every easy-axis projection is elementwise float arithmetic, so these
+        # bytes do not depend on the CPU's BLAS kernel; the free layer crosses
+        # the equator within 0.04 ns at every drive
+        cfg = write_config(tmp_path, xor_doc(
+            sweep={"backend": "macrospin", "params": {"polarizer": OFF_PLANE_POLARIZER},
+                   "drives": [0.5, 0.8, 0.85, 1.0, 1.3, 2.5], "dt": 0.005, "horizon": 5.0}))
+        out = tmp_path / "out"
+        assert main(["sweep-latency", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        data = (out / "latency.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "a77eb921b3b49da401c96bf6ce44363f96c51ab59da0f97a92f941b55c2fd7fa")
+
 
 class TestSimulatePinned:
+    def test_off_plane_polarizer_neuron_bytes_pinned(self, tmp_path):
+        # the state column is the alignment, computed as the integrator's
+        # stop rule computes it, so these bytes do not depend on the CPU's
+        # BLAS kernel
+        cfg = write_config(tmp_path, {
+            "schema_version": 1, "sim": {"dt": 0.005, "horizon": 4.0},
+            "network": {
+                "sources": [{"id": "s", "spike_times": [0.0], "duration": 4.9}],
+                "neurons": [{"id": "m", "backend": "macrospin",
+                             "params": {"polarizer": OFF_PLANE_POLARIZER}}],
+                "synapses": [{"pre": "s", "post": "m", "weight": 1.5}]}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert (out / "trace.csv").read_text().splitlines()[0] == (
+            "time_ns,s.v,m.drive,m.v,m.state")
+        data = (out / "trace.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "62846f139c9db1c8e500c939c87c804ce2665804b572b101eb8ad4c7ce9ef444")
+
     def test_two_row_stimulus_bytes_pinned(self, tmp_path):
         # rows (1,0) then (0,1): A at 0 ns, B at 8 ns, o1 fires at 2.4984...
         # and 10.4984... ns

@@ -34,6 +34,13 @@ from mtjsnn.macrospin import (
 from mtjsnn.tlr import constant_drive_latency
 
 PARAMS = MacrospinParams()
+ORACLE_PARAMS = [PARAMS, MacrospinParams(polarizer=(0.6, 0.8, 0.0), transistor_k=3.0)]
+# an easy axis off the x-y plane and off every coordinate axis: no projection
+# term vanishes, and -e is not a fixed point
+OFF_PLANE = MacrospinParams(polarizer=(0.48, 0.6, 0.64))
+ALL_POLARIZERS = pytest.mark.parametrize(
+    "params", ORACLE_PARAMS + [OFF_PLANE],
+    ids=["default", "tilted-polarizer", "off-plane-polarizer"])
 
 
 def random_unit_vectors(n, seed=0):
@@ -341,6 +348,17 @@ class TestIntegration:
         assert np.array_equal(initial_state(params).m,
                               np.array([math.sin(th), 0.0, -math.cos(th)]))
 
+    @pytest.mark.parametrize("tilt_deg", [0.5, 1.0, 2.0, 3.0])
+    @ALL_POLARIZERS
+    def test_initial_state_in_float_arithmetic(self, params, tilt_deg):
+        # both lengths as the integrator takes them, sqrt(x*x + y*y + z*z)
+        ex, ey, ez = params.polarizer
+        n = math.sqrt(ey * ey + ex * ex)
+        c, s = math.cos(math.radians(tilt_deg)), math.sin(math.radians(tilt_deg))
+        x, y, z = -c * ex + s * (-ey / n), -c * ey + s * (ex / n), -c * ez + s * 0.0
+        n = math.sqrt(x * x + y * y + z * z)
+        assert np.array_equal(initial_state(params, tilt_deg).m, [x / n, y / n, z / n])
+
     def test_norm_drift_per_step(self):
         # single RK4 update before renormalization, dt = 1 ps
         dt = 0.001
@@ -399,9 +417,6 @@ class TestIntegration:
             integrate_macrospin(initial_state(PARAMS), PARAMS, v_gate, 0.005)
 
 
-ORACLE_PARAMS = [PARAMS, MacrospinParams(polarizer=(0.6, 0.8, 0.0), transistor_k=3.0)]
-
-
 def oracle_gate(kind):
     t = 0.005 * np.arange(1201)
     return {"constant": np.full(t.size, 1.3),
@@ -433,26 +448,62 @@ class TestFloatIntegratorOracle:
         assert np.all(trace.m == -params.easy_axis)
 
 
+def latency_cases(cases, params=PARAMS, name=""):
+    """``(params, v_gate, horizon, switches)`` parameters, whose ids lead
+    with ``name`` when it is given."""
+    return [pytest.param(params, *case, id="-".join(filter(None, [name, *map(str, case)])))
+            for case in cases]
+
+
 class TestMeasureLatency:
-    """``measure_latency`` stops one step after the first switch and still
-    returns the full-horizon answer, bit for bit."""
+    """``measure_latency`` runs one integration, which stops one step after
+    the first switch, and returns the full-horizon answer, bit for bit."""
 
     @pytest.mark.parametrize("tilt_deg", [1.0, 0.0])
-    @pytest.mark.parametrize("v_gate,horizon,switches", [
+    @pytest.mark.parametrize("params,v_gate,horizon,switches", latency_cases([
         (0.5, 5.0, False), (0.78, 5.0, False), (0.79, 5.0, False), (0.8, 5.0, False),
         (0.81, 5.0, True), (0.82, 5.0, True), (0.85, 5.0, True), (1.3, 5.0, True),
         (2.5, 5.0, True), (0.743, 15.0, False), (0.745, 15.0, True),
-    ])
-    def test_equals_the_full_run(self, v_gate, horizon, switches, tilt_deg):
-        expected = reference_latency(PARAMS, v_gate, 0.005, horizon, tilt_deg)
-        latency = measure_latency(PARAMS, v_gate, 0.005, horizon, tilt_deg)
+    ]) + latency_cases([
+        (0.6, 5.0, False), (0.65, 5.0, True), (1.3, 5.0, True), (2.5, 5.0, True),
+    ], ORACLE_PARAMS[1], "tilted-polarizer") + latency_cases([
+        (0.0, 5.0, True), (0.8, 5.0, True), (1.3, 5.0, True), (2.5, 5.0, True),
+    ], OFF_PLANE, "off-plane-polarizer"))
+    def test_equals_the_full_run(self, params, v_gate, horizon, switches, tilt_deg):
+        expected = reference_latency(params, v_gate, 0.005, horizon, tilt_deg)
+        latency = measure_latency(params, v_gate, 0.005, horizon, tilt_deg)
         assert latency == expected
-        if switches and tilt_deg != 0.0:   # tilt 0 starts on the fixed point
+        # tilt 0 starts on -e, a fixed point when the easy axis is in-plane
+        if switches and (tilt_deg != 0.0 or params.polarizer[2] != 0.0):
             assert type(latency) is float
         else:
             assert latency is None
 
-    @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=["default", "tilted-polarizer"])
+    @ALL_POLARIZERS
+    def test_alignment_is_the_stop_rule_projection(self, params):
+        # the integrator's in-loop c = x*ex + y*ey + z*ez, sample for sample
+        trace = integrate_macrospin(initial_state(params), params, oracle_gate("ramp"), 0.005)
+        ex, ey, ez = params.polarizer
+        assert trace.alignment().tolist() == [x * ex + y * ey + z * ez
+                                              for x, y, z in trace.m.tolist()]
+
+    @pytest.mark.parametrize("tilt_deg", [1.0, 0.0])
+    @pytest.mark.parametrize("v_gate,switches", [(0.5, False), (0.8, False), (0.85, True),
+                                                 (1.3, True)])
+    def test_one_integration_per_probe(self, monkeypatch, v_gate, switches, tilt_deg):
+        calls = []
+        real = macrospin._integrate
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(macrospin, "_integrate", counting)
+        latency = measure_latency(PARAMS, v_gate, 0.005, 5.0, tilt_deg)
+        assert calls == [{"stop_after_switch": True}]
+        assert (latency is not None) == (switches and tilt_deg != 0.0)
+
+    @ALL_POLARIZERS
     def test_stops_one_step_after_the_switch(self, monkeypatch, params):
         traces = []
         real = macrospin.MacrospinTrace.switching_times
@@ -471,21 +522,16 @@ class TestMeasureLatency:
         monkeypatch.undo()
         assert latency == reference_latency(params, 1.3, 0.005, 15.0, 1.0)
 
-    def test_falls_back_to_the_full_horizon(self, monkeypatch):
-        # a truncated trace that shows no crossing runs the full horizon again
-        sizes = []
-        real = macrospin.MacrospinTrace.switching_times
+    @pytest.mark.parametrize("dt", [0.02, 0.0, -0.005, math.nan])
+    def test_dt_outside_the_grid_rule_rejected(self, dt):
+        with pytest.raises(InvalidInputError, match=r"dt must be in \(0, 0.01\] ns") as e:
+            measure_latency(PARAMS, 1.3, dt=dt)
+        assert e.value.key == "dt"
 
-        def no_crossing_when_truncated(trace):
-            sizes.append(trace.time.size)
-            return [] if trace.time.size < 1001 else real(trace)
-
-        monkeypatch.setattr(macrospin.MacrospinTrace, "switching_times",
-                            no_crossing_when_truncated)
-        latency = measure_latency(PARAMS, 1.3, 0.005, 5.0)
-        assert len(sizes) == 2 and sizes[0] < 1001 and sizes[1] == 1001
-        monkeypatch.undo()
-        assert latency == reference_latency(PARAMS, 1.3, 0.005, 5.0, 1.0) is not None
+    def test_horizon_shorter_than_dt_rejected(self):
+        with pytest.raises(InvalidInputError, match="horizon must be >= dt") as e:
+            measure_latency(PARAMS, 1.3, dt=0.005, horizon=0.001)
+        assert e.value.key == "horizon"
 
     @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("search", [
