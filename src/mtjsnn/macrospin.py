@@ -34,6 +34,12 @@ _UNIT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MacrospinParams:
+    """Device and circuit parameters.  The polarizer is the easy axis and
+    lies in the film's x-y plane (``polarizer[2] == 0``): off that plane
+    the antiparallel start is no fixed point under the out-of-plane
+    demagnetizing field, and the free layer crosses the equator at any
+    gate voltage, 0 V included."""
+
     gamma: float = 176.0            # rad/(ns*T)
     alpha: float = 0.02             # Gilbert damping
     h_easy: float = 0.03            # T, easy-axis anisotropy along the polarizer axis
@@ -63,6 +69,9 @@ class MacrospinParams:
             raise InvalidInputError("polarizer must have 3 components", key="polarizer")
         if abs(np.linalg.norm(p) - 1.0) > _UNIT_TOL:
             raise InvalidInputError("polarizer must be a unit vector", key="polarizer")
+        if p[2] != 0:
+            raise InvalidInputError("polarizer must lie in the x-y plane (z = 0)",
+                                    key="polarizer")
 
     @property
     def easy_axis(self) -> np.ndarray:
@@ -84,17 +93,14 @@ def _length(v: np.ndarray) -> float:
 def initial_state(params: MacrospinParams, tilt_deg: float = 1.0) -> MacrospinState:
     """Antiparallel state tilted in-plane by a fixed angle.
 
-    The exact antiparallel direction is a fixed point of the dynamics, so a
-    small deterministic tilt stands in for thermal agitation.
+    The easy axis lies in-plane, so the exact antiparallel direction is a
+    fixed point of the dynamics, and a small deterministic tilt toward the
+    in-plane perpendicular stands in for thermal agitation.
     """
     e = params.easy_axis
-    # in-plane perpendicular direction (easy axis is in-plane by convention)
+    # the in-plane direction perpendicular to the (in-plane) easy axis
     perp = np.cross(np.array([0.0, 0.0, 1.0]), e)
-    n = _length(perp)
-    if n < 1e-12:
-        perp = np.array([1.0, 0.0, 0.0])
-    else:
-        perp = perp / n
+    perp = perp / _length(perp)
     th = math.radians(tilt_deg)
     m = -math.cos(th) * e + math.sin(th) * perp
     return MacrospinState(m=m / _length(m), t=0.0)

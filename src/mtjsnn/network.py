@@ -339,16 +339,14 @@ def _simulate(
     distinct schedule among the rows, and its voltage is an ``(S, N+1)``
     array of those rows only, with a map from batch row to array row.  Each
     drive sums, in synapse order and starting from zeros, the ``w * v``
-    products of the in-edges.  An edge adds ``w * 0 = +-0.0`` where its
-    presynaptic row is zero, to a drive that starts at ``+0.0``, which
-    changes no bit, so the sum leaves out each edge whose signal is zero in
-    every row.  A row therefore gets the same floats as a one-row run of its
-    own weights and schedules.  Batch rows whose weights and presynaptic
-    rows agree on every edge whose presynaptic row is nonzero for them give
-    a neuron the same output, so each neuron is simulated once per distinct
+    products of the in-edges, so a row gets the same floats as a one-row run
+    of its own weights and schedules.  An edge adds ``w * 0 = +-0.0`` where
+    its presynaptic row is zero, which changes no bit of a drive that starts
+    at ``+0.0``.  Batch rows whose weights and presynaptic rows agree on
+    every edge whose presynaptic row is nonzero for them therefore give a
+    neuron the same output, so each neuron is simulated once per distinct
     row and its drive, voltage and state arrays hold those rows only (a
-    single row when B = 1).  Every weight must be finite, including those
-    of the edges left out.
+    single row when B = 1).  Every weight must be finite.
 
     ``steps``, when given, simulates only the first ``steps`` steps of
     ``sim``'s grid (at most ``sim.steps``); the schedules are still
@@ -410,7 +408,7 @@ def _simulate(
     order = _topo_order(net, [n.id for n in net.neurons])
     for nid in order:
         neuron = net.neuron(nid)
-        edges = [e for e, s in enumerate(net.synapses) if s.post == nid and keyed[s.pre].any()]
+        edges = [e for e, s in enumerate(net.synapses) if s.post == nid]
         # a batch row keys each edge by its weight and presynaptic row, or
         # by (0.0, 0) where that row is zero and the edge adds nothing
         pre_rows = np.array([keyed[net.synapses[e].pre] for e in edges],

@@ -14,8 +14,7 @@ perturbed by +-fd_epsilon.  Only the output's first onset is read, and the
 simulation is causal, so after epoch 0 the batch runs on a prefix of the
 grid that ends 0.1 ns past the latest first onset of the epoch before.  At
 most one more batch follows on the full grid: the batch rows whose output
-has no onset inside the prefix, and every batch row of a dataset row that
-was silent in all of them the epoch before.
+has no onset inside the prefix.
 """
 
 from __future__ import annotations
@@ -126,7 +125,9 @@ def train(
     the result is independent of row ordering.  Stops when every row's
     output time is within ``config.tol`` of its target, or at
     ``config.max_epochs``.  Aborts if the total loss exceeds 1000x its
-    initial value.
+    initial value.  Every batch row of an epoch runs on the prefix grid,
+    and only the rows whose output has no onset there rerun on the full
+    grid.
     """
     sim = sim or SimConfig()
     violations = validate_topology(net)
@@ -151,11 +152,8 @@ def train(
     # _simulate takes the weights from the batch, not from the network, and
     # in lean mode computes only the onsets and the voltages synapses read
     schedules = [stimulus for stimulus, _ in dataset for _ in range(n_fd)]
-    # the grid steps the next epoch's batch simulates, None for all of them,
-    # and the dataset rows silent in every batch row, which skip the prefix
-    n_steps = sim.steps
-    steps: Optional[int] = None
-    silent: set[int] = set()
+    # the grid steps the next epoch's batch simulates first, None for all
+    prefix: Optional[int] = None
 
     for epoch in range(config.max_epochs):
         # per dataset row, row 0 holds the current weights, rows 2j + 1 and
@@ -165,24 +163,21 @@ def train(
         fd[2 * edges + 2, edges] -= config.fd_epsilon
         batch = np.tile(fd, (len(dataset), 1))
         t_rows: list[Optional[float]] = [None] * len(batch)   # output's first onset
-        rest = range(len(batch))   # the batch rows left for the full grid
-        if steps is not None:
-            rows = [b for b in rest if b // n_fd not in silent]
+        # every batch row on the prefix grid, then those silent there on the
+        # full grid
+        rows, steps = list(range(len(batch))), prefix
+        while rows:
             _, _, onsets = _simulate(net, batch[rows], sim, steps,
                                      [schedules[b] for b in rows], lean=True)
             for b, row in zip(rows, onsets[output_id]):
                 t_rows[b] = min(row) if row else None
-            rest = [b for b in rest if t_rows[b] is None]
-        if rest:
-            _, _, onsets = _simulate(net, batch[rest], sim, None,
-                                     [schedules[b] for b in rest], lean=True)
-            for b, row in zip(rest, onsets[output_id]):
-                t_rows[b] = min(row) if row else None
+            rows = [b for b in rows if t_rows[b] is None] if steps is not None else []
+            steps = None
         t_out = [t_rows[k * n_fd : (k + 1) * n_fd] for k in range(len(dataset))]
-        silent = {k for k, t in enumerate(t_out) if all(t_b is None for t_b in t)}
         fired = [t_b for t_b in t_rows if t_b is not None]
-        prefix = math.ceil((max(fired) + _PREFIX_MARGIN) / sim.dt) if fired else n_steps
-        steps = prefix if prefix < n_steps else None
+        prefix = math.ceil((max(fired) + _PREFIX_MARGIN) / sim.dt) if fired else sim.steps
+        if prefix >= sim.steps:
+            prefix = None
         times = [penalty if t[0] is None else t[0] for t in t_out]
         total = sum(loss(t, t_des) for t, (_, t_des) in zip(times, dataset))
 

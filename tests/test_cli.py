@@ -37,8 +37,9 @@ from mtjsnn.errors import (
 )
 
 
-# an easy axis with no zero component, off the x-y plane
-OFF_PLANE_POLARIZER = [0.48, 0.6, 0.64]
+# an in-plane easy axis off the coordinate axes, whose projections differ
+# between BLAS and elementwise float arithmetic
+TILTED_POLARIZER = [0.6, 0.8, 0.0]
 
 
 def write_config(tmp_path, doc, name="config.yaml"):
@@ -333,6 +334,8 @@ class TestSweepLatency:
         ({"dt": 0.02}, "sweep.dt"),
         ({"backend": "macrospin", "params": {"transistor_k": -1.0}},
          "sweep.params.transistor_k"),
+        ({"backend": "macrospin", "params": {"polarizer": [0.48, 0.6, 0.64]}},
+         "sweep.params.polarizer"),
     ])
     def test_out_of_range_sweep_value_exit_2(self, tmp_path, capsys, sweep, key):
         cfg = write_config(tmp_path, xor_doc(sweep={"drives": [1.5], **sweep}))
@@ -378,22 +381,21 @@ class TestSweepLatency:
         assert hashlib.sha256(data).hexdigest() == (
             "afd58505620e7592d757fba85c9f081eba360e60decbd252f7994d6b4a65135a")
 
-    def test_off_plane_polarizer_sweep_bytes_pinned(self, tmp_path):
+    def test_tilted_polarizer_sweep_bytes_pinned(self, tmp_path):
         # every easy-axis projection is elementwise float arithmetic, so these
-        # bytes do not depend on the CPU's BLAS kernel; the free layer crosses
-        # the equator within 0.04 ns at every drive
+        # bytes do not depend on the CPU's BLAS kernel
         cfg = write_config(tmp_path, xor_doc(
-            sweep={"backend": "macrospin", "params": {"polarizer": OFF_PLANE_POLARIZER},
+            sweep={"backend": "macrospin", "params": {"polarizer": TILTED_POLARIZER},
                    "drives": [0.5, 0.8, 0.85, 1.0, 1.3, 2.5], "dt": 0.005, "horizon": 5.0}))
         out = tmp_path / "out"
         assert main(["sweep-latency", "--config", cfg, "--out", str(out)]) == EXIT_OK
         data = (out / "latency.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
-            "a77eb921b3b49da401c96bf6ce44363f96c51ab59da0f97a92f941b55c2fd7fa")
+            "e73cf40aa5f36a4752e1277be96325f221271348ef8a3304f5164e46f9a65e17")
 
 
 class TestSimulatePinned:
-    def test_off_plane_polarizer_neuron_bytes_pinned(self, tmp_path):
+    def test_tilted_polarizer_neuron_bytes_pinned(self, tmp_path):
         # the state column is the alignment, computed as the integrator's
         # stop rule computes it, so these bytes do not depend on the CPU's
         # BLAS kernel
@@ -402,7 +404,7 @@ class TestSimulatePinned:
             "network": {
                 "sources": [{"id": "s", "spike_times": [0.0], "duration": 4.9}],
                 "neurons": [{"id": "m", "backend": "macrospin",
-                             "params": {"polarizer": OFF_PLANE_POLARIZER}}],
+                             "params": {"polarizer": TILTED_POLARIZER}}],
                 "synapses": [{"pre": "s", "post": "m", "weight": 1.5}]}})
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
@@ -410,7 +412,7 @@ class TestSimulatePinned:
             "time_ns,s.v,m.drive,m.v,m.state")
         data = (out / "trace.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
-            "62846f139c9db1c8e500c939c87c804ce2665804b572b101eb8ad4c7ce9ef444")
+            "8307099870c8f9f06b335ab583ce5f5ebf175908c62b4c2fa05459c38e0b04a5")
 
     def test_two_row_stimulus_bytes_pinned(self, tmp_path):
         # rows (1,0) then (0,1): A at 0 ns, B at 8 ns, o1 fires at 2.4984...

@@ -709,9 +709,10 @@ class TestPrefixGrid:
 
 
 class TestSilentEdges:
-    """An edge whose presynaptic signal is zero in every row adds
-    ``w * 0 = +-0.0`` to a drive that starts at ``+0.0``: it leaves the drive
-    sum and the dedup key, and changes no bit."""
+    """An edge whose presynaptic signal is zero in a row adds
+    ``w * 0 = +-0.0`` there to a drive that starts at ``+0.0``, which changes
+    no bit, and keys that row as ``(0.0, 0)`` in the dedup, so rows that
+    differ only in such weights share one kernel row."""
 
     SIM = SimConfig(dt=0.005, horizon=4.0)
 
