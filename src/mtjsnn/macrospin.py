@@ -11,7 +11,8 @@ The integrator steps the three components of m as plain Python floats: the
 LLGS right-hand side is written out component by component (``_llgs_of``)
 and the node voltage comes from the closed-form root of the series-circuit
 equation (``_node_solver``), each with its parameter constants computed once
-per integration, so a step allocates no arrays.
+per integration, so a step allocates no arrays.  The easy axis lies in the
+film plane, and the step arithmetic is planar: it reads only its x and y.
 
 Units: time ns, field T, current mA, resistance kOhm, voltage V
 (mA * kOhm = V), gyromagnetic ratio rad/(ns*T).
@@ -38,7 +39,8 @@ class MacrospinParams:
     lies in the film's x-y plane (``polarizer[2] == 0``): off that plane
     the antiparallel start is no fixed point under the out-of-plane
     demagnetizing field, and the free layer crosses the equator at any
-    gate voltage, 0 V included."""
+    gate voltage, 0 V included.  The step arithmetic is planar: it reads
+    only ``polarizer[0]`` and ``polarizer[1]``."""
 
     gamma: float = 176.0            # rad/(ns*T)
     alpha: float = 0.02             # Gilbert damping
@@ -97,6 +99,8 @@ def initial_state(params: MacrospinParams, tilt_deg: float = 1.0) -> MacrospinSt
     fixed point of the dynamics, and a small deterministic tilt toward the
     in-plane perpendicular stands in for thermal agitation.
     """
+    if not math.isfinite(tilt_deg):
+        raise InvalidInputError("tilt_deg must be finite", key="tilt_deg")
     e = params.easy_axis
     # the in-plane direction perpendicular to the (in-plane) easy axis
     perp = np.cross(np.array([0.0, 0.0, 1.0]), e)
@@ -123,18 +127,18 @@ def _llgs_of(params: MacrospinParams) -> Callable[[float, float, float, float],
     ``llgs_derivative``.  The per-parameter constants are computed here, so
     an integration computes them once, not once per stage.
     """
-    ex, ey, ez = params.polarizer
+    ex, ey, _ = params.polarizer
     h_easy, h_demag = params.h_easy, params.h_demag
     gp = params.gamma / (1.0 + params.alpha ** 2)
     gpa = gp * params.alpha
 
     def llgs(x: float, y: float, z: float, s: float) -> tuple[float, float, float]:
-        a = h_easy * (x * ex + y * ey + z * ez)
-        hx, hy, hz = a * ex, a * ey, a * ez - h_demag * z
+        a = h_easy * (x * ex + y * ey)
+        hx, hy, hz = a * ex, a * ey, -h_demag * z
         # m x h_eff, m x (m x h_eff), m x e, m x (m x e)
         px, py, pz = y * hz - z * hy, z * hx - x * hz, x * hy - y * hx
         qx, qy, qz = y * pz - z * py, z * px - x * pz, x * py - y * px
-        ux, uy, uz = y * ez - z * ey, z * ex - x * ez, x * ey - y * ex
+        ux, uy, uz = -z * ey, z * ex, x * ey - y * ex
         wx, wy, wz = y * uz - z * uy, z * ux - x * uz, x * uy - y * ux
         return (
             (-gp * px - gpa * qx) + s * wx,
@@ -159,9 +163,9 @@ def _resistance(c: float, params: MacrospinParams) -> float:
 
 def mtj_resistance(m: np.ndarray, params: MacrospinParams) -> float:
     """Cosine interpolation between parallel and antiparallel resistance."""
-    x, y, z = _check_unit(m)
-    ex, ey, ez = params.polarizer
-    return _resistance(float(x) * ex + float(y) * ey + float(z) * ez, params)
+    x, y, _ = _check_unit(m)
+    ex, ey, _ = params.polarizer
+    return _resistance(float(x) * ex + float(y) * ey, params)
 
 
 def _drain_current(v_ov: float, v_drain: float, k: float) -> float:
@@ -230,9 +234,9 @@ class MacrospinTrace:
 
     def alignment(self) -> np.ndarray:
         """Projection of m on the easy axis (+1 parallel, -1 antiparallel),
-        in the integrator's own arithmetic, ``x*ex + y*ey + z*ez``."""
-        ex, ey, ez = self.params.polarizer
-        return self.m[:, 0] * ex + self.m[:, 1] * ey + self.m[:, 2] * ez
+        in the integrator's own arithmetic, ``x*ex + y*ey``."""
+        ex, ey, _ = self.params.polarizer
+        return self.m[:, 0] * ex + self.m[:, 1] * ey
 
     def switching_times(self) -> list[float]:
         """Times where the easy-axis projection crosses zero (linear interp)."""
@@ -257,7 +261,7 @@ def _integrate(state: MacrospinState, params: MacrospinParams, v_gate: list[floa
     samples.  With ``stop_after_switch`` the trace ends at the first sample
     whose easy-axis projection has changed sign or left an exact zero, the
     first sample at which a crossing can show in ``switching_times``."""
-    ex, ey, ez = params.polarizer
+    ex, ey, _ = params.polarizer
     stt = params.stt_coefficient
     llgs, solve = _llgs_of(params), _node_solver(params)
     sqrt = math.sqrt
@@ -269,7 +273,7 @@ def _integrate(state: MacrospinState, params: MacrospinParams, v_gate: list[floa
     h, h6 = 0.5 * dt, dt / 6.0
     c_prev = math.nan   # no sample before the first
     for k, gate in enumerate(v_gate):
-        c = x * ex + y * ey + z * ez
+        c = x * ex + y * ey
         v_node, i_dev = solve(_resistance(c, params), gate)
         v_node_buf.append(v_node)
         i_buf.append(i_dev)
@@ -493,6 +497,11 @@ def fit_latency_law(
     """
     v = np.asarray(drives, dtype=float)
     t = np.asarray(latencies, dtype=float)
+    if v.ndim != 1 or v.shape != t.shape:
+        raise InvalidInputError("drives and latencies must be 1-D and of the same length")
+    for key, values in (("drives", v), ("latencies", t)):
+        if not np.isfinite(values).all():
+            raise InvalidInputError(f"{key} must be finite", key=key)
     if v.size < 4:
         raise InsufficientDataError("need at least 4 points to fit the latency law")
 

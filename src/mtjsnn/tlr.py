@@ -122,6 +122,8 @@ def run_tlr(params: TlrParams, drive: np.ndarray, dt: float, t0: float = 0.0) ->
     drive = np.asarray(drive, dtype=float)
     if drive.ndim != 1 or drive.size < 2:
         raise InvalidInputError("drive must be a 1-D array of at least 2 samples")
+    if not math.isfinite(t0):
+        raise InvalidInputError("t0 must be finite", key="t0")
     v, acc = np.zeros((1, drive.size)), np.zeros((1, drive.size))
     onsets = _run_batch(params, drive[None, :], dt, t0, v=v, state=acc)
     return TlrRun(time=t0 + dt * np.arange(drive.size), v_out=v[0], accumulation=acc[0],

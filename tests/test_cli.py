@@ -40,6 +40,9 @@ from mtjsnn.errors import (
 # an in-plane easy axis off the coordinate axes, whose projections differ
 # between BLAS and elementwise float arithmetic
 TILTED_POLARIZER = [0.6, 0.8, 0.0]
+# an in-plane easy axis along -y: the sign of an exact-zero projection shows
+# in a CSV cell
+AXIS_POLARIZER = [0.0, -1.0, 0.0]
 
 
 def write_config(tmp_path, doc, name="config.yaml"):
@@ -393,6 +396,17 @@ class TestSweepLatency:
         assert hashlib.sha256(data).hexdigest() == (
             "e73cf40aa5f36a4752e1277be96325f221271348ef8a3304f5164e46f9a65e17")
 
+    def test_axis_polarizer_sweep_bytes_pinned(self, tmp_path):
+        # the default run turned by 90 degrees in the plane: the same latencies
+        cfg = write_config(tmp_path, xor_doc(
+            sweep={"backend": "macrospin", "params": {"polarizer": AXIS_POLARIZER},
+                   "drives": [0.5, 0.8, 0.85, 1.0, 1.3, 2.5], "dt": 0.005, "horizon": 5.0}))
+        out = tmp_path / "out"
+        assert main(["sweep-latency", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        data = (out / "latency.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "afd58505620e7592d757fba85c9f081eba360e60decbd252f7994d6b4a65135a")
+
 
 class TestSimulatePinned:
     def test_tilted_polarizer_neuron_bytes_pinned(self, tmp_path):
@@ -413,6 +427,20 @@ class TestSimulatePinned:
         data = (out / "trace.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
             "8307099870c8f9f06b335ab583ce5f5ebf175908c62b4c2fa05459c38e0b04a5")
+
+    def test_axis_polarizer_neuron_bytes_pinned(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "schema_version": 1, "sim": {"dt": 0.005, "horizon": 4.0},
+            "network": {
+                "sources": [{"id": "s", "spike_times": [0.0], "duration": 4.9}],
+                "neurons": [{"id": "m", "backend": "macrospin",
+                             "params": {"polarizer": AXIS_POLARIZER}}],
+                "synapses": [{"pre": "s", "post": "m", "weight": 1.5}]}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        data = (out / "trace.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "89f0531e9b4aee45e73b2e9162926eb44294b5c9ac14c9619c07176b85533c42")
 
     def test_two_row_stimulus_bytes_pinned(self, tmp_path):
         # rows (1,0) then (0,1): A at 0 ns, B at 8 ns, o1 fires at 2.4984...

@@ -444,6 +444,26 @@ class TestFloatIntegratorOracle:
         trace = self.assert_same(state, params, oracle_gate("pulse"))
         assert np.all(trace.m == -params.easy_axis)
 
+    @pytest.mark.parametrize("kind", ["constant", "ramp", "pulse"])
+    @pytest.mark.parametrize("h_demag", [0.0, 0.6])
+    @pytest.mark.parametrize("tilt_deg", [0.0, 1.0])
+    @pytest.mark.parametrize("polarizer", [
+        (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0),
+        (0.6, 0.8, 0.0), (0.8, -0.6, 0.0),
+    ])
+    def test_same_bytes_signed_zeros_included(self, polarizer, tilt_deg, h_demag, kind):
+        # array_equal takes -0.0 == 0.0, and a CSV cell does not: compare
+        # bytes, and the alignment with the 3-D projection of the oracle's m
+        params = MacrospinParams(polarizer=polarizer, h_demag=h_demag)
+        state, gate = initial_state(params, tilt_deg), oracle_gate(kind)
+        trace = integrate_macrospin(state, params, gate, 0.005)
+        ref = reference_float_integrate(state, params, gate, 0.005)
+        ex, ey, ez = polarizer
+        ref_alignment = np.array([x * ex + y * ey + z * ez for x, y, z in ref.m.tolist()])
+        assert trace.v_node.tobytes() == ref.v_node.tobytes()
+        assert trace.i_device.tobytes() == ref.i_device.tobytes()
+        assert trace.alignment().tobytes() == ref_alignment.tobytes()
+
 
 def latency_cases(cases, params=PARAMS, name=""):
     """``(params, v_gate, horizon, switches)`` parameters, whose ids lead
@@ -552,8 +572,26 @@ class TestMeasureLatency:
         assert calls == []
 
     def test_nan_tilt_rejected(self):
-        with pytest.raises(InvalidStateError, match="m must be a unit 3-vector"):
+        with pytest.raises(InvalidInputError, match="tilt_deg must be finite") as e:
             measure_latency(PARAMS, 1.3, tilt_deg=math.nan)
+        assert e.value.key == "tilt_deg"
+
+    @pytest.mark.parametrize("tilt_deg", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("search", [
+        lambda tilt_deg: initial_state(PARAMS, tilt_deg),
+        lambda tilt_deg: measure_latency(PARAMS, 1.3, tilt_deg=tilt_deg),
+        lambda tilt_deg: find_switching_threshold(PARAMS, tilt_deg=tilt_deg),
+        lambda tilt_deg: calibrate_tlr(PARAMS, CALIBRATION_GRID, tilt_deg=tilt_deg),
+    ], ids=["initial_state", "measure_latency", "find_switching_threshold", "calibrate_tlr"])
+    def test_non_finite_tilt_rejected_before_integrating(self, monkeypatch, search, tilt_deg):
+        # unchecked, a nan tilt gives an m of NaNs, which fails the unit
+        # check unkeyed, and an infinite one math's "math domain error"
+        calls = []
+        monkeypatch.setattr(macrospin, "_integrate", lambda *a, **k: calls.append(a))
+        with pytest.raises(InvalidInputError, match="tilt_deg must be finite") as e:
+            search(tilt_deg)
+        assert e.value.key == "tilt_deg"
+        assert calls == []
 
 
 class TestSwitchingTimes:
@@ -655,6 +693,25 @@ class TestCalibration:
     def test_too_few_points(self):
         with pytest.raises(InsufficientDataError):
             fit_latency_law([1.0, 2.0, 3.0], [1.0, 0.5, 0.3])
+
+    @pytest.mark.parametrize("drives,latencies,match,key", [
+        ([0.8, 1.0, 1.3, 1.7, 2.2], [2.0, 1.6, 1.2, 1.0], "of the same length", None),
+        ([[0.8, 1.0], [1.3, 1.7]], [[2.0, 1.6], [1.2, 1.0]], "must be 1-D", None),
+        ([0.8, 1.0, math.nan, 1.7, 2.2], [2.0, 1.6, 1.2, 1.0, 0.9], "drives must be finite",
+         "drives"),
+        ([0.8, 1.0, 1.3, 1.7, 2.2], [2.0, 1.6, math.nan, 1.0, 0.9],
+         "latencies must be finite", "latencies"),
+        ([0.8, 1.0, 1.3, 1.7, 2.2], [2.0, 1.6, math.inf, 1.0, 0.9],
+         "latencies must be finite", "latencies"),
+    ], ids=["lengths", "2-D", "nan-drive", "nan-latency", "inf-latency"])
+    def test_bad_points_rejected(self, capfd, drives, latencies, match, key):
+        # unchecked, a length mismatch raises numpy's LinAlgError, a nan
+        # makes LAPACK print "On entry to DLASCL ..." lines, and an inf
+        # latency gives a fit of NaNs
+        with pytest.raises(InvalidInputError, match=match) as e:
+            fit_latency_law(drives, latencies)
+        assert e.value.key == key
+        assert capfd.readouterr().err == ""
 
     def test_all_subthreshold_grid(self):
         with pytest.raises(InsufficientDataError):

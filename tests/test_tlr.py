@@ -531,6 +531,13 @@ class TestBatchedKernel:
             assert run.v_out.tobytes() == ref.v_out.tobytes()
             assert run.accumulation.tobytes() == ref.accumulation.tobytes()
 
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t0_rejected_with_key(self, t0):
+        # unchecked, a nan t0 gives no onsets and an inf one a RuntimeWarning
+        with pytest.raises(InvalidInputError, match="t0 must be finite") as exc:
+            run_tlr(TlrParams(), np.full(101, 2.0), self.DT, t0)
+        assert exc.value.key == "t0"
+
     def test_random_parameters_and_offsets(self):
         rng = np.random.default_rng(3)
         spikes = 0
