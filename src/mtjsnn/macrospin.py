@@ -357,19 +357,20 @@ def measure_latency(
     """Switching latency under a constant gate voltage, or None if no switch.
 
     The latency is the first entry of ``switching_times()`` of the
-    ``integrate_macrospin`` trace over ``horizon``.  One integration runs:
+    ``integrate_macrospin`` trace over ``horizon``, on the grid that
+    ``SimConfig(dt=dt, horizon=horizon)`` accepts.  One integration runs:
     it stops one step after the in-loop easy-axis projection first changes
     sign (or leaves an exact zero), and ``alignment()`` computes that
     projection with the same float expression, so the shorter trace, whose
     samples are the full trace's first ones, shows the same first crossing,
     bit for bit.
     """
-    if not math.isfinite(horizon):
-        raise InvalidInputError("horizon must be finite", key="horizon")
-    _check_dt(dt)
-    if not dt <= horizon:
-        raise InvalidInputError("horizon must be >= dt", key="horizon")
-    gate = np.full(int(round(horizon / dt)) + 1, v_gate, dtype=float).tolist()
+    from .network import SimConfig   # network imports this module
+
+    steps = SimConfig(dt=dt, horizon=horizon).steps
+    if not math.isfinite(v_gate):
+        raise InvalidInputError("v_gate must be finite", key="v_gate")
+    gate = np.full(steps + 1, v_gate, dtype=float).tolist()
     state = initial_state(params, tilt_deg)
     crossings = _integrate(state, params, gate, dt, stop_after_switch=True).switching_times()
     return crossings[0] if crossings else None
@@ -502,6 +503,8 @@ def fit_latency_law(
     for key, values in (("drives", v), ("latencies", t)):
         if not np.isfinite(values).all():
             raise InvalidInputError(f"{key} must be finite", key=key)
+    if not (t > 0).all():
+        raise InvalidInputError("latencies must be > 0", key="latencies")
     if v.size < 4:
         raise InsufficientDataError("need at least 4 points to fit the latency law")
 
@@ -544,6 +547,9 @@ def calibrate_tlr(
     tilt_deg: float = 1.0,
 ) -> CalibrationResult:
     """Fit TLR latency-law parameters to measured macrospin switching latencies."""
+    for k, v in enumerate(drive_grid):
+        if not math.isfinite(v):
+            raise InvalidInputError(f"drive_grid[{k}] must be finite", key=f"drive_grid[{k}]")
     drives, lats = [], []
     for v in drive_grid:
         lat = measure_latency(params, v, dt, horizon, tilt_deg)

@@ -10,6 +10,7 @@ phenomenological TLR backend or the macrospin physics backend.
 from __future__ import annotations
 
 import contextlib
+import graphlib
 import math
 import os
 import stat
@@ -280,23 +281,17 @@ def validate_topology(net: Network) -> list[str]:
 
 
 def _topo_order(net: Network, neuron_ids: list[str]) -> Optional[list[str]]:
-    deps = {nid: set() for nid in neuron_ids}
-    for s in net.synapses:
-        if s.pre in deps and s.post in deps:
-            deps[s.post].add(s.pre)
-    order = []
-    ready = [nid for nid in neuron_ids if not deps[nid]]
-    while ready:
-        nid = ready.pop(0)
-        order.append(nid)
-        for other, d in deps.items():
-            if nid in d:
-                d.discard(nid)
-                if not d and other not in order and other not in ready:
-                    ready.append(other)
-    if len(order) != len(neuron_ids):
+    """The neurons in dependency order, or None on a cycle.  Ties go first
+    to the neurons listed first: the ones ready at the start in
+    ``neuron_ids`` order, then each as its last predecessor is placed."""
+    # seeded in neuron_ids order, so that graphlib breaks ties that way too
+    sorter = graphlib.TopologicalSorter({nid: () for nid in neuron_ids})
+    for nid in neuron_ids:
+        sorter.add(nid, *(s.pre for s in net.synapses if s.post == nid and s.pre in neuron_ids))
+    try:
+        return list(sorter.static_order())
+    except graphlib.CycleError:
         return None
-    return order
 
 
 def simulate_network(net: Network, sim: SimConfig) -> Trace:

@@ -135,6 +135,9 @@ def train(
         raise InvalidInputError("invalid network: " + "; ".join(violations))
     if not dataset:
         raise InvalidInputError("dataset must be non-empty")
+    for k, (_, t_des) in enumerate(dataset):
+        if not math.isfinite(t_des):
+            raise InvalidInputError(f"dataset row {k}: target must be finite")
     if output_id not in {n.id for n in net.neurons} | {s.id for s in net.sources}:
         raise InvalidInputError(f"unknown id {output_id!r}")
 

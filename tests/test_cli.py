@@ -75,6 +75,29 @@ class TestSimulate:
         assert filecmp.cmp(out1 / "trace.csv", out2 / "trace.csv", shallow=False)
         assert filecmp.cmp(out1 / "spikes.txt", out2 / "spikes.txt", shallow=False)
 
+    def test_columns_in_dependency_order(self, tmp_path):
+        # neurons listed out of dependency order: a and d are ready first,
+        # in list order, then b, then c (header recorded before the order
+        # moved to graphlib)
+        cfg = write_config(tmp_path, {
+            "schema_version": 1,
+            "sim": {"dt": 0.01, "horizon": 2.0},
+            "network": {
+                "sources": [{"id": "s", "spike_times": [0.0]}],
+                "neurons": [{"id": "c"}, {"id": "a"}, {"id": "d"}, {"id": "b"}],
+                "synapses": [{"pre": "b", "post": "c", "weight": 1.0},
+                             {"pre": "s", "post": "a", "weight": 2.0},
+                             {"pre": "a", "post": "b", "weight": 2.0},
+                             {"pre": "s", "post": "d", "weight": 2.0},
+                             {"pre": "a", "post": "c", "weight": 1.0}],
+            },
+        })
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert (out / "trace.csv").read_text().splitlines()[0] == (
+            "time_ns,s.v,a.drive,a.v,a.state,d.drive,d.v,d.state,b.drive,b.v,b.state,"
+            "c.drive,c.v,c.state")
+
     def test_infinite_refractory_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, xor_doc(
             network={"preset": "xor", "neurons": {"i1": {"t_refractory": float("inf")}}},
@@ -355,6 +378,14 @@ class TestSweepLatency:
         assert code == EXIT_CONFIG
         assert "config error: sweep.horizon:" in capsys.readouterr().err
         assert not (out / "latency.csv").exists()
+
+    def test_polarizer_of_two_values_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, xor_doc(
+            sweep={"backend": "macrospin", "params": {"polarizer": [1.0, 0.0]}, "drives": [1.5]}))
+        code = main(["sweep-latency", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "config error: sweep.params.polarizer: expected 3 values, got 2" in \
+            capsys.readouterr().err
 
     def test_missing_sweep_section_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, xor_doc())

@@ -219,6 +219,17 @@ class TestParams:
             MacrospinParams(polarizer=polarizer)
         assert e.value.key == "polarizer"
 
+    @pytest.mark.parametrize("kwargs,match,key", [
+        ({"r_parallel": 0.0}, "r_parallel must be > 0", "r_parallel"),
+        ({"r_parallel": -2.0}, "r_parallel must be > 0", "r_parallel"),
+        ({"polarizer": (2.0, 0.0, 0.0)}, "polarizer must be a unit vector", "polarizer"),
+        ({"polarizer": (0.6, 0.6, 0.0)}, "polarizer must be a unit vector", "polarizer"),
+    ])
+    def test_range_rule_rejected_with_key(self, kwargs, match, key):
+        with pytest.raises(InvalidInputError, match=match) as e:
+            MacrospinParams(**kwargs)
+        assert e.value.key == key
+
     @pytest.mark.parametrize("polarizer", [(0.48, 0.6, 0.64), (0.0, 0.0, 1.0), (0.6, 0.0, -0.8)])
     def test_polarizer_off_the_plane_rejected_with_key(self, polarizer):
         # off the x-y plane -e is no fixed point: with (0.48, 0.6, 0.64) the
@@ -552,7 +563,7 @@ class TestMeasureLatency:
         assert e.value.key == "dt"
 
     def test_horizon_shorter_than_dt_rejected(self):
-        with pytest.raises(InvalidInputError, match="horizon must be >= dt") as e:
+        with pytest.raises(InvalidInputError, match=r"horizon must be finite and >= 10\*dt") as e:
             measure_latency(PARAMS, 1.3, dt=0.005, horizon=0.001)
         assert e.value.key == "horizon"
 
@@ -569,6 +580,41 @@ class TestMeasureLatency:
         with pytest.raises(InvalidInputError, match="horizon must be finite") as e:
             search(horizon)
         assert e.value.key == "horizon"
+        assert calls == []
+
+    @pytest.mark.parametrize("horizon,match", [
+        (5000.005, "at most 1000000 steps"),
+        (15.0025, "whole number of dt"),
+        (0.006, r"horizon must be finite and >= 10\*dt"),
+    ], ids=["past-the-step-cap", "off-grid", "under-ten-steps"])
+    @pytest.mark.parametrize("search", [
+        lambda horizon: measure_latency(PARAMS, 1.3, horizon=horizon),
+        lambda horizon: find_switching_threshold(PARAMS, horizon=horizon),
+        lambda horizon: calibrate_tlr(PARAMS, CALIBRATION_GRID, horizon=horizon),
+    ], ids=["measure_latency", "find_switching_threshold", "calibrate_tlr"])
+    def test_grid_rule_of_simconfig(self, monkeypatch, search, horizon, match):
+        # the probes take their grid from SimConfig: unchecked, 5000.005 ns
+        # integrated 1,000,001 steps, 15.0025 ns was rounded to 3000 steps
+        # and 0.006 ns ran one step
+        calls = []
+        monkeypatch.setattr(macrospin, "_integrate", lambda *a, **k: calls.append(a))
+        with pytest.raises(InvalidInputError, match=match) as e:
+            search(horizon)
+        assert e.value.key == "horizon"
+        assert calls == []
+
+    @pytest.mark.parametrize("v_gate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gate_rejected_before_integrating(self, monkeypatch, v_gate):
+        # unchecked, the first circuit solve raised the unkeyed "voltages
+        # must be finite"
+        calls = []
+        monkeypatch.setattr(macrospin, "_integrate", lambda *a, **k: calls.append(a))
+        with pytest.raises(InvalidInputError, match="v_gate must be finite") as e:
+            measure_latency(PARAMS, v_gate)
+        assert e.value.key == "v_gate"
+        with pytest.raises(InvalidInputError, match=r"drive_grid\[2\] must be finite") as e:
+            calibrate_tlr(PARAMS, [1.0, 1.2, v_gate, 1.5, 2.0])
+        assert e.value.key == "drive_grid[2]"
         assert calls == []
 
     def test_nan_tilt_rejected(self):
@@ -663,6 +709,10 @@ class TestThresholdExistence:
             find_switching_threshold(PARAMS, **kwargs)
         assert calls == []
 
+    def test_v_hi_that_never_switches_rejected(self):
+        with pytest.raises(NumericalFailureError, match="v_hi does not switch within the horizon"):
+            find_switching_threshold(PARAMS, v_lo=0.0, v_hi=0.5, horizon=2.0)
+
 
 class TestRefractionEmerges:
     def test_second_pulse_during_ringdown_ignored(self):
@@ -712,6 +762,24 @@ class TestCalibration:
             fit_latency_law(drives, latencies)
         assert e.value.key == key
         assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("latencies", [
+        [2.0, 1.6, 1.2, 1.0, 0.0],
+        [-2.0, -1.6, -1.2, -1.0, -0.9],
+    ], ids=["zero", "negated"])
+    def test_non_positive_latency_rejected(self, latencies):
+        # unchecked, a zero leaked numpy's divide-by-zero warning from the
+        # relative residual, and negated latencies returned a fit
+        with pytest.raises(InvalidInputError, match="latencies must be > 0") as e:
+            fit_latency_law([0.9, 1.0, 1.2, 1.5, 2.0], latencies)
+        assert e.value.key == "latencies"
+
+    def test_non_positive_fitted_threshold_rejected(self, monkeypatch):
+        # latencies of a law whose threshold lies at -0.5 V
+        monkeypatch.setattr(macrospin, "measure_latency",
+                            lambda params, v, *args: 0.6 + 0.4 / (v + 0.5))
+        with pytest.raises(NumericalFailureError, match="fitted threshold is non-positive"):
+            calibrate_tlr(PARAMS, [0.2, 0.4, 0.6, 0.8, 1.0])
 
     def test_all_subthreshold_grid(self):
         with pytest.raises(InsufficientDataError):

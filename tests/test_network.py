@@ -23,6 +23,7 @@ from mtjsnn.network import (
     Trace,
     _KERNELS,
     _simulate,
+    _topo_order,
     first_spike_time,
     simulate_network,
     validate_topology,
@@ -143,6 +144,43 @@ class TestValidateTopology:
         )
         assert any("duplicate id" in v for v in validate_topology(net))
 
+
+    def test_duplicate_id_is_no_cycle(self):
+        # the hand-rolled sort reported a cycle here too: it placed one x
+        # for two ids
+        net = Network(neurons=(Neuron("y"), Neuron("x"), Neuron("x")),
+                      synapses=(Synapse("y", "x", 1.0),), sources=())
+        assert validate_topology(net) == ["duplicate id 'x'"]
+
+
+class TestTopoOrder:
+    """Ties go to the neurons listed first: those ready at the start in list
+    order, then each neuron as its last predecessor is placed.  The
+    simulation order sets the column order of ``trace.csv``."""
+
+    @staticmethod
+    def order(ids, edges):
+        net = Network(neurons=tuple(Neuron(nid) for nid in ids),
+                      synapses=tuple(Synapse(pre, post, 1.0) for pre, post in edges),
+                      sources=())
+        return _topo_order(net, list(ids))
+
+    @pytest.mark.parametrize("ids,edges,expected", [
+        (("n3", "n0", "n2", "n1"), [("n2", "n3")], ["n0", "n2", "n1", "n3"]),
+        (("n0", "n1", "n2"), [("n2", "n0")], ["n1", "n2", "n0"]),
+        (("n4", "n1", "n5", "n2", "n0", "n3", "n6"),
+         [("n5", "n6"), ("n0", "n1"), ("n4", "n2"), ("n0", "n3"), ("n2", "n6"), ("n4", "n1"),
+          ("n2", "n1")],
+         ["n4", "n5", "n0", "n2", "n3", "n1", "n6"]),
+        (("a", "b"), [("a", "b"), ("a", "b")], ["a", "b"]),
+    ], ids=["one-edge", "edge-to-the-first", "seven-neurons", "duplicate-edge"])
+    def test_tie_order(self, ids, edges, expected):
+        assert self.order(ids, edges) == expected
+
+    @pytest.mark.parametrize("edges", [[("a", "a")], [("a", "b"), ("b", "c"), ("c", "a")]],
+                             ids=["self-loop", "three-cycle"])
+    def test_cycle_gives_none(self, edges):
+        assert self.order(("a", "b", "c"), edges) is None
 
 class TestSynapticDrive:
     """The ``<neuron>.drive`` signal of a simulation is the weighted sum of

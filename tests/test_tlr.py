@@ -531,6 +531,12 @@ class TestBatchedKernel:
             assert run.v_out.tobytes() == ref.v_out.tobytes()
             assert run.accumulation.tobytes() == ref.accumulation.tobytes()
 
+    @pytest.mark.parametrize("drive", [2.0, [], [2.0], np.full((1, 21), 2.0)],
+                             ids=["scalar", "empty", "one-sample", "2-D"])
+    def test_drive_not_a_1d_grid_rejected(self, drive):
+        with pytest.raises(InvalidInputError, match="drive must be a 1-D array of at least 2"):
+            run_tlr(TlrParams(), drive, self.DT)
+
     @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
     def test_non_finite_t0_rejected_with_key(self, t0):
         # unchecked, a nan t0 gives no onsets and an inf one a RuntimeWarning

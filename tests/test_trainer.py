@@ -259,6 +259,16 @@ class TestTrain:
         with pytest.raises(InvalidInputError):
             train(chain_network(4.0), [], TrainConfig())
 
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_target_rejected_before_simulating(self, monkeypatch, target):
+        # unchecked, a nan target ran a whole epoch, then loss() raised
+        # "spike times must be finite"
+        calls = record_simulate(monkeypatch)
+        dataset = [({"src": [0.0]}, 1.5), ({"src": [0.5]}, target)]
+        with pytest.raises(InvalidInputError, match="dataset row 1: target must be finite"):
+            train(chain_network(4.0), dataset, TrainConfig(max_epochs=1), sim=self.SIM)
+        assert calls == []
+
     def test_history_csv_format(self, tmp_path):
         net, dataset = self.one_weight_problem()
         _, hist = train(net, dataset, TrainConfig(eta=0.1, tol=0.05, max_epochs=3),
@@ -601,6 +611,27 @@ class TestPrefixGrid:
         assert none is None and fallback is not None
         assert [bool(row) for row in first[3]] == [False, True, False, False, False]
         assert fallback[0].shape[0] == 4 and all(fallback[3])
+
+    def test_no_row_fires_next_epoch_on_the_full_grid(self, monkeypatch):
+        dataset = [({"early": [], "late": []}, 4.0)]
+        config = TrainConfig(eta=0.0, fd_epsilon=1e-3, tol=1e-3, max_epochs=2)
+        calls = record_simulate(monkeypatch)
+        _, hist = train(two_pulse_network(2.0), dataset, config, sim=self.SIM)
+        groups = call_groups(calls, 5, self.SIM)
+        assert [(first[1], fallback) for first, fallback in groups] == [(None, None)] * 2
+        assert hist.output_times == [[None]] * 2
+
+    def test_prefix_past_the_horizon_next_epoch_on_the_full_grid(self, monkeypatch):
+        # the late pulse fires o1 at about 4.06 ns; a 1 ns margin puts the
+        # prefix's end past the 5 ns horizon
+        dataset = [({"early": [], "late": [3.0]}, 4.0)]
+        config = TrainConfig(eta=0.0, fd_epsilon=1e-3, tol=1e-3, max_epochs=2)
+        monkeypatch.setattr(trainer, "_PREFIX_MARGIN", 1.0)
+        calls = record_simulate(monkeypatch)
+        _, hist = train(two_pulse_network(2.0), dataset, config, sim=self.SIM)
+        groups = call_groups(calls, 5, self.SIM)
+        assert [(first[1], fallback) for first, fallback in groups] == [(None, None)] * 2
+        assert 4.0 < hist.output_times[0][0] == hist.output_times[1][0] < 4.1
 
     def test_prefix_reaches_the_latest_crossing_step(self, monkeypatch):
         # no latency floor and no margin: the prefix ends in the step just
