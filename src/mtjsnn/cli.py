@@ -4,7 +4,8 @@ Exit codes:
     0  success
     2  config error (the offending key is named)
     3  simulation or output failure: any other package error inside a
-       command, or an OSError while creating --out or writing outputs
+       command, an OSError while creating --out or writing outputs, or
+       running out of memory
     4  training epoch budget exhausted
     5  training divergence guard tripped
     6  bench-xor decode or mechanism-check failure
@@ -190,6 +191,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_SIMULATION
     except OSError as exc:   # load_config maps its own OSErrors to ConfigError
         print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_SIMULATION
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_SIMULATION
 
 

@@ -31,9 +31,8 @@ from .network import (
     SimConfig,
     Source,
     Synapse,
-    _check_dt,
 )
-from .tlr import TlrParams
+from .tlr import TlrParams, _check_dt
 from .trainer import TrainConfig
 from .xorbench import EncodingConfig, build_xor_network
 

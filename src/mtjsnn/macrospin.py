@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, InvalidStateError, NumericalFailureError
-from .tlr import TlrParams
+from .tlr import SimConfig, TlrParams, _check_dt
 
 _UNIT_TOL = 1e-6
 
@@ -249,12 +249,6 @@ class MacrospinTrace:
         return out.tolist()
 
 
-def _check_dt(dt: float) -> None:
-    """The step rule of every simulation grid."""
-    if not 0 < dt <= 0.01:
-        raise InvalidInputError("dt must be in (0, 0.01] ns", key="dt")
-
-
 def _integrate(state: MacrospinState, params: MacrospinParams, v_gate: list[float],
                dt: float, stop_after_switch: bool = False) -> MacrospinTrace:
     """The RK4 loop of ``integrate_macrospin`` on a checked grid of gate
@@ -272,33 +266,38 @@ def _integrate(state: MacrospinState, params: MacrospinParams, v_gate: list[floa
     v_node_buf, i_buf, m_buf = array("d"), array("d"), array("d")
     h, h6 = 0.5 * dt, dt / 6.0
     c_prev = math.nan   # no sample before the first
-    for k, gate in enumerate(v_gate):
-        c = x * ex + y * ey
-        v_node, i_dev = solve(_resistance(c, params), gate)
-        v_node_buf.append(v_node)
-        i_buf.append(i_dev)
-        m_buf.append(x)
-        m_buf.append(y)
-        m_buf.append(z)
-        if k == n_steps or stop_after_switch and (c_prev == 0.0 or c_prev * c < 0.0):
-            break
-        c_prev = c
-        s = stt * i_dev
-        k1x, k1y, k1z = llgs(x, y, z, s)
-        ax, ay, az = x + h * k1x, y + h * k1y, z + h * k1z
-        n = sqrt(ax * ax + ay * ay + az * az)
-        k2x, k2y, k2z = llgs(ax / n, ay / n, az / n, s)
-        ax, ay, az = x + h * k2x, y + h * k2y, z + h * k2z
-        n = sqrt(ax * ax + ay * ay + az * az)
-        k3x, k3y, k3z = llgs(ax / n, ay / n, az / n, s)
-        ax, ay, az = x + dt * k3x, y + dt * k3y, z + dt * k3z
-        n = sqrt(ax * ax + ay * ay + az * az)
-        k4x, k4y, k4z = llgs(ax / n, ay / n, az / n, s)
-        x = x + h6 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y = y + h6 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        z = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        n = sqrt(x * x + y * y + z * z)
-        x, y, z = x / n, y / n, z / n
+    # a stage that overflows has an infinite norm, and the next stage divides
+    # by the norm of all zeros; one try keeps the step free of checks
+    try:
+        for k, gate in enumerate(v_gate):
+            c = x * ex + y * ey
+            v_node, i_dev = solve(_resistance(c, params), gate)
+            v_node_buf.append(v_node)
+            i_buf.append(i_dev)
+            m_buf.append(x)
+            m_buf.append(y)
+            m_buf.append(z)
+            if k == n_steps or stop_after_switch and (c_prev == 0.0 or c_prev * c < 0.0):
+                break
+            c_prev = c
+            s = stt * i_dev
+            k1x, k1y, k1z = llgs(x, y, z, s)
+            ax, ay, az = x + h * k1x, y + h * k1y, z + h * k1z
+            n = sqrt(ax * ax + ay * ay + az * az)
+            k2x, k2y, k2z = llgs(ax / n, ay / n, az / n, s)
+            ax, ay, az = x + h * k2x, y + h * k2y, z + h * k2z
+            n = sqrt(ax * ax + ay * ay + az * az)
+            k3x, k3y, k3z = llgs(ax / n, ay / n, az / n, s)
+            ax, ay, az = x + dt * k3x, y + dt * k3y, z + dt * k3z
+            n = sqrt(ax * ax + ay * ay + az * az)
+            k4x, k4y, k4z = llgs(ax / n, ay / n, az / n, s)
+            x = x + h6 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            y = y + h6 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            z = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+            n = sqrt(x * x + y * y + z * z)
+            x, y, z = x / n, y / n, z / n
+    except ZeroDivisionError as exc:
+        raise NumericalFailureError("macrospin step overflowed the float range") from exc
 
     v_node = np.frombuffer(v_node_buf)
     return MacrospinTrace(time=time[:v_node.size], v_node=v_node,
@@ -365,8 +364,6 @@ def measure_latency(
     samples are the full trace's first ones, shows the same first crossing,
     bit for bit.
     """
-    from .network import SimConfig   # network imports this module
-
     steps = SimConfig(dt=dt, horizon=horizon).steps
     if not math.isfinite(v_gate):
         raise InvalidInputError("v_gate must be finite", key="v_gate")
@@ -391,6 +388,9 @@ def find_switching_threshold(
     """
     if not tol > 0:
         raise InvalidInputError("tol must be > 0")
+    for key, v in (("v_lo", v_lo), ("v_hi", v_hi)):
+        if not math.isfinite(v):
+            raise InvalidInputError(f"{key} must be finite", key=key)
     if not v_lo < v_hi:
         raise InvalidInputError("need v_lo < v_hi")
     if measure_latency(params, v_hi, dt, horizon, tilt_deg) is None:
@@ -523,11 +523,16 @@ def fit_latency_law(
         _, ssq = linear_fit(v_min - math.exp(u))
         return ssq
 
-    u = _fminbound(cost, math.log(1e-9 * span), math.log(10.0 * span), xatol=1e-12)
-    vth = v_min - math.exp(u)
-    (floor, q), _ = linear_fit(vth)
-    pred = floor + q / (v - vth)
-    max_rel = float(np.max(np.abs(pred - t) / np.abs(t)))
+    # extreme latencies (1e308, 5e-324) overflow the cost or the residual
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            u = _fminbound(cost, math.log(1e-9 * span), math.log(10.0 * span), xatol=1e-12)
+            vth = v_min - math.exp(u)
+            (floor, q), _ = linear_fit(vth)
+            pred = floor + q / (v - vth)
+            max_rel = float(np.max(np.abs(pred - t) / np.abs(t)))
+    except FloatingPointError as exc:
+        raise NumericalFailureError(f"latency-law fit failed: {exc}") from exc
     return vth, q, max(floor, 0.0), max_rel
 
 

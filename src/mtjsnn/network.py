@@ -23,7 +23,7 @@ import numpy as np
 from . import macrospin as ms
 from . import tlr
 from .errors import InvalidInputError, NumericalFailureError
-from .macrospin import _check_dt
+from .tlr import SimConfig
 
 TLR_BACKEND = "tlr"
 MACROSPIN_BACKEND = "macrospin"
@@ -107,38 +107,6 @@ class Network:
             else:
                 new.append(src)
         return replace(self, sources=tuple(new))
-
-
-# the most steps a grid may have: 8 MB per signal row, over six times the
-# 160 ns at 1 ps of the longest shipped workload
-_MAX_STEPS = 1_000_000
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """A grid of ``round(horizon / dt)`` steps, so ``horizon`` must be a
-    whole number of steps (within a relative 1e-9) or the run would be cut,
-    and at most ``_MAX_STEPS`` of them."""
-
-    dt: float = 0.001    # ns
-    horizon: float = 5.0  # ns
-
-    def __post_init__(self):
-        _check_dt(self.dt)
-        if not 10 * self.dt <= self.horizon < math.inf:
-            raise InvalidInputError("horizon must be finite and >= 10*dt", key="horizon")
-        steps = self.horizon / self.dt
-        if not (steps < math.inf and abs(steps - round(steps)) <= 1e-9 * steps):
-            raise InvalidInputError(f"horizon must be a whole number of dt = {self.dt!r} ns steps",
-                                    key="horizon")
-        if self.steps > _MAX_STEPS:
-            raise InvalidInputError(f"horizon must be at most {_MAX_STEPS} steps of dt = "
-                                    f"{self.dt!r} ns", key="horizon")
-
-    @property
-    def steps(self) -> int:
-        """The number of grid steps, ``round(horizon / dt)``."""
-        return int(round(self.horizon / self.dt))
 
 
 @dataclass

@@ -9,6 +9,9 @@ diverges as the drive approaches threshold from above.
 
 Drive is expressed in normalized drive-units (threshold is 1.0 by default),
 time in nanoseconds, output voltage in volts.
+
+This module also owns the time grid every simulator shares: the step rule
+``_check_dt``, the step cap ``_MAX_STEPS``, ``SimConfig`` and ``_pulse``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,42 @@ _CHUNK_CELLS = 8192
 # crosses at most once per step and never reaches it; one with neither
 # under a huge drive would otherwise fire without end
 _MIN_ONSET_BUDGET = 2048
+# the most steps a grid may have: 8 MB per signal row, over six times the
+# 160 ns at 1 ps of the longest shipped workload
+_MAX_STEPS = 1_000_000
+
+
+def _check_dt(dt: float) -> None:
+    """The step rule of every simulation grid."""
+    if not 0 < dt <= 0.01:
+        raise InvalidInputError("dt must be in (0, 0.01] ns", key="dt")
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """A grid of ``round(horizon / dt)`` steps, so ``horizon`` must be a
+    whole number of steps (within a relative 1e-9) or the run would be cut,
+    and at most ``_MAX_STEPS`` of them."""
+
+    dt: float = 0.001    # ns
+    horizon: float = 5.0  # ns
+
+    def __post_init__(self):
+        _check_dt(self.dt)
+        if not 10 * self.dt <= self.horizon < math.inf:
+            raise InvalidInputError("horizon must be finite and >= 10*dt", key="horizon")
+        steps = self.horizon / self.dt
+        if not (steps < math.inf and abs(steps - round(steps)) <= 1e-9 * steps):
+            raise InvalidInputError(f"horizon must be a whole number of dt = {self.dt!r} ns steps",
+                                    key="horizon")
+        if self.steps > _MAX_STEPS:
+            raise InvalidInputError(f"horizon must be at most {_MAX_STEPS} steps of dt = "
+                                    f"{self.dt!r} ns", key="horizon")
+
+    @property
+    def steps(self) -> int:
+        """The number of grid steps, ``round(horizon / dt)``."""
+        return int(round(self.horizon / self.dt))
 
 
 @dataclass(frozen=True)
@@ -85,9 +124,15 @@ class TlrState:
     last_spike_onset: Optional[float] = None
 
 
-def _raised_cosine(amplitude: float, x):
-    """The pulse shape at phase ``x`` in [0, 1] of its duration."""
-    return amplitude * (1.0 - np.cos(2.0 * np.pi * x)) / 2.0
+def _pulse(time: np.ndarray, onset: float, amplitude: float,
+           duration: float) -> tuple[slice, np.ndarray]:
+    """The standard raised-cosine pulse from ``onset`` on the sorted grid
+    ``time``: the slice of the grid points in [onset, onset + duration] and
+    the pulse's samples there."""
+    a = np.searchsorted(time, onset, "left")
+    b = np.searchsorted(time, onset + duration, "right")
+    x = (time[a:b] - onset) / duration
+    return slice(a, b), amplitude * (1.0 - np.cos(2.0 * np.pi * x)) / 2.0
 
 
 def constant_drive_latency(params: TlrParams, drive: float) -> Optional[float]:
@@ -124,6 +169,7 @@ def run_tlr(params: TlrParams, drive: np.ndarray, dt: float, t0: float = 0.0) ->
         raise InvalidInputError("drive must be a 1-D array of at least 2 samples")
     if not math.isfinite(t0):
         raise InvalidInputError("t0 must be finite", key="t0")
+    _check_dt(dt)
     v, acc = np.zeros((1, drive.size)), np.zeros((1, drive.size))
     onsets = _run_batch(params, drive[None, :], dt, t0, v=v, state=acc)
     return TlrRun(time=t0 + dt * np.arange(drive.size), v_out=v[0], accumulation=acc[0],
@@ -145,14 +191,13 @@ def _run_batch(
     accumulation is a sequential cumulative sum along the row.  Raises
     ``NumericalFailureError`` when a row's onset stops advancing, or when
     a row of an N-step grid passes its budget of ``max(N, 2048)`` onsets.
+    Both callers have checked ``dt`` with ``_check_dt``.
     """
     n_rows, size = drive.shape
     # one boolean array holds the finiteness test, then the ``above`` mask
     mask = np.isfinite(drive)
     if not mask.all():
         raise InvalidInputError("drive must be finite")
-    if not (dt > 0 and math.isfinite(dt)):
-        raise InvalidInputError("dt must be positive and finite")
 
     n_steps = size - 1
     budget = max(n_steps, _MIN_ONSET_BUDGET)
@@ -263,11 +308,9 @@ def _run_batch(
     time = t0 + dt * np.arange(size)
     for r, row_onsets in enumerate(onsets):
         for onset in row_onsets:
-            # the grid is sorted, so this is the mask onset <= time <= onset + duration
-            a = np.searchsorted(time, onset, "left")
-            b = np.searchsorted(time, onset + params.spike_duration, "right")
-            x = (time[a:b] - onset) / params.spike_duration
-            v[r, a:b] = _raised_cosine(params.spike_amplitude, x)
+            # a re-armed neuron's pulse replaces the rest of its last one
+            cells, samples = _pulse(time, onset, params.spike_amplitude, params.spike_duration)
+            v[r, cells] = samples
     return onsets
 
 
@@ -281,9 +324,6 @@ def source_waveform(
     on the sorted grid ``time``."""
     v = np.zeros_like(time, dtype=float)
     for onset in spike_times:
-        # the grid is sorted, so this is the mask onset <= time <= onset + duration
-        a = np.searchsorted(time, onset, "left")
-        b = np.searchsorted(time, onset + duration, "right")
-        x = (time[a:b] - onset) / duration
-        v[a:b] += _raised_cosine(amplitude, x)
+        cells, samples = _pulse(time, onset, amplitude, duration)
+        v[cells] += samples
     return v

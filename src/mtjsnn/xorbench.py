@@ -27,7 +27,7 @@ from .network import (
     first_spike_time,
     simulate_network,
 )
-from .tlr import TlrParams
+from .tlr import _MAX_STEPS, TlrParams
 
 T_ZERO = 2.0  # ns, output spike time encoding logical 0
 T_ONE = 2.5   # ns, output spike time encoding logical 1
@@ -89,6 +89,11 @@ def encode_inputs(
 
     bias = [encoding.t_spike]
     if encoding.bias_period:
+        # a grid has at most _MAX_STEPS + 1 points; a period too small to
+        # advance t would otherwise append without end
+        if (horizon - encoding.t_spike) / encoding.bias_period >= _MAX_STEPS + 1:
+            raise InvalidInputError(f"bias_period gives more than {_MAX_STEPS + 1} bias spikes"
+                                    f" before {horizon!r} ns", key="bias_period")
         t = encoding.t_spike + encoding.bias_period
         while t <= horizon:
             bias.append(t)

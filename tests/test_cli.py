@@ -387,6 +387,17 @@ class TestSweepLatency:
         assert "config error: sweep.params.polarizer: expected 3 values, got 2" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("params", [{"gamma": 1.0e308}, {"stt_coefficient": -1.0e200}])
+    def test_overflowing_macrospin_sweep_exit_3(self, tmp_path, capsys, params):
+        # unchecked, a ZeroDivisionError traceback and exit 1
+        cfg = write_config(tmp_path, xor_doc(
+            sweep={"backend": "macrospin", "params": params, "drives": [1.3], "horizon": 1.0}))
+        out = tmp_path / "out"
+        assert main(["sweep-latency", "--config", cfg, "--out", str(out)]) == EXIT_SIMULATION
+        assert capsys.readouterr().err == (
+            "simulation failed: macrospin step overflowed the float range\n")
+        assert not (out / "latency.csv").exists()
+
     def test_missing_sweep_section_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, xor_doc())
         assert main(["sweep-latency", "--config", cfg,
@@ -560,6 +571,26 @@ class TestExitCodeTable:
         assert captured.err == prefix + "injected failure\n"
         assert captured.out == ""
         assert sorted(os.listdir(out)) == files
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("injected failure"), "out of memory: injected failure\n"),
+        (MemoryError(), "out of memory: allocation failed\n"),
+    ], ids=["message", "bare"])
+    def test_memory_error_exit_3(self, tmp_path, capsys, monkeypatch, error, line):
+        # unchecked, a MemoryError traceback and exit 1
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "simulate_network", fail)
+        cfg = write_config(tmp_path, xor_doc(stimulus={"A": [0.0], "bias": [0.0]}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_SIMULATION
+        captured = capsys.readouterr()
+        assert captured.err == line
+        assert captured.out == ""
+        assert os.listdir(out) == []
 
 
 class TestBenchXorExits:

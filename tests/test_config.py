@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from mtjsnn.config import Config, SweepSpec, TrainSpec, load_config, parse_config
 from mtjsnn.errors import ConfigError
 from mtjsnn.macrospin import MacrospinParams
-from mtjsnn.network import _MAX_STEPS, Network, Neuron, SimConfig, Source, Synapse
-from mtjsnn.tlr import TlrParams
+from mtjsnn.network import Network, Neuron, SimConfig, Source, Synapse
+from mtjsnn.tlr import _MAX_STEPS, TlrParams
 from mtjsnn.xorbench import EncodingConfig
 
 XOR_YAML = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

@@ -709,9 +709,43 @@ class TestThresholdExistence:
             find_switching_threshold(PARAMS, **kwargs)
         assert calls == []
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["v_lo", "v_hi"])
+    def test_non_finite_bound_rejected_before_integrating(self, monkeypatch, key, value):
+        # unchecked, an infinite bound raised the probe's error keyed v_gate,
+        # after integrating the v_hi probe when v_lo was -inf
+        calls = []
+        monkeypatch.setattr(macrospin, "_integrate", lambda *a, **k: calls.append(a))
+        with pytest.raises(InvalidInputError, match=f"{key} must be finite") as e:
+            find_switching_threshold(PARAMS, **{key: value})
+        assert e.value.key == key
+        assert calls == []
+
     def test_v_hi_that_never_switches_rejected(self):
         with pytest.raises(NumericalFailureError, match="v_hi does not switch within the horizon"):
             find_switching_threshold(PARAMS, v_lo=0.0, v_hi=0.5, horizon=2.0)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("field,value", [
+        ("gamma", 1e308), ("gamma", 1e200), ("h_demag", 1e300), ("h_easy", 1e300),
+        ("stt_coefficient", -1e200),
+    ])
+    def test_overflowing_step_raises_numerical_failure(self, field, value):
+        # unchecked, an RK4 stage overflowed to an infinite norm and the next
+        # one divided by zero
+        params = dataclasses.replace(PARAMS, **{field: value})
+        with pytest.raises(NumericalFailureError, match="macrospin step overflowed"):
+            measure_latency(params, 1.3, 0.005, 1.0)
+
+    @pytest.mark.parametrize("latency,match", [
+        (1e308, "overflow encountered in square"),
+        (5e-324, "overflow encountered in divide"),
+    ], ids=["huge", "subnormal"])
+    def test_extreme_latency_fit_raises_numerical_failure(self, latency, match):
+        # unchecked, numpy's overflow warning escaped the fit
+        with pytest.raises(NumericalFailureError, match=f"latency-law fit failed: {match}"):
+            fit_latency_law([0.8, 1.0, 1.3, 1.7, 2.2], [2.0, 1.6, 1.2, 1.0, latency])
 
 
 class TestRefractionEmerges:

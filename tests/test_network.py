@@ -301,6 +301,17 @@ class TestSimulateNetwork:
         assert "m.state" in trace.signals
         assert isinstance(trace.spike_onsets["m"], list)
 
+    def test_overflowing_macrospin_neuron_named(self):
+        # unchecked, the integrator's ZeroDivisionError escaped unnamed
+        net = Network(
+            neurons=(Neuron("m", "macrospin", MacrospinParams(gamma=1e308)),),
+            synapses=(Synapse("src", "m", 1.5),),
+            sources=(Source("src", spike_times=(0.0,), amplitude=1.0, duration=4.9),),
+        )
+        with pytest.raises(NumericalFailureError,
+                           match="neuron 'm': macrospin step overflowed the float range"):
+            simulate_network(net, SimConfig(dt=0.005, horizon=1.0))
+
 
 class TestNeuronBackend:
     @pytest.mark.parametrize("backend, params, key", [

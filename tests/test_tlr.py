@@ -23,7 +23,6 @@ from mtjsnn.tlr import (
     TlrParams,
     TlrRun,
     TlrState,
-    _raised_cosine,
     _run_batch,
     constant_drive_latency,
     run_tlr,
@@ -41,7 +40,7 @@ def spike_waveform(params: TlrParams, t_since_onset: float) -> float:
     if t_since_onset > params.spike_duration:
         return 0.0
     x = t_since_onset / params.spike_duration
-    return float(_raised_cosine(params.spike_amplitude, x))
+    return float(params.spike_amplitude * (1.0 - np.cos(2.0 * np.pi * x)) / 2.0)
 
 
 def _output_voltage(params: TlrParams, onset: Optional[float], t: float) -> float:
@@ -543,6 +542,19 @@ class TestBatchedKernel:
         with pytest.raises(InvalidInputError, match="t0 must be finite") as exc:
             run_tlr(TlrParams(), np.full(101, 2.0), self.DT, t0)
         assert exc.value.key == "t0"
+
+    @pytest.mark.parametrize("dt", [1e308, 0.5, 0.0, -0.001, math.nan])
+    def test_dt_outside_the_grid_rule_rejected(self, dt):
+        # unchecked, 1e308 leaked numpy's overflow warning and 0.5 ran,
+        # although the other simulators reject both
+        with pytest.raises(InvalidInputError, match=r"dt must be in \(0, 0.01\] ns") as exc:
+            run_tlr(TlrParams(), np.full(11, 2.0), dt)
+        assert exc.value.key == "dt"
+
+    def test_one_grid_owner(self):
+        import mtjsnn
+        from mtjsnn import network
+        assert mtjsnn.SimConfig is network.SimConfig is tlr_module.SimConfig
 
     def test_random_parameters_and_offsets(self):
         rng = np.random.default_rng(3)

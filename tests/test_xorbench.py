@@ -77,6 +77,16 @@ class TestEncoding:
             EncodingConfig(bias_period=period)
         assert e.value.key == "bias_period"
 
+    @pytest.mark.parametrize("period,horizon", [
+        (5e-324, 5.0), (1.0, 1_000_001.0), (2.0, float("inf")),
+    ], ids=["subnormal", "one-past-the-cap", "infinite-horizon"])
+    def test_bias_train_past_the_step_cap_rejected(self, period, horizon):
+        # checked before any spike is appended: unchecked, a period too small
+        # to advance t appended spikes until memory ran out
+        with pytest.raises(InvalidInputError, match="more than 1000001 bias spikes") as e:
+            encode_inputs(XorRow(0, 0), EncodingConfig(bias_period=period), horizon)
+        assert e.value.key == "bias_period"
+
     def test_dataset_covers_rows(self):
         data = xor_dataset()
         assert [t for _, t in data] == [2.0, 2.5, 2.5, 2.0]
