@@ -202,17 +202,21 @@ def _parse_preset_network(section: dict, path: str) -> Network:
             raise ConfigError(f"unknown neuron {nid!r}", key=f"{path}.neurons.{nid}")
         params[nid] = _build(TlrParams, fields, f"{path}.neurons.{nid}", base=params[nid])
 
+    bias_to_output = _bool(section.get("bias_to_output", True), f"{path}.bias_to_output")
     weights = dict(defaults.XOR_WEIGHTS)
     for edge, w in _expect_mapping(section.get("weights", {}), f"{path}.weights").items():
         if edge not in weights:
             raise ConfigError(f"unknown edge {edge!r}", key=f"{path}.weights.{edge}")
+        if edge == "bias->o1" and not bias_to_output:
+            raise ConfigError("edge 'bias->o1' is off because bias_to_output is false",
+                              key=f"{path}.weights.{edge}")
         weights[edge] = _number(w, f"{path}.weights.{edge}")
 
     try:
         return build_xor_network(
             params=params,
             weights=weights,
-            bias_to_output=_bool(section.get("bias_to_output", True), f"{path}.bias_to_output"),
+            bias_to_output=bias_to_output,
             source_amplitude=_number(
                 section.get("source_amplitude", defaults.XOR_SOURCE_AMPLITUDE),
                 f"{path}.source_amplitude",

@@ -14,7 +14,6 @@ import graphlib
 import math
 import os
 import stat
-import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
@@ -168,42 +167,39 @@ def _write_csvs(time: np.ndarray, files: list[tuple[object, dict[str, np.ndarray
                 fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _link_backup(path: str) -> str:
-    """Hard-link ``path`` to a fresh hidden name in its directory."""
+def _fresh(path: str, prefix: str, make: Callable[[str], None]) -> str:
+    """Run ``make(name)`` on a fresh hidden name ``.<prefix>-<12 hex>~``
+    beside ``path``, drawing again while the name exists; return it."""
     while True:
-        backup = os.path.join(os.path.dirname(os.path.abspath(path)),
-                              f".bak-{os.urandom(6).hex()}~")
+        name = os.path.join(os.path.dirname(os.path.abspath(path)),
+                            f".{prefix}-{os.urandom(6).hex()}~")
         try:
-            os.link(path, backup, follow_symlinks=False)
-            return backup
+            make(name)
+            return name
         except FileExistsError:
             continue
 
 
 def atomic_write(paths: list, writer: Callable[..., None]) -> None:
     """Run ``writer(*tmp_paths)`` on one temporary file beside each of
-    ``paths``, then commit them all or none.  Once the writer returns, each
-    existing path is hard-linked to a backup name beside it, and each
-    temporary file is renamed onto its path.  On any exception the replaced
-    paths get their backups back, the paths that did not exist before are
-    removed, and every temporary and backup file is removed, so a failed
-    write or rename leaves the outputs as they were, with no file added.  On
-    success the backups are removed.  The files get the mode
-    ``open(path, "w")`` would give them, ``0o666`` less the umask."""
-    umask = os.umask(0)
-    os.umask(umask)
+    ``paths``, then commit them all or none.  Each temporary is created as
+    ``open(path, "w")`` creates a file, so the kernel gives it ``0o666``
+    less the file-creation mask.  Once the writer returns, each existing
+    path that is not a directory is hard-linked to a backup name beside
+    it, and each temporary file is renamed onto its path.  On any
+    exception the replaced paths get their backups back and the paths that
+    did not exist before are removed, so a failed write or rename leaves
+    the outputs as they were.  Either way, every temporary and backup file
+    left is removed."""
     tmps, backups, replaced = [], {}, []
     try:
         for path in paths:
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                       prefix=".tmp-", suffix="~")
-            os.close(fd)
-            tmps.append(tmp)
-            os.chmod(tmp, 0o666 & ~umask)
+            tmps.append(_fresh(path, "tmp", lambda name: open(name, "x").close()))
         writer(*tmps)
         for path in paths:   # renaming a file onto a directory fails, so none needs a backup
             if os.path.lexists(path) and not stat.S_ISDIR(os.lstat(path).st_mode):
-                backups[path] = _link_backup(path)
+                backups[path] = _fresh(
+                    path, "bak", lambda name: os.link(path, name, follow_symlinks=False))
         for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)
             replaced.append(path)
@@ -213,12 +209,11 @@ def atomic_write(paths: list, writer: Callable[..., None]) -> None:
                 os.replace(backups.pop(path), path)
             else:
                 os.unlink(path)
+        raise
+    finally:
         for leftover in tmps + list(backups.values()):
             if os.path.lexists(leftover):
                 os.unlink(leftover)
-        raise
-    for backup in backups.values():
-        os.unlink(backup)
 
 
 def validate_topology(net: Network) -> list[str]:

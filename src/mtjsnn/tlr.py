@@ -132,7 +132,8 @@ def _pulse(time: np.ndarray, onset: float, amplitude: float,
     a = np.searchsorted(time, onset, "left")
     b = np.searchsorted(time, onset + duration, "right")
     x = (time[a:b] - onset) / duration
-    return slice(a, b), amplitude * (1.0 - np.cos(2.0 * np.pi * x)) / 2.0
+    # halved before the product, which is exact, so no finite amplitude overflows
+    return slice(a, b), amplitude * ((1.0 - np.cos(2.0 * np.pi * x)) / 2.0)
 
 
 def constant_drive_latency(params: TlrParams, drive: float) -> Optional[float]:

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInputError
+from .errors import DivergenceError, InvalidInputError, NumericalFailureError
 from .network import Network, SimConfig, _simulate, validate_topology
 
 # ns past the latest output onset of the last epoch that the next prefix
@@ -81,7 +81,10 @@ def loss(t_actual: float, t_desired: float) -> float:
     """Half squared timing error in ns^2."""
     if not (math.isfinite(t_actual) and math.isfinite(t_desired)):
         raise InvalidInputError("spike times must be finite")
-    return 0.5 * (t_actual - t_desired) ** 2
+    try:   # float ** raises where * returns inf
+        return 0.5 * (t_actual - t_desired) ** 2
+    except OverflowError:
+        raise NumericalFailureError("loss overflowed the float range") from None
 
 
 def loss_gradient_time(t_actual: float, t_desired: float) -> float:
@@ -178,9 +181,9 @@ def train(
             steps = None
         t_out = [t_rows[k * n_fd : (k + 1) * n_fd] for k in range(len(dataset))]
         fired = [t_b for t_b in t_rows if t_b is not None]
-        prefix = math.ceil((max(fired) + _PREFIX_MARGIN) / sim.dt) if fired else sim.steps
-        if prefix >= sim.steps:
-            prefix = None
+        # compared as a float first: a far onset's end may not fit an int
+        end = (max(fired) + _PREFIX_MARGIN) / sim.dt if fired else math.inf
+        prefix = math.ceil(end) if end <= sim.steps - 1 else None
         times = [penalty if t[0] is None else t[0] for t in t_out]
         total = sum(loss(t, t_des) for t, (_, t_des) in zip(times, dataset))
 

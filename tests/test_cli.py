@@ -238,6 +238,35 @@ class TestSimulate:
         assert code == EXIT_SIMULATION
         assert capsys.readouterr().err.startswith("simulation failed: neuron 'n': ")
 
+    @pytest.mark.parametrize("amplitude", [1e308, -1e308])
+    @pytest.mark.parametrize("weight, code", [(1.0, EXIT_OK), (2.0, EXIT_SIMULATION)],
+                             ids=["finite-drive", "overflowing-drive"])
+    def test_source_amplitude_near_the_float_maximum(self, tmp_path, capsys, amplitude,
+                                                     weight, code):
+        # the pulse draws without a warning; only a drive past the float range fails
+        network = {
+            "sources": [{"id": "s", "spike_times": [0.0], "amplitude": amplitude}],
+            "neurons": [{"id": "n"}],
+            "synapses": [{"pre": "s", "post": "n", "weight": weight}],
+        }
+        cfg = write_config(tmp_path, {"schema_version": 1, "sim": {"dt": 0.01, "horizon": 5.0},
+                                      "network": network})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            assert err == ""
+        else:
+            assert err == "simulation failed: neuron 'n': drive must be finite\n"
+
+    def test_weight_of_the_disabled_bias_edge_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, xor_doc(network={
+            "preset": "xor", "bias_to_output": False, "weights": {"bias->o1": 5.0}}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: network.weights.bias->o1: edge"
+                                           " 'bias->o1' is off because bias_to_output is false\n")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_epoch_budget_exhausted_exit_4(self, tmp_path):
@@ -257,6 +286,18 @@ class TestTrain:
         rows = (out / "history.csv").read_text().splitlines()[1:]
         losses = {r.split(",")[1] for r in rows}
         assert len(rows) == 3 and len(losses) == 1
+
+    @pytest.mark.parametrize("network, train", [
+        ({"preset": "xor", "neurons": {"o1": {"latency_floor": 1e200}}}, {}),
+        ({"preset": "xor", "neurons": {"o1": {"latency_floor": 1e308}}}, {}),
+        ({"preset": "xor"}, {"no_spike_penalty_time": 1e308}),
+    ], ids=["latency-floor-1e200", "latency-floor-1e308", "penalty-1e308"])
+    def test_overflowing_loss_exit_3(self, tmp_path, capsys, network, train):
+        cfg = write_config(tmp_path, xor_doc(network=network, train=dict(train, seed=2)))
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_SIMULATION
+        assert capsys.readouterr().err == "simulation failed: loss overflowed the float range\n"
+        assert not out.exists() or not os.listdir(out)
 
     def test_divergence_exit_5(self, tmp_path):
         cfg = write_config(tmp_path, xor_doc(

@@ -114,6 +114,12 @@ class TestPresetNetwork:
         cfg = parse_config(minimal(network={"preset": "xor", "bias_to_output": False}))
         assert len(cfg.network.synapses) == 8
 
+    def test_weight_of_the_disabled_bias_edge_rejected(self):
+        with pytest.raises(ConfigError, match="bias_to_output is false") as e:
+            parse_config(minimal(network={"preset": "xor", "bias_to_output": False,
+                                          "weights": {"bias->o1": 5.0}}))
+        assert e.value.key == "network.weights.bias->o1"
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError) as e:
             parse_config(minimal(network={"preset": "nand"}))

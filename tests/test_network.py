@@ -2,6 +2,7 @@
 the batched core behind it and the trace CSV writer."""
 
 import math
+import os
 import time
 
 import numpy as np
@@ -24,6 +25,7 @@ from mtjsnn.network import (
     _KERNELS,
     _simulate,
     _topo_order,
+    atomic_write,
     first_spike_time,
     simulate_network,
     validate_topology,
@@ -995,3 +997,50 @@ class TestCsvChunkMemo:
             write_row_traces(traces, tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["row1_drive.csv"]
         assert (tmp_path / "row1_drive.csv").read_text() == "old\n"
+
+
+def write_each(text):
+    """An ``atomic_write`` writer that puts ``text`` in each temporary."""
+    def writer(*tmps):
+        for tmp in tmps:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+    return writer
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("kind, draws", [
+        ("tmp", [b"\0" * 6, b"\1" * 6, b"\2" * 6]),   # the temporary's first name
+        ("bak", [b"\1" * 6, b"\0" * 6, b"\2" * 6]),   # the backup's first name
+    ])
+    def test_taken_name_draws_again(self, tmp_path, monkeypatch, kind, draws):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        taken = tmp_path / f".{kind}-000000000000~"
+        taken.write_text("taken\n")
+        names = iter(draws)
+        monkeypatch.setattr(os, "urandom", lambda n: next(names))
+        atomic_write([str(target)], write_each("new\n"))
+        assert next(names, None) is None   # each draw was used
+        assert target.read_text() == "new\n"
+        assert taken.read_text() == "taken\n"
+        assert sorted(os.listdir(tmp_path)) == [taken.name, "out.txt"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_mode_follows_the_umask_without_reading_it(self, tmp_path, monkeypatch, umask,
+                                                       mode):
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+
+        paths = [str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]
+        (tmp_path / "b.txt").write_text("old\n")
+        old = os.umask(umask)
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(os, "umask", no_umask)
+                atomic_write(paths, write_each("new\n"))
+        finally:
+            os.umask(old)
+        assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
+        assert {os.stat(p).st_mode & 0o777 for p in paths} == {mode}

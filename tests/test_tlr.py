@@ -244,6 +244,16 @@ class TestParams:
     def test_negative_spike_amplitude_accepted(self):
         assert TlrParams(spike_amplitude=-1.0).spike_amplitude == -1.0
 
+    @pytest.mark.parametrize("amplitude", [1e308, -1e308])
+    def test_spike_amplitude_near_the_float_maximum(self, amplitude):
+        # every sample is the unit pulse's times the amplitude, with no overflow
+        drive = np.full(501, 2.0)
+        run = run_tlr(TlrParams(spike_amplitude=amplitude), drive, 0.01)
+        unit = run_tlr(TlrParams(spike_amplitude=1.0), drive, 0.01)
+        assert run.onsets == unit.onsets and run.onsets
+        assert np.array_equal(run.v_out, amplitude * unit.v_out)
+        assert np.abs(run.v_out).max() == 1e308
+
 
 class TestSpikeWaveform:
     def test_edges_and_peak(self):
@@ -695,3 +705,10 @@ class TestSourceWaveform:
             v = source_waveform(time, onsets, 1.0, 1.0)
             assert v.tobytes() == reference_source_waveform(time, onsets, 1.0, 1.0).tobytes()
         assert source_waveform(time, [0.5], 1.0, 1.0)[4] == 1.0   # the peak, on the grid
+
+    @pytest.mark.parametrize("amplitude", [1e308, -1e308, 9e307])
+    def test_amplitude_near_the_float_maximum(self, amplitude):
+        time = 0.25 * np.arange(9)
+        v = source_waveform(time, [0.5], amplitude, 1.0)
+        assert np.array_equal(v, amplitude * source_waveform(time, [0.5], 1.0, 1.0))
+        assert v[4] == amplitude   # the peak, on the grid

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mtjsnn import trainer
-from mtjsnn.errors import DivergenceError, InvalidInputError
+from mtjsnn.errors import DivergenceError, InvalidInputError, NumericalFailureError
 from mtjsnn.network import (
     Network,
     Neuron,
@@ -63,6 +63,12 @@ class TestLoss:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
             loss(float("nan"), 1.0)
+
+    @pytest.mark.parametrize("t_actual", [1e200, -1e200, 1e308])
+    def test_overflow_is_a_numerical_failure(self, t_actual):
+        # float ** raises OverflowError where * would return inf
+        with pytest.raises(NumericalFailureError, match="^loss overflowed the float range$"):
+            loss(t_actual, 0.0)
 
 
 class TestLossGradient:
