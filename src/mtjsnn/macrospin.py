@@ -7,12 +7,13 @@ output node; the transistor pulls the node toward ground, so the node
 voltage is ``v_dd - i * R(m)``.  Switching of the free layer changes the
 MTJ resistance and shows up as a voltage transient at the node.
 
-The integrator steps the three components of m as plain Python floats: the
-LLGS right-hand side is written out component by component (``_llgs_of``)
-and the node voltage comes from the closed-form root of the series-circuit
-equation (``_node_solver``), each with its parameter constants computed once
-per integration, so a step allocates no arrays.  The easy axis lies in the
-film plane, and the step arithmetic is planar: it reads only its x and y.
+The integrator steps the three components of m as plain Python floats, in
+one straight-line RK4 step: the closed-form root of the series-circuit
+equation (``solve_node``) and the four evaluations of the LLGS right-hand
+side (``llgs_derivative``), written out component by component on
+parameter constants read once per integration, so a step makes no function
+call and allocates no arrays.  The easy axis lies in the film plane, and
+the step arithmetic is planar: it reads only its x and y.
 
 Units: time ns, field T, current mA, resistance kOhm, voltage V
 (mA * kOhm = V), gyromagnetic ratio rad/(ns*T).
@@ -118,54 +119,35 @@ def _check_unit(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _llgs_of(params: MacrospinParams) -> Callable[[float, float, float, float],
-                                                  tuple[float, float, float]]:
-    """The LLGS right-hand side for ``params``.
+def llgs_derivative(m: np.ndarray, params: MacrospinParams, i_device: float) -> np.ndarray:
+    """dm/dt in 1/ns; exactly orthogonal to m term by term.
 
-    Returns ``llgs(x, y, z, s)``: the components of dm/dt for m = (x, y, z)
-    under a spin-torque rate ``s = stt_coefficient * i_device``; see
-    ``llgs_derivative``.  The per-parameter constants are computed here, so
-    an integration computes them once, not once per stage.
+    The right-hand side is written out component by component, in the
+    float expressions that each RK4 stage of ``integrate_macrospin`` runs.
     """
+    x, y, z = (float(c) for c in _check_unit(m))
     ex, ey, _ = params.polarizer
-    h_easy, h_demag = params.h_easy, params.h_demag
     gp = params.gamma / (1.0 + params.alpha ** 2)
     gpa = gp * params.alpha
-
-    def llgs(x: float, y: float, z: float, s: float) -> tuple[float, float, float]:
-        a = h_easy * (x * ex + y * ey)
-        hx, hy, hz = a * ex, a * ey, -h_demag * z
-        # m x h_eff, m x (m x h_eff), m x e, m x (m x e)
-        px, py, pz = y * hz - z * hy, z * hx - x * hz, x * hy - y * hx
-        qx, qy, qz = y * pz - z * py, z * px - x * pz, x * py - y * px
-        ux, uy, uz = -z * ey, z * ex, x * ey - y * ex
-        wx, wy, wz = y * uz - z * uy, z * ux - x * uz, x * uy - y * ux
-        return (
-            (-gp * px - gpa * qx) + s * wx,
-            (-gp * py - gpa * qy) + s * wy,
-            (-gp * pz - gpa * qz) + s * wz,
-        )
-
-    return llgs
-
-
-def llgs_derivative(m: np.ndarray, params: MacrospinParams, i_device: float) -> np.ndarray:
-    """dm/dt in 1/ns; exactly orthogonal to m term by term."""
-    x, y, z = _check_unit(m)
-    return np.array(_llgs_of(params)(float(x), float(y), float(z),
-                                     params.stt_coefficient * i_device))
-
-
-def _resistance(c: float, params: MacrospinParams) -> float:
-    """MTJ resistance at easy-axis projection ``c`` of m."""
-    return params.r_parallel + (params.r_antiparallel - params.r_parallel) * (1.0 - c) / 2.0
+    s = params.stt_coefficient * i_device
+    a = params.h_easy * (x * ex + y * ey)
+    hx, hy, hz = a * ex, a * ey, -params.h_demag * z
+    # m x h_eff, m x (m x h_eff), m x e, m x (m x e)
+    px, py, pz = y * hz - z * hy, z * hx - x * hz, x * hy - y * hx
+    qx, qy, qz = y * pz - z * py, z * px - x * pz, x * py - y * px
+    ux, uy, uz = -z * ey, z * ex, x * ey - y * ex
+    wx, wy, wz = y * uz - z * uy, z * ux - x * uz, x * uy - y * ux
+    return np.array([(-gp * px - gpa * qx) + s * wx,
+                     (-gp * py - gpa * qy) + s * wy,
+                     (-gp * pz - gpa * qz) + s * wz])
 
 
 def mtj_resistance(m: np.ndarray, params: MacrospinParams) -> float:
     """Cosine interpolation between parallel and antiparallel resistance."""
     x, y, _ = _check_unit(m)
     ex, ey, _ = params.polarizer
-    return _resistance(float(x) * ex + float(y) * ey, params)
+    c = float(x) * ex + float(y) * ey
+    return params.r_parallel + (params.r_antiparallel - params.r_parallel) * (1.0 - c) / 2.0
 
 
 def _drain_current(v_ov: float, v_drain: float, k: float) -> float:
@@ -185,30 +167,6 @@ def nmos_current(v_gate: float, v_drain: float, params: MacrospinParams) -> floa
     return _drain_current(v_ov, v_drain, params.transistor_k)
 
 
-def _node_solver(params: MacrospinParams) -> Callable[[float, float], tuple[float, float]]:
-    """``solve(resistance, v_gate)``: ``solve_node`` with the parameters
-    read once."""
-    v_dd, vt, k = params.v_dd, params.transistor_vt, params.transistor_k
-    isfinite, sqrt = math.isfinite, math.sqrt
-
-    def solve(resistance: float, v_gate: float) -> tuple[float, float]:
-        if not isfinite(v_gate):
-            raise InvalidInputError("voltages must be finite")
-        v_ov = v_gate - vt
-        if v_ov <= 0:
-            return v_dd, 0.0
-        rk = resistance * k
-        v = v_dd - 0.5 * rk * v_ov * v_ov
-        if v < v_ov:
-            b = 1.0 + rk * v_ov
-            v = 2.0 * v_dd / (b + sqrt(b * b - 2.0 * rk * v_dd))
-        if not 0.0 <= v <= v_dd:
-            raise NumericalFailureError("circuit solve: no bracket in [0, v_dd]")
-        return v, _drain_current(v_ov, v, k)
-
-    return solve
-
-
 def solve_node(resistance: float, v_gate: float, params: MacrospinParams) -> tuple[float, float]:
     """Self-consistent node voltage and device current for the series circuit.
 
@@ -219,9 +177,23 @@ def solve_node(resistance: float, v_gate: float, params: MacrospinParams) -> tup
     (R*k/2) v^2 - (1 + R*k*v_ov) v + v_dd = 0, taken in the cancellation-free
     form 2*v_dd / (b + sqrt(b^2 - 2*R*k*v_dd)) with b = 1 + R*k*v_ov.
     A root outside [0, v_dd] (for example a negative ``transistor_k``)
-    raises ``NumericalFailureError``.
+    raises ``NumericalFailureError``.  The current takes the triode or the
+    saturation law by ``v < v_ov`` on the root, as ``nmos_current`` does.
     """
-    return _node_solver(params)(resistance, v_gate)
+    if not math.isfinite(v_gate):
+        raise InvalidInputError("voltages must be finite")
+    v_dd, k = params.v_dd, params.transistor_k
+    v_ov = v_gate - params.transistor_vt
+    if v_ov <= 0:
+        return v_dd, 0.0
+    rk = resistance * k
+    v = v_dd - 0.5 * rk * v_ov * v_ov
+    if v < v_ov:
+        b = 1.0 + rk * v_ov
+        v = 2.0 * v_dd / (b + math.sqrt(b * b - 2.0 * rk * v_dd))
+    if not 0.0 <= v <= v_dd:
+        raise NumericalFailureError("circuit solve: no bracket in [0, v_dd]")
+    return v, _drain_current(v_ov, v, k)
 
 
 @dataclass
@@ -251,46 +223,117 @@ class MacrospinTrace:
 
 def _integrate(state: MacrospinState, params: MacrospinParams, v_gate: list[float],
                dt: float, stop_after_switch: bool = False) -> MacrospinTrace:
-    """The RK4 loop of ``integrate_macrospin`` on a checked grid of gate
-    samples.  With ``stop_after_switch`` the trace ends at the first sample
-    whose easy-axis projection has changed sign or left an exact zero, the
-    first sample at which a crossing can show in ``switching_times``."""
+    """The RK4 loop of ``integrate_macrospin`` on a checked grid of finite
+    gate samples.  With ``stop_after_switch`` the trace ends at the first
+    sample whose easy-axis projection has changed sign or left an exact
+    zero, the first sample at which a crossing can show in
+    ``switching_times``.
+
+    Each step is straight-line float code: the circuit solve of
+    ``solve_node`` and the four stage evaluations of ``llgs_derivative``,
+    each written out in the same float expressions, on constants read from
+    ``params`` once.  As five calls (the solve and four stages) the step
+    took about a fifth longer.
+    """
     ex, ey, _ = params.polarizer
+    h_easy, n_h_demag = params.h_easy, -params.h_demag
+    gp = params.gamma / (1.0 + params.alpha ** 2)
+    n_gp, gpa = -gp, gp * params.alpha
     stt = params.stt_coefficient
-    llgs, solve = _llgs_of(params), _node_solver(params)
+    r_p, r_span = params.r_parallel, params.r_antiparallel - params.r_parallel
+    v_dd, vt, k_t = params.v_dd, params.transistor_vt, params.transistor_k
+    two_v_dd, half_k = 2.0 * v_dd, 0.5 * k_t
     sqrt = math.sqrt
     x, y, z = (float(c) for c in _check_unit(state.m))
 
     n_steps = len(v_gate) - 1
     time = dt * np.arange(n_steps + 1) + state.t
     v_node_buf, i_buf, m_buf = array("d"), array("d"), array("d")
+    put_v, put_i, put_m = v_node_buf.append, i_buf.append, m_buf.append
     h, h6 = 0.5 * dt, dt / 6.0
     c_prev = math.nan   # no sample before the first
     # a stage that overflows has an infinite norm, and the next stage divides
     # by the norm of all zeros; one try keeps the step free of checks
     try:
         for k, gate in enumerate(v_gate):
+            # the node voltage and device current at m = (x, y, z)
             c = x * ex + y * ey
-            v_node, i_dev = solve(_resistance(c, params), gate)
-            v_node_buf.append(v_node)
-            i_buf.append(i_dev)
-            m_buf.append(x)
-            m_buf.append(y)
-            m_buf.append(z)
+            v_ov = gate - vt
+            if v_ov <= 0:
+                v, i_dev = v_dd, 0.0
+            else:
+                rk = (r_p + r_span * (1.0 - c) / 2.0) * k_t
+                v = v_dd - 0.5 * rk * v_ov * v_ov
+                if v < v_ov:
+                    b = 1.0 + rk * v_ov
+                    v = two_v_dd / (b + sqrt(b * b - 2.0 * rk * v_dd))
+                if not 0.0 <= v <= v_dd:
+                    raise NumericalFailureError("circuit solve: no bracket in [0, v_dd]")
+                i_dev = k_t * (v_ov * v - 0.5 * v * v) if v < v_ov else half_k * v_ov * v_ov
+            put_v(v)
+            put_i(i_dev)
+            put_m(x)
+            put_m(y)
+            put_m(z)
             if k == n_steps or stop_after_switch and (c_prev == 0.0 or c_prev * c < 0.0):
                 break
             c_prev = c
             s = stt * i_dev
-            k1x, k1y, k1z = llgs(x, y, z, s)
+
+            # stage 1 at m; its easy-axis projection is c
+            a = h_easy * c
+            hx, hy, hz = a * ex, a * ey, n_h_demag * z
+            # m x h_eff, m x (m x h_eff), m x e, m x (m x e)
+            px, py, pz = y * hz - z * hy, z * hx - x * hz, x * hy - y * hx
+            qx, qy, qz = y * pz - z * py, z * px - x * pz, x * py - y * px
+            ux, uy, uz = -z * ey, z * ex, x * ey - y * ex
+            wx, wy, wz = y * uz - z * uy, z * ux - x * uz, x * uy - y * ux
+            k1x = (n_gp * px - gpa * qx) + s * wx
+            k1y = (n_gp * py - gpa * qy) + s * wy
+            k1z = (n_gp * pz - gpa * qz) + s * wz
+
+            # stage 2 at the unit vector along m + dt/2 * k1
             ax, ay, az = x + h * k1x, y + h * k1y, z + h * k1z
             n = sqrt(ax * ax + ay * ay + az * az)
-            k2x, k2y, k2z = llgs(ax / n, ay / n, az / n, s)
+            mx, my, mz = ax / n, ay / n, az / n
+            a = h_easy * (mx * ex + my * ey)
+            hx, hy, hz = a * ex, a * ey, n_h_demag * mz
+            px, py, pz = my * hz - mz * hy, mz * hx - mx * hz, mx * hy - my * hx
+            qx, qy, qz = my * pz - mz * py, mz * px - mx * pz, mx * py - my * px
+            ux, uy, uz = -mz * ey, mz * ex, mx * ey - my * ex
+            wx, wy, wz = my * uz - mz * uy, mz * ux - mx * uz, mx * uy - my * ux
+            k2x = (n_gp * px - gpa * qx) + s * wx
+            k2y = (n_gp * py - gpa * qy) + s * wy
+            k2z = (n_gp * pz - gpa * qz) + s * wz
+
+            # stage 3 at the unit vector along m + dt/2 * k2
             ax, ay, az = x + h * k2x, y + h * k2y, z + h * k2z
             n = sqrt(ax * ax + ay * ay + az * az)
-            k3x, k3y, k3z = llgs(ax / n, ay / n, az / n, s)
+            mx, my, mz = ax / n, ay / n, az / n
+            a = h_easy * (mx * ex + my * ey)
+            hx, hy, hz = a * ex, a * ey, n_h_demag * mz
+            px, py, pz = my * hz - mz * hy, mz * hx - mx * hz, mx * hy - my * hx
+            qx, qy, qz = my * pz - mz * py, mz * px - mx * pz, mx * py - my * px
+            ux, uy, uz = -mz * ey, mz * ex, mx * ey - my * ex
+            wx, wy, wz = my * uz - mz * uy, mz * ux - mx * uz, mx * uy - my * ux
+            k3x = (n_gp * px - gpa * qx) + s * wx
+            k3y = (n_gp * py - gpa * qy) + s * wy
+            k3z = (n_gp * pz - gpa * qz) + s * wz
+
+            # stage 4 at the unit vector along m + dt * k3
             ax, ay, az = x + dt * k3x, y + dt * k3y, z + dt * k3z
             n = sqrt(ax * ax + ay * ay + az * az)
-            k4x, k4y, k4z = llgs(ax / n, ay / n, az / n, s)
+            mx, my, mz = ax / n, ay / n, az / n
+            a = h_easy * (mx * ex + my * ey)
+            hx, hy, hz = a * ex, a * ey, n_h_demag * mz
+            px, py, pz = my * hz - mz * hy, mz * hx - mx * hz, mx * hy - my * hx
+            qx, qy, qz = my * pz - mz * py, mz * px - mx * pz, mx * py - my * px
+            ux, uy, uz = -mz * ey, mz * ex, mx * ey - my * ex
+            wx, wy, wz = my * uz - mz * uy, mz * ux - mx * uz, mx * uy - my * ux
+            k4x = (n_gp * px - gpa * qx) + s * wx
+            k4y = (n_gp * py - gpa * qy) + s * wy
+            k4z = (n_gp * pz - gpa * qz) + s * wz
+
             x = x + h6 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
             y = y + h6 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
             z = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
@@ -310,20 +353,23 @@ def integrate_macrospin(state: MacrospinState, params: MacrospinParams, v_gate: 
     """Fixed-step RK4 integration with per-step circuit solve.
 
     ``v_gate`` holds the gate voltage at each grid point; its N+1 samples
-    set a grid of N steps of ``dt`` from ``state.t``.  The device current
-    is solved self-consistently from the node equation (``solve_node``,
-    closed form) at the start of each step and held constant across the
-    RK4 stages; each stage input and each step result is renormalized to
-    unit length.  The step runs on the three components of m as Python
-    floats, with the parameter constants of the LLGS right-hand side and
-    of the circuit solve computed once per call, and appends each grid
-    point's samples to 8-byte ``array("d")`` buffers that become the
-    trace's arrays without a copy.
+    set a grid of N steps of ``dt`` from ``state.t``, and a non-finite
+    sample is rejected before any step.  The device current is solved
+    self-consistently from the node equation (``solve_node``, closed form)
+    at the start of each step and held constant across the RK4 stages
+    (``llgs_derivative``); each stage input and each step result is
+    renormalized to unit length.  The step runs on the three components of
+    m as Python floats, in straight-line code that computes exactly what
+    those two functions compute, and appends each grid point's samples to
+    8-byte ``array("d")`` buffers that become the trace's arrays without a
+    copy.
     """
     _check_dt(dt)
     v_gate = np.asarray(v_gate, dtype=float)
     if v_gate.ndim != 1 or v_gate.size < 2:
         raise InvalidInputError("v_gate must be a 1-D array of at least 2 samples")
+    if not np.isfinite(v_gate).all():
+        raise InvalidInputError("v_gate must be finite", key="v_gate")
     return _integrate(state, params, v_gate.tolist(), dt)
 
 
@@ -491,9 +537,9 @@ def fit_latency_law(
 ) -> tuple[float, float, float, float]:
     """Least-squares fit of T(V) = floor + q / (V - vth).
 
-    Returns (vth, q, floor, max relative residual).  Uses variable
-    projection: for a trial vth the remaining parameters are linear, and
-    u = log(v_min - vth) is minimized by Brent's bounded method
+    Returns (vth, q, floor, max relative residual) as Python floats.  Uses
+    variable projection: for a trial vth the remaining parameters are
+    linear, and u = log(v_min - vth) is minimized by Brent's bounded method
     (``_fminbound``) to an absolute tolerance of 1e-12.
     """
     v = np.asarray(drives, dtype=float)
@@ -533,7 +579,7 @@ def fit_latency_law(
             max_rel = float(np.max(np.abs(pred - t) / np.abs(t)))
     except FloatingPointError as exc:
         raise NumericalFailureError(f"latency-law fit failed: {exc}") from exc
-    return vth, q, max(floor, 0.0), max_rel
+    return vth, float(q), max(float(floor), 0.0), max_rel
 
 
 @dataclass

@@ -81,10 +81,13 @@ def loss(t_actual: float, t_desired: float) -> float:
     """Half squared timing error in ns^2."""
     if not (math.isfinite(t_actual) and math.isfinite(t_desired)):
         raise InvalidInputError("spike times must be finite")
+    diff = t_actual - t_desired   # inf where the subtraction overflows
     try:   # float ** raises where * returns inf
-        return 0.5 * (t_actual - t_desired) ** 2
+        if math.isfinite(diff):
+            return 0.5 * diff ** 2
     except OverflowError:
-        raise NumericalFailureError("loss overflowed the float range") from None
+        pass
+    raise NumericalFailureError("loss overflowed the float range")
 
 
 def loss_gradient_time(t_actual: float, t_desired: float) -> float:

@@ -476,6 +476,92 @@ class TestFloatIntegratorOracle:
         assert trace.alignment().tobytes() == ref_alignment.tobytes()
 
 
+SIX_POLARIZERS = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0),
+                  (0.6, 0.8, 0.0), (0.8, -0.6, 0.0)]
+
+
+class TestStageOracles:
+    """The integrator writes the stage and circuit arithmetic out in-line;
+    ``llgs_derivative`` and ``solve_node`` hold the same float expressions
+    and must equal the float oracles byte for byte, but for the sign of a
+    zero at the exact antiparallel fixed point."""
+
+    @pytest.mark.parametrize("h_demag", [0.0, 0.6])
+    @pytest.mark.parametrize("tilt_deg", [0.0, 1.0])
+    @pytest.mark.parametrize("polarizer", SIX_POLARIZERS)
+    def test_llgs_derivative_same_bytes(self, polarizer, tilt_deg, h_demag):
+        params = MacrospinParams(polarizer=polarizer, h_demag=h_demag)
+        state = initial_state(params, tilt_deg)
+        # the start and the states of a switching run, z != 0 included
+        states = integrate_macrospin(state, params, oracle_gate("constant"), 0.005).m[::50]
+        for m in states:
+            for i_device in (0.0, -0.0, 0.3, 1.2, -0.7):
+                got = llgs_derivative(m, params, i_device)
+                ref = np.array(reference_float_llgs(*m.tolist(), params, i_device))
+                if got.tobytes() != ref.tobytes():
+                    # only at the exact antiparallel fixed point, where both
+                    # are zero: the planar step drops the oracle's terms in
+                    # ez, which can flip the sign of a zero there
+                    assert tilt_deg == 0.0 and not got.any() and not ref.any(), (m, i_device)
+
+    @staticmethod
+    def assert_solve_same_bytes(resistance, v_gate, params=PARAMS):
+        got = np.array(solve_node(resistance, v_gate, params))
+        ref = np.array(reference_float_solve_node(resistance, v_gate, params))
+        assert got.tobytes() == ref.tobytes(), (resistance, v_gate)
+        return got
+
+    @ALL_POLARIZERS
+    def test_solve_node_same_bytes(self, params):
+        # cutoff, saturation and triode, and nextafter steps across the
+        # gate at which the saturation voltage equals the overdrive
+        k, vt = params.transistor_k, params.transistor_vt
+        for r in np.linspace(params.r_parallel, params.r_antiparallel, 21).tolist():
+            for v_gate in np.linspace(-0.5, 3.0, 71).tolist():
+                self.assert_solve_same_bytes(r, v_gate, params)
+            rk = r * k
+            v_gate = vt + (math.sqrt(1.0 + 2.0 * rk * params.v_dd) - 1.0) / rk
+            for _ in range(20):
+                v_gate = math.nextafter(v_gate, -math.inf)
+            for _ in range(40):
+                self.assert_solve_same_bytes(r, v_gate, params)
+                v_gate = math.nextafter(v_gate, math.inf)
+
+    @pytest.mark.parametrize("transistor_k,v_gate", [
+        (0.54, 1.0048669069139626),    # R*k = 2.16: the triode root equals v_ov
+        (0.56, 0.9986339205999666),    # R*k = 2.24: the triode root lies above v_ov
+        (0.5075, 1.0154898403154673),  # R*k = 2.03: the saturation voltage equals v_ov
+    ])
+    def test_root_at_the_triode_boundary(self, transistor_k, v_gate):
+        # at R = r_antiparallel, the resistance at the fixed point m = -e, a
+        # saturation voltage below v_ov sends the solve to the triode root;
+        # where that rounds to v_ov or above, the current takes the
+        # saturation law, chosen by v < v_ov on the root, and the two laws
+        # differ in the last bit there
+        params = MacrospinParams(transistor_k=transistor_k)
+        v_ov = v_gate - params.transistor_vt
+        rk = params.r_antiparallel * transistor_k
+        assert params.v_dd - 0.5 * rk * v_ov * v_ov <= v_ov
+        saturation = 0.5 * transistor_k * v_ov * v_ov
+        v, i = self.assert_solve_same_bytes(params.r_antiparallel, v_gate, params)
+        assert v >= v_ov and i == saturation
+        trace = TestFloatIntegratorOracle.assert_same(MacrospinState(m=-params.easy_axis),
+                                                      params, np.full(21, v_gate))
+        assert np.all(trace.i_device == saturation)
+
+    @pytest.mark.parametrize("where", [0, 7, 20])
+    @pytest.mark.parametrize("v_gate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gate_sample_rejected_before_any_step(self, monkeypatch, v_gate, where):
+        calls = []
+        monkeypatch.setattr(macrospin, "_integrate", lambda *a, **k: calls.append(a))
+        samples = np.full(21, 1.5)
+        samples[where] = v_gate
+        with pytest.raises(InvalidInputError, match="v_gate must be finite") as e:
+            integrate_macrospin(initial_state(PARAMS), PARAMS, samples, 0.005)
+        assert e.value.key == "v_gate"
+        assert calls == []
+
+
 def latency_cases(cases, params=PARAMS, name=""):
     """``(params, v_gate, horizon, switches)`` parameters, whose ids lead
     with ``name`` when it is given."""
@@ -826,6 +912,16 @@ class TestCalibration:
             pred = constant_drive_latency(cal.tlr_params, v)
             assert pred is not None
             assert abs(pred - lat) / lat <= 0.15
+
+    def test_python_floats(self):
+        # numpy scalars print as np.float64(...) in a repr
+        drives = [0.8, 1.0, 1.3, 1.7, 2.2]
+        fit = fit_latency_law(drives, [0.6 + 0.4 / (v - 0.55) for v in drives])
+        assert [type(x) for x in fit] == [float] * 4
+        cal = calibrate_tlr(PARAMS, CALIBRATION_GRID)
+        tlr = cal.tlr_params
+        for x in (tlr.i_threshold, tlr.q_switch, tlr.latency_floor, cal.max_rel_residual):
+            assert type(x) is float
 
     def test_fit_runs_without_scipy(self):
         # the fit must not need scipy: block its import and compare with

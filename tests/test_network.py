@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from test_macrospin import reference_switching_times
 from test_tlr import reference_run_tlr, time_limit
 
+from mtjsnn import macrospin
 from mtjsnn.config import load_config
 from mtjsnn.errors import InvalidInputError, NumericalFailureError
 from mtjsnn.macrospin import MacrospinParams, initial_state, integrate_macrospin
@@ -839,6 +840,17 @@ class TestOverflowingDrive:
                       sources=(Source("s", (0.0,)),))
         with pytest.raises(InvalidInputError, match="neuron 'n': drive must be finite"):
             simulate_network(net, SimConfig(dt=0.01, horizon=5.0))
+
+    def test_macrospin_names_the_neuron_before_any_step(self, monkeypatch):
+        # the gate samples are checked once, before the first RK4 step
+        calls = []
+        monkeypatch.setattr(macrospin, "_integrate", lambda *a, **k: calls.append(a))
+        net = Network(neurons=(Neuron("n", "macrospin", MacrospinParams()),),
+                      synapses=(Synapse("s", "n", 1e308), Synapse("s", "n", 1e308)),
+                      sources=(Source("s", (0.0,)),))
+        with pytest.raises(InvalidInputError, match="neuron 'n': v_gate must be finite"):
+            simulate_network(net, SimConfig(dt=0.005, horizon=1.0))
+        assert calls == []
 
 
 def reference_to_csv(trace, path):

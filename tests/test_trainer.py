@@ -70,6 +70,18 @@ class TestLoss:
         with pytest.raises(NumericalFailureError, match="^loss overflowed the float range$"):
             loss(t_actual, 0.0)
 
+    @pytest.mark.parametrize("t_actual,t_desired", [(1e308, -1e308), (-1e308, 1e308),
+                                                    (1.7e308, -1.7e308)])
+    def test_subtraction_overflow_is_a_numerical_failure(self, t_actual, t_desired):
+        # the difference is inf, and inf ** 2 returns inf without raising
+        with pytest.raises(NumericalFailureError, match="^loss overflowed the float range$"):
+            loss(t_actual, t_desired)
+
+    @pytest.mark.parametrize("t_actual,t_desired", [(2.5, 2.0), (1e150, -1e150),
+                                                    (-3.0e-310, 1.0e-310), (1e154, 0.0)])
+    def test_finite_losses_keep_their_bits(self, t_actual, t_desired):
+        assert loss(t_actual, t_desired) == 0.5 * (t_actual - t_desired) ** 2
+
 
 class TestLossGradient:
     def test_examples(self):
