@@ -70,7 +70,7 @@ class MacrospinParams:
         p = np.asarray(self.polarizer, dtype=float)
         if p.shape != (3,):
             raise InvalidInputError("polarizer must have 3 components", key="polarizer")
-        if abs(np.linalg.norm(p) - 1.0) > _UNIT_TOL:
+        if abs(_length(p) - 1.0) > _UNIT_TOL:
             raise InvalidInputError("polarizer must be a unit vector", key="polarizer")
         if p[2] != 0:
             raise InvalidInputError("polarizer must lie in the x-y plane (z = 0)",
@@ -114,7 +114,7 @@ def initial_state(params: MacrospinParams, tilt_deg: float = 1.0) -> MacrospinSt
 def _check_unit(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     # written so that a NaN norm fails it too
-    if m.shape != (3,) or not abs(np.linalg.norm(m) - 1.0) <= _UNIT_TOL:
+    if m.shape != (3,) or not abs(_length(m) - 1.0) <= _UNIT_TOL:
         raise InvalidStateError("m must be a unit 3-vector")
     return m
 
@@ -538,8 +538,8 @@ def fit_latency_law(
     """Least-squares fit of T(V) = floor + q / (V - vth).
 
     Returns (vth, q, floor, max relative residual) as Python floats.  Uses
-    variable projection: for a trial vth the remaining parameters are
-    linear, and u = log(v_min - vth) is minimized by Brent's bounded method
+    variable projection: for a trial vth, floor and q solve a line in closed
+    form, and u = log(v_min - vth) is minimized by Brent's bounded method
     (``_fminbound``) to an absolute tolerance of 1e-12.
     """
     v = np.asarray(drives, dtype=float)
@@ -555,31 +555,31 @@ def fit_latency_law(
         raise InsufficientDataError("need at least 4 points to fit the latency law")
 
     v_min = float(v.min())
-    span = float(v.max() - v.min()) or 1.0
+    span = float(v.max()) - v_min
+    if not span:
+        raise NumericalFailureError("latency-law fit failed: the drives are all equal")
+    tc = t - np.sum(t) / t.size
 
-    def linear_fit(vth: float):
-        x = 1.0 / (v - vth)
-        a = np.column_stack([np.ones_like(x), x])
-        coef, *_ = np.linalg.lstsq(a, t, rcond=None)
-        resid = a @ coef - t
-        return coef, float(np.sum(resid ** 2))
-
-    def cost(u: float) -> float:
-        # vth = v_min - exp(u) keeps the pole strictly below the grid
-        _, ssq = linear_fit(v_min - math.exp(u))
-        return ssq
+    def line(u: float):
+        # vth = v_min - exp(u) keeps the pole strictly below the grid; q is the
+        # closed-form least-squares slope of t = floor + q * x, x = 1 / (v - vth)
+        x = 1.0 / (v - (v_min - math.exp(u)))
+        xc = x - np.sum(x) / x.size
+        q = np.sum(xc * tc) / np.sum(xc * xc)
+        resid = q * xc - tc
+        return float(np.sum(resid * resid)), q, x, resid
 
     # extreme latencies (1e308, 5e-324) overflow the cost or the residual
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            u = _fminbound(cost, math.log(1e-9 * span), math.log(10.0 * span), xatol=1e-12)
-            vth = v_min - math.exp(u)
-            (floor, q), _ = linear_fit(vth)
-            pred = floor + q / (v - vth)
-            max_rel = float(np.max(np.abs(pred - t) / np.abs(t)))
+            u = _fminbound(lambda u: line(u)[0], math.log(1e-9 * span), math.log(10.0 * span),
+                           xatol=1e-12)
+            _, q, x, resid = line(u)
+            floor = np.sum(t - q * x) / t.size
+            max_rel = float(np.max(np.abs(resid) / t))
     except FloatingPointError as exc:
         raise NumericalFailureError(f"latency-law fit failed: {exc}") from exc
-    return vth, float(q), max(float(floor), 0.0), max_rel
+    return v_min - math.exp(u), float(q), max(float(floor), 0.0), max_rel
 
 
 @dataclass

@@ -391,7 +391,9 @@ def _simulate(
         try:
             n_onsets = _KERNELS[neuron.backend](neuron.params, drive, sim.dt, v=v, state=state)
         except (InvalidInputError, NumericalFailureError) as exc:
-            raise type(exc)(f"neuron {nid!r}: {exc}") from exc
+            # named in place, so the type and the key stay
+            exc.args = (f"neuron {nid!r}: {exc}",) + exc.args[1:]
+            raise
         row_of[nid] = row
         signals[f"{nid}.drive"] = drive
         if v is not None:

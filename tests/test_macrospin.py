@@ -75,6 +75,27 @@ def reference_solve_node(resistance, v_gate, params):
     return v_node, nmos_current(v_gate, v_node, params)
 
 
+def reference_fit_latency_law(drives, latencies):
+    """The LAPACK fit the closed-form line replaced: the same Brent search,
+    with each trial line solved by ``np.linalg.lstsq``."""
+    v = np.asarray(drives, dtype=float)
+    t = np.asarray(latencies, dtype=float)
+    v_min = float(v.min())
+    span = float(v.max() - v.min())
+
+    def linear_fit(vth):
+        a = np.column_stack([np.ones_like(v), 1.0 / (v - vth)])
+        coef, *_ = np.linalg.lstsq(a, t, rcond=None)
+        return coef, float(np.sum((a @ coef - t) ** 2))
+
+    u = macrospin._fminbound(lambda u: linear_fit(v_min - math.exp(u))[1],
+                             math.log(1e-9 * span), math.log(10.0 * span), xatol=1e-12)
+    vth = v_min - math.exp(u)
+    (floor, q), _ = linear_fit(vth)
+    max_rel = float(np.max(np.abs(floor + q / (v - vth) - t) / t))
+    return vth, float(q), max(float(floor), 0.0), max_rel
+
+
 def reference_integrate(state, params, v_gate, dt, horizon):
     """RK4 with renormalised stages, current held across each step."""
     def unit(v):
@@ -303,6 +324,13 @@ class TestNmos:
         below = nmos_current(v_gate, v_ov - 1e-9, PARAMS)
         above = nmos_current(v_gate, v_ov + 1e-9, PARAMS)
         assert below == pytest.approx(above, abs=1e-6)
+
+    @pytest.mark.parametrize("v_gate,v_drain", [
+        (math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5), (1.0, -math.inf),
+    ])
+    def test_non_finite_voltage_rejected(self, v_gate, v_drain):
+        with pytest.raises(InvalidInputError, match="^voltages must be finite$"):
+            nmos_current(v_gate, v_drain, PARAMS)
 
 
 class TestCircuitSolve:
@@ -825,7 +853,7 @@ class TestOverflow:
             measure_latency(params, 1.3, 0.005, 1.0)
 
     @pytest.mark.parametrize("latency,match", [
-        (1e308, "overflow encountered in square"),
+        (1e308, "overflow encountered in multiply"),
         (5e-324, "overflow encountered in divide"),
     ], ids=["huge", "subnormal"])
     def test_extreme_latency_fit_raises_numerical_failure(self, latency, match):
@@ -859,6 +887,20 @@ class TestCalibration:
         assert fq == pytest.approx(q, abs=1e-6)
         assert ffloor == pytest.approx(floor, abs=1e-6)
         assert resid < 1e-6
+
+    @pytest.mark.parametrize("drives,latencies", [
+        ([1.0] * 4, [2.0, 2.1, 1.9, 2.0]),
+        ([0.9] * 5, [2.0, 2.1, 1.9, 2.0, 2.0]),
+        ([0.7] * 7, [2.0, 2.1, 1.9, 2.0, 2.0, 2.1, 1.9]),
+    ], ids=["4", "5", "7"])
+    def test_equal_drives_raise_numerical_failure(self, drives, latencies):
+        # unchecked, such a fit returned a threshold a hair below the drive
+        # and a q near 0; at 5 and 7 points the mean of the equal
+        # x = 1 / (v - vth) need not round back to x, so the centred slope
+        # alone would not fail
+        with pytest.raises(NumericalFailureError,
+                           match="^latency-law fit failed: the drives are all equal$"):
+            fit_latency_law(drives, latencies)
 
     def test_too_few_points(self):
         with pytest.raises(InsufficientDataError):
@@ -944,6 +986,34 @@ class TestCalibration:
         cal = calibrate_tlr(PARAMS, grid, horizon=8.0)
         assert done.stdout == (f"{fit_latency_law(drives, lats)!r}\n"
                                f"{(cal.tlr_params, cal.max_rel_residual)!r}\n")
+
+
+class TestLapackOracle:
+    """The closed-form fit against ``reference_fit_latency_law``: each of
+    (vth, q, floor, max relative residual) within a relative tolerance."""
+
+    @staticmethod
+    def worst_relative_error(drives, latencies):
+        ours = fit_latency_law(drives, latencies)
+        theirs = reference_fit_latency_law(drives, latencies)
+        return max(abs(a - b) / abs(b) for a, b in zip(ours, theirs))
+
+    def test_shipped_calibration_within_1e_12(self):
+        cal = calibrate_tlr(PARAMS, CALIBRATION_GRID)
+        assert self.worst_relative_error(cal.drives, cal.latencies) <= 1e-12
+
+    def test_calibration_like_problems_within_1e_4(self):
+        # laws near the shipped fit (vth 0.79, q 0.14, floor 1.02) on subsets
+        # of a calibration-like grid, with 2 % log-normal noise
+        rng = np.random.default_rng(20261020)
+        grid = np.array([0.85, 0.9, 0.95, 1.0, 1.1, 1.2, 1.3, 1.5, 1.7, 2.0, 2.5])
+        worst = 0.0
+        for _ in range(1000):
+            vth, q, floor = rng.uniform(0.5, 0.8), rng.uniform(0.05, 0.5), rng.uniform(0.5, 1.5)
+            drives = np.sort(rng.choice(grid, size=rng.integers(5, 12), replace=False))
+            lats = (floor + q / (drives - vth)) * np.exp(rng.normal(0.0, 0.02, drives.size))
+            worst = max(worst, self.worst_relative_error(drives.tolist(), lats.tolist()))
+        assert worst <= 1e-4
 
 
 class TestFminbound:

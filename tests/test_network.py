@@ -852,6 +852,21 @@ class TestOverflowingDrive:
             simulate_network(net, SimConfig(dt=0.005, horizon=1.0))
         assert calls == []
 
+    @pytest.mark.parametrize("backend,params,message,key", [
+        ("tlr", TlrParams(), "neuron 'n': drive must be finite", None),
+        ("macrospin", MacrospinParams(), "neuron 'n': v_gate must be finite", "v_gate"),
+    ], ids=["tlr", "macrospin"])
+    def test_named_error_keeps_its_type_and_key(self, backend, params, message, key):
+        # unchecked, naming the neuron built a new error and dropped the key
+        net = Network(neurons=(Neuron("n", backend, params),),
+                      synapses=(Synapse("s", "n", 1e308), Synapse("s", "n", 1e308)),
+                      sources=(Source("s", (0.0,)),))
+        with pytest.raises(InvalidInputError) as e:
+            simulate_network(net, SimConfig(dt=0.005, horizon=1.0))
+        assert type(e.value) is InvalidInputError
+        assert str(e.value) == message
+        assert e.value.key == key
+
 
 def reference_to_csv(trace, path):
     """The per-cell writer ``Trace.to_csv`` replaced."""

@@ -308,6 +308,11 @@ class TestLatencyLaw:
         p = TlrParams(i_threshold=1.0, q_switch=1.0, latency_floor=0.2)
         assert constant_drive_latency(p, 2.0) == pytest.approx(1.2)
 
+    @pytest.mark.parametrize("drive", [math.nan, math.inf, -math.inf])
+    def test_non_finite_drive_rejected(self, drive):
+        with pytest.raises(InvalidInputError, match="^drive must be finite$"):
+            constant_drive_latency(TlrParams(), drive)
+
     def test_at_threshold_none(self):
         assert constant_drive_latency(TlrParams(), 1.0) is None
         assert constant_drive_latency(TlrParams(), 0.5) is None

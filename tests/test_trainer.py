@@ -3,6 +3,7 @@ FD epoch against the per-simulation FD rule."""
 
 import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -97,11 +98,23 @@ class TestLossGradient:
         grad = loss_gradient_time(t_act, t_des)
         assert abs(grad - fd) <= 1e-9 * max(1.0, abs(grad))
 
+    @pytest.mark.parametrize("t_actual,t_desired", [(math.nan, 2.0), (2.0, math.nan),
+                                                     (math.inf, 2.0)])
+    def test_non_finite_time_rejected(self, t_actual, t_desired):
+        with pytest.raises(InvalidInputError, match="^spike times must be finite$"):
+            loss_gradient_time(t_actual, t_desired)
+
 
 class TestWeightUpdate:
     def test_eq2_arithmetic(self):
         assert weight_update(0.5, -1.0, 0.1) == pytest.approx(0.05)
         assert weight_update(0.0, 3.0, 0.1) == 0.0
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 0.1), (0.5, math.nan, 0.1),
+                                      (0.5, 1.0, math.nan), (0.5, -math.inf, 0.1)])
+    def test_non_finite_input_rejected(self, args):
+        with pytest.raises(InvalidInputError, match="^inputs must be finite$"):
+            weight_update(*args)
 
     @given(finite_times, finite_times, st.floats(min_value=0.0, max_value=5.0))
     def test_bilinear(self, g, j, eta):
