@@ -13,7 +13,7 @@ from .errors import (
 )
 from .macrospin import CalibrationResult, MacrospinParams, MacrospinState, calibrate_tlr
 from .network import Network, Neuron, SimConfig, Source, Synapse, Trace, simulate_network
-from .tlr import TlrParams, TlrState, constant_drive_latency, run_tlr
+from .tlr import TlrParams, constant_drive_latency, run_tlr
 from .trainer import TrainConfig, TrainHistory, train
 from .xorbench import (
     EncodingConfig,
@@ -44,7 +44,6 @@ __all__ = [
     "Source",
     "Synapse",
     "TlrParams",
-    "TlrState",
     "Trace",
     "TrainConfig",
     "TrainHistory",

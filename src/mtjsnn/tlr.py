@@ -24,8 +24,6 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 
-IDLE = "idle"
-
 # rows x steps one chunk of a batched TLR scan integrates: a 76-row
 # training batch then advances about 100 steps per chunk
 _CHUNK_CELLS = 8192
@@ -87,8 +85,6 @@ class TlrParams:
     spike_amplitude: float = 1.0    # volts
     spike_duration: float = 1.2     # ns
     t_refractory: float = 5.0       # ns, measured from spike onset
-    rel_refraction_beta: float = 0.0   # fractional threshold elevation, 0 = off
-    rel_refraction_tau: float = 1.0    # ns, decay of the elevation
 
     def __post_init__(self):
         if not (self.i_threshold > 0 and math.isfinite(self.i_threshold)):
@@ -104,24 +100,6 @@ class TlrParams:
             raise InvalidInputError("latency_floor must be >= 0 and finite", key="latency_floor")
         if not (self.t_refractory >= 0 and math.isfinite(self.t_refractory)):
             raise InvalidInputError("t_refractory must be >= 0 and finite", key="t_refractory")
-        if not (self.rel_refraction_beta >= 0 and math.isfinite(self.rel_refraction_beta)):
-            raise InvalidInputError("rel_refraction_beta must be >= 0 and finite",
-                                    key="rel_refraction_beta")
-        if not (self.rel_refraction_tau > 0 and math.isfinite(self.rel_refraction_tau)):
-            raise InvalidInputError("rel_refraction_tau must be positive and finite",
-                                    key="rel_refraction_tau")
-
-    @property
-    def lockout(self) -> float:
-        """Absolute lockout measured from spike onset."""
-        return self.t_refractory
-
-
-@dataclass(frozen=True)
-class TlrState:
-    accumulation: float = 0.0
-    phase: str = IDLE
-    last_spike_onset: Optional[float] = None
 
 
 def _pulse(time: np.ndarray, onset: float, amplitude: float,
@@ -139,7 +117,7 @@ def _pulse(time: np.ndarray, onset: float, amplitude: float,
 def constant_drive_latency(params: TlrParams, drive: float) -> Optional[float]:
     """Closed-form spike latency under constant drive; None below/at threshold."""
     if not math.isfinite(drive):
-        raise InvalidInputError("drive must be finite")
+        raise InvalidInputError("drive must be finite", key="drive")
     if drive <= params.i_threshold:
         return None
     return params.latency_floor + params.q_switch / (drive - params.i_threshold)
@@ -198,18 +176,18 @@ def _run_batch(
     # one boolean array holds the finiteness test, then the ``above`` mask
     mask = np.isfinite(drive)
     if not mask.all():
-        raise InvalidInputError("drive must be finite")
+        raise InvalidInputError("drive must be finite", key="drive")
 
     n_steps = size - 1
     budget = max(n_steps, _MIN_ONSET_BUDGET)
     q = params.q_switch
     onsets: list[list[float]] = [[] for _ in range(n_rows)]
 
-    # Relative refraction only raises the threshold, so a step adds to the
-    # accumulation only where the drive exceeds i_threshold; elsewhere the
-    # excess is 0 and the accumulation holds.  Each row therefore jumps to
-    # its next such step, and the rows still integrating advance together
-    # one chunk of steps at a time, so a scan stops soon after a crossing.
+    # A step adds to the accumulation only where the drive exceeds
+    # i_threshold; elsewhere the excess is 0 and the accumulation holds.
+    # Each row therefore jumps to its next such step, and the rows still
+    # integrating advance together one chunk of steps at a time, so a scan
+    # stops soon after a crossing.
     # ``supra`` holds the flat indices r * size + step of those steps; the
     # last sample is never integrated, so it marks the end of each row.
     above = np.greater(drive, params.i_threshold, out=mask)
@@ -219,7 +197,7 @@ def _run_batch(
     carry = np.zeros(n_rows)                   # running sum of excess * width before pos
     start = np.zeros(n_rows, dtype=int)        # step of the last (re)start
     resume = np.full(n_rows, float(t0))        # time integration resumes at in that step
-    last = np.full(n_rows, -np.inf)            # last onset; -inf adds no boost
+    last = np.full(n_rows, -np.inf)            # last onset; each new one must pass it
     alive = np.arange(n_rows)
 
     while True:
@@ -243,20 +221,7 @@ def _run_batch(
         # a row's restart step is integrated from its resume time, not the grid
         own = np.flatnonzero(start[rows] == p)
         at = p[own] - c0
-
-        if params.rel_refraction_beta > 0.0:
-            starts = np.repeat((t0 + dt * cols)[None, :], rows.size, axis=0)
-            starts[own, at] = resume[rows[own]]
-            # steps before a row's position may precede its last onset and
-            # overflow; they are zeroed below
-            with np.errstate(over="ignore"):
-                boost = params.rel_refraction_beta * np.exp(
-                    -(starts - last[rows, None]) / params.rel_refraction_tau
-                )
-            threshold = params.i_threshold * (1.0 + boost)
-        else:
-            threshold = params.i_threshold
-        excess = np.maximum(drive[rows, c0:c1] - threshold, 0.0)
+        excess = np.maximum(drive[rows, c0:c1] - params.i_threshold, 0.0)
         if p.max() > c0:
             excess[cols < p[:, None]] = 0.0
         step = excess * dt
@@ -291,8 +256,8 @@ def _run_batch(
             onsets[r].append(onset)
             last[r] = onset
             # re-arm inside the horizon; compared as floats so that a huge
-            # lockout (x overflowing to inf) is never cast to an integer
-            rearm = onset + params.lockout
+            # refractory window (x overflowing to inf) is never cast to an integer
+            rearm = onset + params.t_refractory
             x = (rearm - t0) / dt
             if x < n_steps:
                 j = math.floor(x)

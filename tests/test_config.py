@@ -101,11 +101,24 @@ class TestPresetNetwork:
             parse_config(minimal(network={"preset": "xor", "weights": {"A->o1": 1.0}}))
         assert e.value.key == "network.weights.A->o1"
 
-    def test_unknown_param_field_rejected(self):
-        with pytest.raises(ConfigError) as e:
-            parse_config(minimal(
-                network={"preset": "xor", "neurons": {"o1": {"tau": 1.0}}}))
-        assert e.value.key == "network.neurons.o1.tau"
+    @pytest.mark.parametrize("doc,key", [
+        (minimal(network={"preset": "xor", "neurons": {"o1": {"tau": 1.0}}}),
+         "network.neurons.o1.tau"),
+        # the TLR neuron has one refraction, the absolute window t_refractory
+        (minimal(network={"preset": "xor", "neurons": {"o1": {"rel_refraction_beta": 0.5}}}),
+         "network.neurons.o1.rel_refraction_beta"),
+        ({"schema_version": 1, "network": {
+            "sources": [{"id": "s", "spike_times": [0.0]}],
+            "neurons": [{"id": "n", "params": {"rel_refraction_tau": 2.0}}],
+            "synapses": [{"pre": "s", "post": "n", "weight": 3.0}]}},
+         "network.neurons[0].params.rel_refraction_tau"),
+        (minimal(sweep={"drives": [1.5], "params": {"rel_refraction_beta": 0.5}}),
+         "sweep.params.rel_refraction_beta"),
+    ], ids=["tau", "preset-beta", "explicit-tau", "sweep-beta"])
+    def test_unknown_param_field_rejected(self, doc, key):
+        with pytest.raises(ConfigError, match="unknown key") as e:
+            parse_config(doc)
+        assert e.value.key == key
 
     def test_bias_to_output_must_be_bool(self):
         with pytest.raises(ConfigError) as e:

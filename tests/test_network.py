@@ -487,8 +487,6 @@ def batched_networks(draw, macrospin=False):
             spike_duration=uniform(0.2, 1.5),
             # 0 ablates refraction; a short window re-arms inside the horizon
             t_refractory=draw(st.one_of(st.just(0.0), st.floats(0.05, 1.0), st.just(5.0))),
-            rel_refraction_beta=draw(st.one_of(st.just(0.0), st.floats(0.01, 2.0))),
-            rel_refraction_tau=uniform(0.1, 3.0),
         )))
         pres = [src.id for src in sources] + [f"n{j}" for j in range(k)]
         edges += [(pre, f"n{k}") for pre in draw(st.lists(st.sampled_from(pres), unique=True))]
@@ -853,7 +851,7 @@ class TestOverflowingDrive:
         assert calls == []
 
     @pytest.mark.parametrize("backend,params,message,key", [
-        ("tlr", TlrParams(), "neuron 'n': drive must be finite", None),
+        ("tlr", TlrParams(), "neuron 'n': drive must be finite", "drive"),
         ("macrospin", MacrospinParams(), "neuron 'n': v_gate must be finite", "v_gate"),
     ], ids=["tlr", "macrospin"])
     def test_named_error_keeps_its_type_and_key(self, backend, params, message, key):

@@ -1,6 +1,7 @@
 """Bytes that do not depend on the machine: ``src/`` makes no BLAS or
-LAPACK call, and the latency-law fit gives the same bytes under any
-OpenBLAS kernel."""
+LAPACK call, the latency-law fit gives the same bytes under any OpenBLAS
+kernel, and training, evaluation and calibration give the same bytes at
+numpy's baseline SIMD level."""
 
 import ast
 import os
@@ -114,3 +115,59 @@ class TestSameBytesUnderEveryBlasKernel:
                               capture_output=True, text=True, timeout=120, env=env)
         assert done.returncode == 0, done.stderr
         assert done.stdout == in_process
+
+
+# Training and evaluation on configs/xor.yaml and a calibration: the calls
+# behind bench-xor and calibrate_tlr, reduced to one line of output.
+SIMD_DIGEST_CODE = """\
+import hashlib
+from mtjsnn.cli import _run_training
+from mtjsnn.config import load_config
+from mtjsnn.defaults import CALIBRATION_GRID
+from mtjsnn.macrospin import MacrospinParams, calibrate_tlr
+from mtjsnn.xorbench import run_xor_eval
+cfg = load_config(config_path)
+digest = hashlib.sha256()
+for seed in (1, 2):
+    net, history = _run_training(cfg, seed)
+    digest.update(net.weight_vector().tobytes() + repr(history.losses).encode())
+    for trace in run_xor_eval(net, cfg.sim, cfg.encoding).traces:
+        digest.update(trace.time.tobytes())
+        for name, signal in trace.signals.items():
+            digest.update(name.encode() + signal.tobytes())
+cal = calibrate_tlr(MacrospinParams(), CALIBRATION_GRID, horizon=3.5)
+out = repr((digest.hexdigest(), cal.tlr_params, cal.max_rel_residual))
+"""
+
+
+def simd_dispatch():
+    """The SIMD features numpy may dispatch to above its baseline."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:   # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return list(__cpu_dispatch__)
+
+
+class TestSameBytesAtBaselineSimd:
+    """The digest in a child process with every dispatched SIMD feature
+    disabled gives the bytes of the same calls in this process."""
+
+    def test_child_process(self, xor_config_path):
+        dispatch = simd_dispatch()
+        if not dispatch:
+            pytest.skip("numpy dispatches to no SIMD level above its baseline")
+        code = f"config_path = {xor_config_path!r}\n" + SIMD_DIGEST_CODE
+        namespace = {}
+        exec(code, namespace)
+        env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent),
+               "NPY_DISABLE_CPU_FEATURES": ",".join(dispatch)}
+        # numpy reports a feature it refuses to disable as an ImportWarning
+        # and keeps full dispatch, so the warning is shown and stderr must
+        # stay empty
+        done = subprocess.run([sys.executable, "-W", "always::ImportWarning", "-c",
+                               code + "print(out)\n"],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert done.stdout == namespace["out"] + "\n"

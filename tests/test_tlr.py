@@ -8,7 +8,7 @@ driven by ``simulate_steps``) and the one-row loop ``reference_run_tlr``."""
 import contextlib
 import math
 import signal
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -19,18 +19,26 @@ from hypothesis import strategies as st
 from mtjsnn import tlr as tlr_module
 from mtjsnn.errors import InvalidInputError, NumericalFailureError
 from mtjsnn.tlr import (
-    IDLE,
     TlrParams,
     TlrRun,
-    TlrState,
     _run_batch,
     constant_drive_latency,
     run_tlr,
     source_waveform,
 )
 
+IDLE = "idle"
 SPIKING = "spiking"
 REFRACTORY = "refractory"
+
+
+@dataclass(frozen=True)
+class TlrState:
+    """The per-step model's state between two calls of ``tlr_step``."""
+
+    accumulation: float = 0.0
+    phase: str = IDLE
+    last_spike_onset: Optional[float] = None
 
 
 def spike_waveform(params: TlrParams, t_since_onset: float) -> float:
@@ -50,17 +58,6 @@ def _output_voltage(params: TlrParams, onset: Optional[float], t: float) -> floa
     if dt_on < 0 or dt_on > params.spike_duration:
         return 0.0
     return spike_waveform(params, dt_on)
-
-
-def effective_threshold(params: TlrParams, t: float, last_onset: Optional[float]) -> float:
-    """Firing threshold, elevated after a spike when relative refraction is on."""
-    if last_onset is None or params.rel_refraction_beta == 0.0:
-        return params.i_threshold
-    elapsed = t - last_onset
-    if elapsed < 0:
-        return params.i_threshold
-    boost = params.rel_refraction_beta * math.exp(-elapsed / params.rel_refraction_tau)
-    return params.i_threshold * (1.0 + boost)
 
 
 def tlr_step(
@@ -89,19 +86,18 @@ def tlr_step(
 
     window_start = t
     if phase != IDLE:
-        rearm = last + params.lockout
+        rearm = last + params.t_refractory
         if t_end < rearm:
             new_phase = SPIKING if t_end < last + params.spike_duration else REFRACTORY
             new_state = replace(state, phase=new_phase)
             return new_state, _output_voltage(params, last, t_end), None
-        # lockout ends inside this step; integrate only the remainder
+        # the refractory window ends inside this step; integrate only the remainder
         window_start = rearm
         phase = IDLE
 
     width = t_end - window_start
     if width > 0:
-        threshold = effective_threshold(params, window_start, last)
-        excess = drive - threshold
+        excess = drive - params.i_threshold
         if excess > 0:
             new_acc = acc + excess * width
             if new_acc >= params.q_switch:
@@ -150,15 +146,7 @@ def reference_run_tlr(params, drive, dt, t0=0.0):
         widths = np.full(seg.size, dt)
         widths[0] = (t0 + (i + 1) * dt) - window_start0
 
-        if last is not None and params.rel_refraction_beta > 0.0:
-            boost = params.rel_refraction_beta * np.exp(
-                -(starts - last) / params.rel_refraction_tau
-            )
-            threshold = params.i_threshold * (1.0 + boost)
-        else:
-            threshold = params.i_threshold
-
-        excess = np.maximum(seg - threshold, 0.0)
+        excess = np.maximum(seg - params.i_threshold, 0.0)
         cum = acc + np.cumsum(excess * widths)
         acc_series[i + 1 : n_steps + 1] = cum
 
@@ -172,7 +160,7 @@ def reference_run_tlr(params, drive, dt, t0=0.0):
         onsets.append(onset)
         last = onset
 
-        rearm = onset + params.lockout
+        rearm = onset + params.t_refractory
         j = int(math.floor((rearm - t0) / dt))
         end = min(j, n_steps)
         acc_series[i + k + 1 : end + 1] = 0.0
@@ -197,7 +185,6 @@ class TestParams:
     def test_defaults_valid(self):
         p = TlrParams()
         assert p.i_threshold == 1.0
-        assert p.lockout == p.t_refractory
 
     @pytest.mark.parametrize("kwargs", [
         {"i_threshold": 0.0},
@@ -205,14 +192,13 @@ class TestParams:
         {"spike_duration": 0.0},
         {"latency_floor": -0.1},
         {"t_refractory": -1.0},
-        {"rel_refraction_beta": -0.5},
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(InvalidInputError):
             TlrParams(**kwargs)
 
     def test_zero_refractory_allowed_for_ablation(self):
-        assert TlrParams(t_refractory=0.0).lockout == 0.0
+        assert TlrParams(t_refractory=0.0).t_refractory == 0.0
 
     @pytest.mark.parametrize("kwargs", [
         {"latency_floor": math.inf},
@@ -223,16 +209,6 @@ class TestParams:
     def test_non_finite_timing_rejected(self, kwargs):
         with pytest.raises(InvalidInputError, match="finite"):
             TlrParams(**kwargs)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("key", ["rel_refraction_beta", "rel_refraction_tau"])
-    def test_non_finite_relative_refraction_rejected(self, key, value):
-        # a nan beta would read as 0 in the kernel, an inf one fills the
-        # accumulation with nan; the per-step model does neither
-        with pytest.raises(InvalidInputError, match="finite") as exc:
-            TlrParams(**{key: value})
-        assert exc.value.key == key
-
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_spike_amplitude_rejected(self, value):
@@ -310,8 +286,9 @@ class TestLatencyLaw:
 
     @pytest.mark.parametrize("drive", [math.nan, math.inf, -math.inf])
     def test_non_finite_drive_rejected(self, drive):
-        with pytest.raises(InvalidInputError, match="^drive must be finite$"):
+        with pytest.raises(InvalidInputError, match="^drive must be finite$") as exc:
             constant_drive_latency(TlrParams(), drive)
+        assert exc.value.key == "drive"
 
     def test_at_threshold_none(self):
         assert constant_drive_latency(TlrParams(), 1.0) is None
@@ -389,7 +366,7 @@ class TestStepSemantics:
 
     def test_vectorized_matches_stepwise_random_parameters(self):
         # t_refractory 0 ablates refraction and 0.3 re-arms inside the 1.2 ns
-        # pulse, so overlapping pulses and relative refraction are covered
+        # pulse, so overlapping pulses are covered
         rng = np.random.default_rng(11)
         dt = 0.002
         spikes = 0
@@ -397,8 +374,6 @@ class TestStepSemantics:
             p = TlrParams(
                 spike_duration=1.2,
                 t_refractory=float(rng.choice([0.0, 0.3, 1.5])),
-                rel_refraction_beta=float(rng.choice([0.0, rng.uniform(0.0, 2.0)])),
-                rel_refraction_tau=float(rng.uniform(0.1, 3.0)),
                 latency_floor=float(rng.uniform(0.0, 0.5)),
             )
             drive = 1.5 * rng.random(1501) + 0.3
@@ -421,7 +396,7 @@ class TestRefraction:
         return drive
 
     def test_pulse_inside_window_suppressed(self):
-        p = TlrParams()  # onset at 0.4 for drive 2.0 from t=0; lockout 5.0
+        p = TlrParams()  # onset at 0.4 for drive 2.0 from t=0; t_refractory 5.0
         dt = 0.005
         drive = self._two_pulse_drive(dt, 8.0, (0.0, 1.0), (2.0, 3.0))
         run = run_tlr(p, drive, dt)
@@ -441,28 +416,6 @@ class TestRefraction:
         n = int(round(3.0 / dt))
         run = run_tlr(p, np.full(n + 1, 2.0), dt)
         assert len(run.onsets) >= 2
-
-
-class TestRelativeRefraction:
-    def test_elevated_threshold_delays_second_spike(self):
-        base = TlrParams(t_refractory=1.2, spike_duration=1.2)
-        elevated = TlrParams(t_refractory=1.2, spike_duration=1.2,
-                             rel_refraction_beta=0.5, rel_refraction_tau=2.0)
-        dt = 0.002
-        n = int(round(10.0 / dt))
-        drive = np.full(n + 1, 1.4)
-        run_base = run_tlr(base, drive, dt)
-        run_elev = run_tlr(elevated, drive, dt)
-        assert len(run_base.onsets) >= 2 and len(run_elev.onsets) >= 2
-        assert run_elev.onsets[1] > run_base.onsets[1]
-
-    def test_default_off_matches_plain(self):
-        p0 = TlrParams()
-        p1 = TlrParams(rel_refraction_tau=3.0)  # beta still 0
-        dt = 0.005
-        n = int(round(5.0 / dt))
-        drive = np.full(n + 1, 1.8)
-        assert run_tlr(p0, drive, dt).onsets == run_tlr(p1, drive, dt).onsets
 
 
 def _pulse_train(n, dt, pulses, level):
@@ -506,14 +459,6 @@ class TestBatchedKernel:
         rng = np.random.default_rng(2)
         drive = 1.5 * rng.random((5, 4001)) + 0.3
         assert assert_rows_match_reference(p, drive, self.DT) > 10
-
-    def test_relative_refraction(self):
-        p = TlrParams(t_refractory=1.2, spike_duration=1.2,
-                      rel_refraction_beta=0.5, rel_refraction_tau=2.0)
-        n = int(round(10.0 / self.DT))
-        drive = np.stack([np.full(n + 1, level) for level in (1.2, 1.4, 1.9)]
-                         + [_pulse_train(n, self.DT, [(0.5, 3.0), (4.0, 9.0)], 1.6)])
-        assert assert_rows_match_reference(p, drive, self.DT) > 8
 
     def test_zero_refractory_ablation(self):
         p = TlrParams(t_refractory=0.0)
@@ -581,8 +526,6 @@ class TestBatchedKernel:
                 latency_floor=float(rng.choice([0.0, rng.uniform(0.0, 1.0)])),
                 spike_duration=float(rng.uniform(0.05, 1.5)),
                 t_refractory=float(rng.choice([0.0, 0.01, rng.uniform(0.0, 2.0), 5.0])),
-                rel_refraction_beta=float(rng.choice([0.0, rng.uniform(0.0, 2.0)])),
-                rel_refraction_tau=float(rng.choice([0.001, rng.uniform(0.01, 3.0)])),
             )
             dt = float(rng.choice([0.001, 0.0037, 0.01]))
             t0 = float(rng.choice([0.0, 1.3, -0.7]))
@@ -613,8 +556,7 @@ class TestBatchedKernel:
             p = TlrParams(q_switch=float(rng.uniform(0.005, 0.2)),
                           latency_floor=float(rng.choice([0.0, 0.2])),
                           spike_duration=0.3,
-                          t_refractory=float(rng.choice([0.0, 0.05, 0.4])),
-                          rel_refraction_beta=float(rng.choice([0.0, 0.7])))
+                          t_refractory=float(rng.choice([0.0, 0.05, 0.4])))
             shape = (int(rng.integers(1, 4)), int(rng.integers(2, 200)))
             drive = np.where(rng.random(shape) < 0.6, rng.uniform(0.0, 3.0, shape), 0.0)
             spikes += assert_rows_match_reference(p, drive, 0.01)
