@@ -12,8 +12,11 @@ one straight-line RK4 step: the closed-form root of the series-circuit
 equation (``solve_node``) and the four evaluations of the LLGS right-hand
 side (``llgs_derivative``), written out component by component on
 parameter constants read once per integration, so a step makes no function
-call and allocates no arrays.  The easy axis lies in the film plane, and
-the step arithmetic is planar: it reads only its x and y.
+call and allocates no arrays.  A full trace records each grid point's
+samples in 8-byte buffers; a latency probe records nothing per step and
+keeps only the last two samples, the window that holds the first crossing.
+The easy axis lies in the film plane, and the step arithmetic is planar: it
+reads only its x and y.
 
 Units: time ns, field T, current mA, resistance kOhm, voltage V
 (mA * kOhm = V), gyromagnetic ratio rad/(ns*T).
@@ -223,11 +226,15 @@ class MacrospinTrace:
 
 def _integrate(state: MacrospinState, params: MacrospinParams, v_gate: list[float],
                dt: float, stop_after_switch: bool = False) -> MacrospinTrace:
-    """The RK4 loop of ``integrate_macrospin`` on a checked grid of finite
-    gate samples.  With ``stop_after_switch`` the trace ends at the first
-    sample whose easy-axis projection has changed sign or left an exact
-    zero, the first sample at which a crossing can show in
-    ``switching_times``.
+    """The RK4 loop of ``integrate_macrospin`` on a checked grid of at least
+    two finite gate samples.  It records every grid point's samples, unless
+    ``stop_after_switch`` is set: then it records nothing per step, stops
+    at the first sample whose easy-axis projection has changed sign or left
+    an exact zero (the first sample at which a crossing can show in
+    ``switching_times``), or else at the end of the grid, and returns only
+    the last two samples, grid points ``k - 1`` and ``k``, at the full
+    grid's times ``dt * k + state.t``.  That window holds the full trace's
+    first crossing, if it has one, and no other.
 
     Each step is straight-line float code: the circuit solve of
     ``solve_node`` and the four stage evaluations of ``llgs_derivative``,
@@ -247,7 +254,6 @@ def _integrate(state: MacrospinState, params: MacrospinParams, v_gate: list[floa
     x, y, z = (float(c) for c in _check_unit(state.m))
 
     n_steps = len(v_gate) - 1
-    time = dt * np.arange(n_steps + 1) + state.t
     v_node_buf, i_buf, m_buf = array("d"), array("d"), array("d")
     put_v, put_i, put_m = v_node_buf.append, i_buf.append, m_buf.append
     h, h6 = 0.5 * dt, dt / 6.0
@@ -270,14 +276,18 @@ def _integrate(state: MacrospinState, params: MacrospinParams, v_gate: list[floa
                 if not 0.0 <= v <= v_dd:
                     raise NumericalFailureError("circuit solve: no bracket in [0, v_dd]")
                 i_dev = k_t * (v_ov * v - 0.5 * v * v) if v < v_ov else half_k * v_ov * v_ov
-            put_v(v)
-            put_i(i_dev)
-            put_m(x)
-            put_m(y)
-            put_m(z)
-            if k == n_steps or stop_after_switch and (c_prev == 0.0 or c_prev * c < 0.0):
-                break
-            c_prev = c
+            if stop_after_switch:
+                if k == n_steps or c_prev == 0.0 or c_prev * c < 0.0:
+                    break
+                c_prev, last = c, (v, i_dev, x, y, z)
+            else:
+                put_v(v)
+                put_i(i_dev)
+                put_m(x)
+                put_m(y)
+                put_m(z)
+                if k == n_steps:
+                    break
             s = stt * i_dev
 
             # stage 1 at m; its easy-axis projection is c
@@ -342,9 +352,12 @@ def _integrate(state: MacrospinState, params: MacrospinParams, v_gate: list[floa
     except ZeroDivisionError as exc:
         raise NumericalFailureError("macrospin step overflowed the float range") from exc
 
-    v_node = np.frombuffer(v_node_buf)
-    return MacrospinTrace(time=time[:v_node.size], v_node=v_node,
-                          i_device=np.frombuffer(i_buf),
+    if stop_after_switch:
+        window = np.array([last, (v, i_dev, x, y, z)])
+        return MacrospinTrace(time=dt * np.arange(k - 1, k + 1) + state.t, v_node=window[:, 0],
+                              i_device=window[:, 1], m=window[:, 2:], params=params)
+    return MacrospinTrace(time=dt * np.arange(n_steps + 1) + state.t,
+                          v_node=np.frombuffer(v_node_buf), i_device=np.frombuffer(i_buf),
                           m=np.frombuffer(m_buf).reshape(-1, 3), params=params)
 
 
@@ -360,9 +373,10 @@ def integrate_macrospin(state: MacrospinState, params: MacrospinParams, v_gate: 
     (``llgs_derivative``); each stage input and each step result is
     renormalized to unit length.  The step runs on the three components of
     m as Python floats, in straight-line code that computes exactly what
-    those two functions compute, and appends each grid point's samples to
-    8-byte ``array("d")`` buffers that become the trace's arrays without a
-    copy.
+    those two functions compute.  This full trace appends each grid point's
+    samples to 8-byte ``array("d")`` buffers that become the trace's arrays
+    without a copy; only a full trace writes them (``measure_latency``
+    keeps two samples).
     """
     _check_dt(dt)
     v_gate = np.asarray(v_gate, dtype=float)
@@ -403,12 +417,15 @@ def measure_latency(
 
     The latency is the first entry of ``switching_times()`` of the
     ``integrate_macrospin`` trace over ``horizon``, on the grid that
-    ``SimConfig(dt=dt, horizon=horizon)`` accepts.  One integration runs:
-    it stops one step after the in-loop easy-axis projection first changes
-    sign (or leaves an exact zero), and ``alignment()`` computes that
-    projection with the same float expression, so the shorter trace, whose
-    samples are the full trace's first ones, shows the same first crossing,
-    bit for bit.
+    ``SimConfig(dt=dt, horizon=horizon)`` accepts.  One integration runs,
+    and it records no per-step samples: it stops one step after the
+    in-loop easy-axis projection first changes sign (or leaves an exact
+    zero) and returns the two samples either side of that crossing, at the
+    full grid's times.  ``alignment()`` computes that projection with the
+    same float expression, so the crossing window's ``switching_times()[0]``
+    is the full trace's first crossing, bit for bit.  A drive that never
+    switches runs the whole horizon, and its window (the grid's last two
+    samples) shows no crossing.
     """
     steps = SimConfig(dt=dt, horizon=horizon).steps
     if not math.isfinite(v_gate):
@@ -430,15 +447,16 @@ def find_switching_threshold(
 ) -> float:
     """Gate voltage separating no-switch from switch within the horizon.
 
-    Bisects [v_lo, v_hi] until the bracket is at most ``tol`` wide.
+    Bisects [v_lo, v_hi] until the bracket is at most ``tol`` wide; ``tol``
+    is > 0 and finite.
     """
-    if not tol > 0:
-        raise InvalidInputError("tol must be > 0")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInputError("tol must be > 0 and finite", key="tol")
     for key, v in (("v_lo", v_lo), ("v_hi", v_hi)):
         if not math.isfinite(v):
             raise InvalidInputError(f"{key} must be finite", key=key)
     if not v_lo < v_hi:
-        raise InvalidInputError("need v_lo < v_hi")
+        raise InvalidInputError("need v_lo < v_hi", key="v_hi")
     if measure_latency(params, v_hi, dt, horizon, tilt_deg) is None:
         raise NumericalFailureError("v_hi does not switch within the horizon")
     while v_hi - v_lo > tol:

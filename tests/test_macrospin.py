@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mtjsnn import macrospin
 from mtjsnn.defaults import CALIBRATION_GRID
@@ -207,6 +209,13 @@ def reference_latency(params, v_gate, dt, horizon, tilt_deg):
     return crossings[0] if crossings else None
 
 
+def first_crossing_sample(trace):
+    """The first sample ``k`` at which ``switching_times`` can show a
+    crossing: ``k - 1`` is an exact zero or ``k`` has the other sign."""
+    a = trace.alignment()
+    return int(np.flatnonzero((a[:-1] == 0.0) | (a[:-1] * a[1:] < 0))[0]) + 1
+
+
 def reference_switching_times(trace):
     """The per-sample loop ``MacrospinTrace.switching_times`` replaced."""
     a = trace.alignment()
@@ -243,6 +252,8 @@ class TestParams:
     @pytest.mark.parametrize("kwargs,match,key", [
         ({"r_parallel": 0.0}, "r_parallel must be > 0", "r_parallel"),
         ({"r_parallel": -2.0}, "r_parallel must be > 0", "r_parallel"),
+        ({"v_dd": 0.0}, "v_dd must be > 0", "v_dd"),
+        ({"v_dd": -1.0}, "v_dd must be > 0", "v_dd"),
         ({"polarizer": (2.0, 0.0, 0.0)}, "polarizer must be a unit vector", "polarizer"),
         ({"polarizer": (0.6, 0.6, 0.0)}, "polarizer must be a unit vector", "polarizer"),
     ])
@@ -643,6 +654,14 @@ class TestMeasureLatency:
         assert calls == [{"stop_after_switch": True}]
         assert (latency is not None) == (switches and tilt_deg != 0.0)
 
+    @staticmethod
+    def assert_window(window, full, k):
+        """``window`` holds samples ``k - 1`` and ``k`` of the full trace,
+        byte for byte."""
+        for name in ("time", "v_node", "i_device", "m"):
+            expected = getattr(full, name)[k - 1:k + 1]
+            assert getattr(window, name).tobytes() == expected.tobytes(), name
+
     @ALL_POLARIZERS
     def test_stops_one_step_after_the_switch(self, monkeypatch, params):
         traces = []
@@ -655,20 +674,62 @@ class TestMeasureLatency:
         monkeypatch.setattr(macrospin.MacrospinTrace, "switching_times", spy)
         latency = measure_latency(params, 1.3, horizon=15.0)
         (trace,) = traces
-        a = trace.alignment()
-        assert trace.time.size < 3001
-        assert a[-2] * a[-1] < 0 and np.all(a[:-2] * a[1:-1] > 0)
-        assert latency == real(trace)[0] and trace.time[-2] < latency < trace.time[-1]
         monkeypatch.undo()
-        assert latency == reference_latency(params, 1.3, 0.005, 15.0, 1.0)
+        full = reference_float_integrate(initial_state(params), params, np.full(3001, 1.3), 0.005)
+        k = first_crossing_sample(full)
+        a = full.alignment()
+        assert a[k - 1] * a[k] < 0 and k < 3000
+        self.assert_window(trace, full, k)
+        assert latency == real(trace)[0] and trace.time[0] < latency < trace.time[1]
+        assert latency == full.switching_times()[0]
 
     def test_stops_one_step_after_an_exact_zero(self):
         # a start on the equator is a crossing at t = 0; the stop rule's
         # exact-zero clause ends the run at the next sample
         state = MacrospinState(m=np.array([0.0, 1.0, 0.0]))
         trace = macrospin._integrate(state, PARAMS, [1.3] * 101, 0.005, stop_after_switch=True)
-        assert trace.time.size == 2
+        full = reference_float_integrate(state, PARAMS, np.full(101, 1.3), 0.005)
+        assert first_crossing_sample(full) == 1
+        self.assert_window(trace, full, 1)
         assert trace.switching_times() == [0.0]
+
+    @pytest.mark.parametrize("v_gate,tilt_deg", [(0.5, 1.0), (1.3, 0.0)])
+    def test_no_switch_keeps_the_last_two_samples(self, v_gate, tilt_deg):
+        state = initial_state(PARAMS, tilt_deg)
+        trace = macrospin._integrate(state, PARAMS, [v_gate] * 201, 0.005, stop_after_switch=True)
+        full = reference_float_integrate(state, PARAMS, np.full(201, v_gate), 0.005)
+        assert full.switching_times() == []
+        self.assert_window(trace, full, 200)
+        assert trace.switching_times() == []
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(params=st.builds(
+        MacrospinParams,
+        alpha=st.floats(0.01, 0.05),
+        h_easy=st.floats(0.01, 0.06),
+        stt_coefficient=st.floats(-40.0, -10.0),
+        transistor_k=st.floats(0.5, 3.0),
+        polarizer=st.one_of(
+            st.sampled_from([(1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.6, 0.8, 0.0)]),
+            st.floats(-math.pi, math.pi).map(lambda th: (math.cos(th), math.sin(th), 0.0)))),
+        v_gate=st.one_of(st.sampled_from(np.linspace(0.3, 3.0, 28).tolist()),
+                         st.floats(0.3, 3.0)),
+        tilt_deg=st.one_of(st.just(1.0), st.floats(-10.0, 10.0), st.just(0.0)),
+        dt=st.sampled_from([0.005, 0.0025, 0.01]),
+        horizon=st.sampled_from([3.0, 2.0, 1.0]))
+    @example(params=PARAMS, v_gate=0.5, tilt_deg=1.0, dt=0.005, horizon=3.0)
+    @example(params=PARAMS, v_gate=1.3, tilt_deg=1.0, dt=0.005, horizon=3.0)
+    @example(params=MacrospinParams(polarizer=(0.0, -1.0, 0.0)), v_gate=0.85, tilt_deg=1.0,
+             dt=0.005, horizon=3.0)
+    @example(params=ORACLE_PARAMS[1], v_gate=2.5, tilt_deg=0.0, dt=0.005, horizon=0.5)
+    def test_random_probes_equal_the_full_float_run(self, params, v_gate, tilt_deg, dt,
+                                                    horizon):
+        # the window's first crossing against the full-horizon float trace's,
+        # None included, on both sides of the threshold and of the horizon
+        expected = reference_latency(params, v_gate, dt, horizon, tilt_deg)
+        latency = measure_latency(params, v_gate, dt, horizon, tilt_deg)
+        assert latency == expected
+        assert type(latency) is type(expected)
 
     @pytest.mark.parametrize("dt", [0.02, 0.0, -0.005, math.nan])
     def test_dt_outside_the_grid_rule_rejected(self, dt):
@@ -815,12 +876,16 @@ class TestThresholdExistence:
         {"tol": float("nan")},
         {"v_lo": 2.0, "v_hi": 1.0},
         {"v_lo": 1.0, "v_hi": 1.0},
+        # unchecked, tol = inf returned the bracket's midpoint after one probe
+        {"tol": math.inf, "v_lo": 0.75, "v_hi": 1.0},
+        {"tol": -math.inf},
     ])
     def test_bad_search_rejected_before_integrating(self, monkeypatch, kwargs):
         calls = []
         monkeypatch.setattr(macrospin, "measure_latency", lambda *a, **k: calls.append(a))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as e:
             find_switching_threshold(PARAMS, **kwargs)
+        assert e.value.key == ("tol" if "tol" in kwargs else "v_hi")
         assert calls == []
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
