@@ -87,7 +87,7 @@ def _run_training(cfg: Config, seed: int) -> tuple[Network, TrainHistory]:
     except InvalidInputError as exc:   # sim.horizon off the train.dt grid
         raise ConfigError(str(exc), key="train.dt") from exc
     net0 = initial_weights(cfg.network, cfg.train, seed)
-    dataset = xor_dataset(cfg.encoding, cfg.sim.horizon)
+    dataset = xor_dataset(cfg.encoding)
     return train(net0, dataset, cfg.train, sim=train_sim)
 
 

@@ -56,6 +56,8 @@ class TrainSpec(TrainConfig):
         _check_dt(self.dt)
         if self.init_jitter < 0:
             raise InvalidInputError("init_jitter must be >= 0", key="init_jitter")
+        if not math.isfinite(2.0 * self.init_jitter):   # the range of the uniform draw
+            raise InvalidInputError("2 * init_jitter must be finite", key="init_jitter")
         if self.seed < 0:
             raise InvalidInputError("seed must be >= 0", key="seed")
         for k, seed in enumerate(self.seeds):
@@ -268,8 +270,6 @@ def _check_schedules(sim: SimConfig, net: Network, encoding: EncodingConfig,
     times += [(t, f"stimulus.{sid}[{k}]")
               for sid, ts in (stimulus or {}).items() for k, t in enumerate(ts)]
     times.append((encoding.t_spike, "encoding.t_spike"))
-    if encoding.mode == "timing":
-        times += [(encoding.t_bit0, "encoding.t_bit0"), (encoding.t_bit1, "encoding.t_bit1")]
     for t, path in times:
         if not 0 <= t <= sim.horizon:
             raise ConfigError(f"spike time {t!r} outside [0, sim.horizon = {sim.horizon!r}] ns",
@@ -294,10 +294,6 @@ def parse_config(document: Any) -> Config:
     sim = _build(SimConfig, document.get("sim", {}), "sim")
     net = _parse_network(document["network"], "network")
     encoding = _build(EncodingConfig, document.get("encoding", {}), "encoding")
-    # a shorter period asks for more bias spikes than the grid has steps
-    if encoding.bias_period is not None and encoding.bias_period < sim.dt:
-        raise ConfigError(f"bias_period must be >= sim.dt = {sim.dt!r} ns",
-                          key="encoding.bias_period")
     stimulus = (None if "stimulus" not in document
                 else _parse_stimulus(document["stimulus"], "stimulus", net))
     _check_schedules(sim, net, encoding, stimulus)

@@ -145,31 +145,6 @@ def llgs_derivative(m: np.ndarray, params: MacrospinParams, i_device: float) -> 
                      (-gp * pz - gpa * qz) + s * wz])
 
 
-def mtj_resistance(m: np.ndarray, params: MacrospinParams) -> float:
-    """Cosine interpolation between parallel and antiparallel resistance."""
-    x, y, _ = _check_unit(m)
-    ex, ey, _ = params.polarizer
-    c = float(x) * ex + float(y) * ey
-    return params.r_parallel + (params.r_antiparallel - params.r_parallel) * (1.0 - c) / 2.0
-
-
-def _drain_current(v_ov: float, v_drain: float, k: float) -> float:
-    """Square-law drain current of a transistor that conducts (``v_ov > 0``)."""
-    if v_drain < v_ov:
-        return k * (v_ov * v_drain - 0.5 * v_drain * v_drain)
-    return 0.5 * k * v_ov * v_ov
-
-
-def nmos_current(v_gate: float, v_drain: float, params: MacrospinParams) -> float:
-    """Square-law NMOS drain current in mA; continuous across the triode boundary."""
-    if not (math.isfinite(v_gate) and math.isfinite(v_drain)):
-        raise InvalidInputError("voltages must be finite")
-    v_ov = v_gate - params.transistor_vt
-    if v_ov <= 0:
-        return 0.0
-    return _drain_current(v_ov, v_drain, params.transistor_k)
-
-
 def solve_node(resistance: float, v_gate: float, params: MacrospinParams) -> tuple[float, float]:
     """Self-consistent node voltage and device current for the series circuit.
 
@@ -179,9 +154,13 @@ def solve_node(resistance: float, v_gate: float, params: MacrospinParams) -> tup
     transistor is in triode and v is the root in [0, v_ov] of
     (R*k/2) v^2 - (1 + R*k*v_ov) v + v_dd = 0, taken in the cancellation-free
     form 2*v_dd / (b + sqrt(b^2 - 2*R*k*v_dd)) with b = 1 + R*k*v_ov.
-    A root outside [0, v_dd] (for example a negative ``transistor_k``)
-    raises ``NumericalFailureError``.  The current takes the triode or the
-    saturation law by ``v < v_ov`` on the root, as ``nmos_current`` does.
+    A root outside (0, v_dd] raises ``NumericalFailureError``: a root
+    above the rail (for example under a negative ``transistor_k``), or one
+    that rounds to 0 because ``b * b`` overflowed the float range (a gate
+    near 1e154 V under the default parameters).  The current takes the
+    triode law ``k * (v_ov*v - v^2/2)`` below ``v = v_ov`` and the
+    saturation law ``k * v_ov^2 / 2`` from it on, continuous at the
+    boundary.
     """
     if not math.isfinite(v_gate):
         raise InvalidInputError("voltages must be finite")
@@ -194,9 +173,16 @@ def solve_node(resistance: float, v_gate: float, params: MacrospinParams) -> tup
     if v < v_ov:
         b = 1.0 + rk * v_ov
         v = 2.0 * v_dd / (b + math.sqrt(b * b - 2.0 * rk * v_dd))
-    if not 0.0 <= v <= v_dd:
-        raise NumericalFailureError("circuit solve: no bracket in [0, v_dd]")
-    return v, _drain_current(v_ov, v, k)
+    if not 0.0 < v <= v_dd:
+        raise _solve_failure(v)
+    return v, k * (v_ov * v - 0.5 * v * v) if v < v_ov else 0.5 * k * v_ov * v_ov
+
+
+def _solve_failure(v: float) -> NumericalFailureError:
+    """The error of a node voltage ``v`` outside (0, v_dd]."""
+    if v == 0.0:   # what b * b = inf rounds the triode root to
+        return NumericalFailureError("circuit solve: the gate overdrive overflowed the float range")
+    return NumericalFailureError("circuit solve: no bracket in [0, v_dd]")
 
 
 @dataclass
@@ -273,8 +259,8 @@ def _integrate(state: MacrospinState, params: MacrospinParams, v_gate: list[floa
                 if v < v_ov:
                     b = 1.0 + rk * v_ov
                     v = two_v_dd / (b + sqrt(b * b - 2.0 * rk * v_dd))
-                if not 0.0 <= v <= v_dd:
-                    raise NumericalFailureError("circuit solve: no bracket in [0, v_dd]")
+                if not 0.0 < v <= v_dd:
+                    raise _solve_failure(v)
                 i_dev = k_t * (v_ov * v - 0.5 * v * v) if v < v_ov else half_k * v_ov * v_ov
             if stop_after_switch:
                 if k == n_steps or c_prev == 0.0 or c_prev * c < 0.0:
@@ -448,7 +434,9 @@ def find_switching_threshold(
     """Gate voltage separating no-switch from switch within the horizon.
 
     Bisects [v_lo, v_hi] until the bracket is at most ``tol`` wide; ``tol``
-    is > 0 and finite.
+    is > 0 and finite.  ``v_hi`` must switch within the horizon and
+    ``v_lo`` must not: when every probe switched, ``v_lo`` is probed once
+    too, and either failure raises ``NumericalFailureError``.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidInputError("tol must be > 0 and finite", key="tol")
@@ -459,12 +447,16 @@ def find_switching_threshold(
         raise InvalidInputError("need v_lo < v_hi", key="v_hi")
     if measure_latency(params, v_hi, dt, horizon, tilt_deg) is None:
         raise NumericalFailureError("v_hi does not switch within the horizon")
+    lo_moved = False
     while v_hi - v_lo > tol:
         mid = 0.5 * (v_lo + v_hi)
         if measure_latency(params, mid, dt, horizon, tilt_deg) is None:
-            v_lo = mid
+            v_lo, lo_moved = mid, True
         else:
             v_hi = mid
+    # every probe switched, so no probe shows that v_lo lies below the threshold
+    if not lo_moved and measure_latency(params, v_lo, dt, horizon, tilt_deg) is not None:
+        raise NumericalFailureError("v_lo switches within the horizon")
     return 0.5 * (v_lo + v_hi)
 
 

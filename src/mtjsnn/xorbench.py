@@ -27,7 +27,7 @@ from .network import (
     first_spike_time,
     simulate_network,
 )
-from .tlr import _MAX_STEPS, TlrParams
+from .tlr import TlrParams
 
 T_ZERO = 2.0  # ns, output spike time encoding logical 0
 T_ONE = 2.5   # ns, output spike time encoding logical 1
@@ -63,42 +63,17 @@ XOR_ROWS = (XorRow(0, 0), XorRow(0, 1), XorRow(1, 0), XorRow(1, 1))
 
 @dataclass(frozen=True)
 class EncodingConfig:
-    mode: str = "presence"   # "presence" or "timing"
-    t_spike: float = 0.0     # onset of a presence-coded spike
-    t_bit0: float = 0.5      # timing mode: onset encoding bit 0
-    t_bit1: float = 0.0      # timing mode: onset encoding bit 1
-    bias_period: Optional[float] = None  # recur bias spikes with this period
-
-    def __post_init__(self):
-        if self.mode not in ("presence", "timing"):
-            raise InvalidInputError(f"unknown encoding mode {self.mode!r}", key="mode")
-        if self.bias_period is not None and not self.bias_period > 0:
-            raise InvalidInputError("bias_period must be > 0", key="bias_period")
+    t_spike: float = 0.0   # onset of each input spike and of the bias spike
 
 
 def encode_inputs(
     row: XorRow,
     encoding: EncodingConfig = EncodingConfig(),
-    horizon: float = 5.0,
 ) -> dict[str, list[float]]:
-    """Spike schedules for sources A, B and bias for one truth-table row."""
-    def bit_schedule(bit: int) -> list[float]:
-        if encoding.mode == "presence":
-            return [encoding.t_spike] if bit else []
-        return [encoding.t_bit1 if bit else encoding.t_bit0]
-
-    bias = [encoding.t_spike]
-    if encoding.bias_period:
-        # a grid has at most _MAX_STEPS + 1 points; a period too small to
-        # advance t would otherwise append without end
-        if (horizon - encoding.t_spike) / encoding.bias_period >= _MAX_STEPS + 1:
-            raise InvalidInputError(f"bias_period gives more than {_MAX_STEPS + 1} bias spikes"
-                                    f" before {horizon!r} ns", key="bias_period")
-        t = encoding.t_spike + encoding.bias_period
-        while t <= horizon:
-            bias.append(t)
-            t += encoding.bias_period
-    return {"A": bit_schedule(row.a), "B": bit_schedule(row.b), "bias": bias}
+    """Spike schedules for sources A, B and bias for one truth-table row:
+    one spike at ``t_spike`` for each 1 bit and for the bias, none for a 0 bit."""
+    t = encoding.t_spike
+    return {"A": [t] if row.a else [], "B": [t] if row.b else [], "bias": [t]}
 
 
 def build_xor_network(
@@ -214,7 +189,7 @@ def run_xor_eval(
     """
     report = XorReport()
     for row in XOR_ROWS:
-        stimulus = encode_inputs(row, encoding, sim.horizon)
+        stimulus = encode_inputs(row, encoding)
         try:
             trace = simulate_network(net.with_schedules(stimulus), sim)
         except MtjsnnError as exc:
@@ -254,13 +229,9 @@ def run_xor_eval(
 
 def xor_dataset(
     encoding: EncodingConfig = EncodingConfig(),
-    horizon: float = 5.0,
 ) -> list[tuple[dict[str, list[float]], float]]:
     """(stimulus, target time) pairs for the four truth-table rows."""
-    return [
-        (encode_inputs(row, encoding, horizon), row.target_time)
-        for row in XOR_ROWS
-    ]
+    return [(encode_inputs(row, encoding), row.target_time) for row in XOR_ROWS]
 
 
 def write_row_traces(traces: list[Trace], out_dir) -> list:

@@ -313,7 +313,8 @@ class TestTrain:
         assert f"config error: train.{next(iter(train))}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("train", [{"fd_epsilon": 0}, {"tol": 0}, {"dt": 0.02},
-                                       {"max_epochs": 0}, {"seed": -1}])
+                                       {"max_epochs": 0}, {"seed": -1},
+                                       {"init_jitter": 1.0e308}])
     def test_out_of_range_train_value_exit_2(self, tmp_path, capsys, train):
         cfg = write_config(tmp_path, xor_doc(train=train))
         code = main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -356,6 +357,17 @@ class TestTrain:
         code = main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "config error: encoding.t_spike: spike time 6.0 outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("mode", "presence"), ("mode", "timing"), ("t_bit0", 0.5), ("t_bit1", 0.0),
+        ("bias_period", 2.0),
+    ])
+    def test_removed_encoding_key_exit_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, xor_doc(encoding={key: value}))
+        out = tmp_path / "out"
+        assert main(["bench-xor", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: encoding.{key}: unknown key '{key}'\n"
+        assert not out.exists()
 
     def test_negative_seed_flag_exit_2(self, tmp_path, capsys, xor_config_path):
         out = tmp_path / "out"

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 import re
+import sys
 
 import pytest
 import yaml
@@ -236,6 +237,10 @@ class TestTrainSection:
         ("max_epochs", 0),
         ("max_epochs", -3),
         ("seed", -1),
+        # 2 * init_jitter, the range of the uniform draw, overflows
+        ("init_jitter", 1.0e308),
+        ("init_jitter", 9.0e307),
+        ("init_jitter", math.nextafter(sys.float_info.max / 2, math.inf)),
     ])
     def test_out_of_range_names_key(self, key, value):
         with pytest.raises(ConfigError) as e:
@@ -245,6 +250,10 @@ class TestTrainSection:
     def test_range_edges_accepted(self):
         cfg = parse_config(minimal(train={"dt": 0.01, "fd_epsilon": 1e-6, "tol": 1e-4}))
         assert (cfg.train.dt, cfg.train.fd_epsilon, cfg.train.tol) == (0.01, 1e-6, 1e-4)
+
+    def test_largest_jitter_accepted(self):
+        jitter = sys.float_info.max / 2
+        assert parse_config(minimal(train={"init_jitter": jitter})).train.init_jitter == jitter
 
 
 class TestStimulusAndSweep:
@@ -412,24 +421,6 @@ class TestKeyNamesField:
         assert e.value.key == key
 
 
-class TestBiasPeriod:
-    @pytest.mark.parametrize("period", [0, 0.0, -1.0, -0.001])
-    def test_non_positive_rejected(self, period):
-        with pytest.raises(ConfigError, match="bias_period must be > 0") as e:
-            parse_config(minimal(encoding={"bias_period": period}))
-        assert e.value.key == "encoding.bias_period"
-
-    def test_shorter_than_sim_dt_rejected(self):
-        with pytest.raises(ConfigError, match="sim.dt") as e:
-            parse_config(minimal(sim={"dt": 0.002}, encoding={"bias_period": 0.001}))
-        assert e.value.key == "encoding.bias_period"
-
-    @pytest.mark.parametrize("period", [None, 0.001, 2.0])
-    def test_accepted(self, period):
-        cfg = parse_config(minimal(encoding={"bias_period": period}))
-        assert cfg.encoding.bias_period == period
-
-
 class TestScheduleInHorizon:
     """Every scheduled spike time lies in [0, sim.horizon]."""
 
@@ -438,17 +429,11 @@ class TestScheduleInHorizon:
     @pytest.mark.parametrize("encoding, key", [
         ({"t_spike": 6.0}, "encoding.t_spike"),
         ({"t_spike": -0.5}, "encoding.t_spike"),
-        ({"mode": "timing", "t_bit0": 5.5}, "encoding.t_bit0"),
-        ({"mode": "timing", "t_bit1": -1.0}, "encoding.t_bit1"),
     ])
     def test_encoding_rejected(self, encoding, key):
         with pytest.raises(ConfigError, match="outside") as e:
             parse_config(minimal(sim=self.SIM, encoding=encoding))
         assert e.value.key == key
-
-    def test_bit_times_unused_in_presence_mode(self):
-        cfg = parse_config(minimal(sim=self.SIM, encoding={"t_bit0": 9.0, "t_bit1": -1.0}))
-        assert cfg.encoding.t_bit0 == 9.0
 
     def test_horizon_end_points_accepted(self):
         cfg = parse_config(minimal(sim=self.SIM, encoding={"t_spike": 5.0},
@@ -473,7 +458,6 @@ def base_documents():
         preset = yaml.safe_load(fh)
     preset["network"].update(neurons={"i1": {}}, weights={}, bias_to_output=True,
                              source_amplitude=1.0, source_duration=3.0)
-    preset["encoding"]["bias_period"] = 2.0
     preset["stimulus"] = {"A": [0.0], "bias": [0.0]}
     preset["sweep"] = {"backend": "tlr", "drives": [1.5], "dt": 0.005, "horizon": 15.0,
                        "params": {}}
@@ -522,6 +506,13 @@ VALUES = st.one_of(
              max_size=4),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
 )
+
+
+class TestBaseDocuments:
+    @pytest.mark.parametrize("base", [0, 1], ids=["preset", "explicit"])
+    def test_parses(self, base):
+        # a base that fails on one key would make every mutation fail on it too
+        assert isinstance(parse_config(copy.deepcopy(BASES[base])), Config)
 
 
 class TestMutatedDocuments:

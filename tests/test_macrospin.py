@@ -29,8 +29,6 @@ from mtjsnn.macrospin import (
     integrate_macrospin,
     llgs_derivative,
     measure_latency,
-    mtj_resistance,
-    nmos_current,
     solve_node,
 )
 from mtjsnn.tlr import constant_drive_latency
@@ -45,6 +43,30 @@ def random_unit_vectors(n, seed=0):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+# The circuit laws, which the integrator computes inline: MTJ resistance
+# and square-law NMOS drain current.
+
+def mtj_resistance(m, params):
+    """Cosine interpolation between parallel and antiparallel resistance."""
+    x, y, _ = macrospin._check_unit(m)
+    ex, ey, _ = params.polarizer
+    c = float(x) * ex + float(y) * ey
+    return params.r_parallel + (params.r_antiparallel - params.r_parallel) * (1.0 - c) / 2.0
+
+
+def nmos_current(v_gate, v_drain, params):
+    """Square-law NMOS drain current in mA; continuous across the triode boundary."""
+    if not (math.isfinite(v_gate) and math.isfinite(v_drain)):
+        raise InvalidInputError("voltages must be finite")
+    v_ov = v_gate - params.transistor_vt
+    if v_ov <= 0:
+        return 0.0
+    k = params.transistor_k
+    if v_drain < v_ov:
+        return k * (v_ov * v_drain - 0.5 * v_drain * v_drain)
+    return 0.5 * k * v_ov * v_ov
 
 
 # Slow reference: the array implementation the float kernel replaced.
@@ -904,6 +926,21 @@ class TestThresholdExistence:
         with pytest.raises(NumericalFailureError, match="v_hi does not switch within the horizon"):
             find_switching_threshold(PARAMS, v_lo=0.0, v_hi=0.5, horizon=2.0)
 
+    def test_v_lo_that_switches_rejected(self):
+        # unchecked, every probe switched and the search returned 1.00048828125,
+        # next to a v_lo that switches at 1.653 ns
+        assert measure_latency(PARAMS, 1.0, horizon=3.5) is not None
+        with pytest.raises(NumericalFailureError, match="v_lo switches within the horizon"):
+            find_switching_threshold(PARAMS, v_lo=1.0, v_hi=2.0, horizon=3.5)
+
+    def test_v_lo_probed_only_when_every_probe_switched(self, monkeypatch):
+        probes, probe = [], macrospin.measure_latency
+        monkeypatch.setattr(macrospin, "measure_latency",
+                            lambda params, v, *a: probes.append(v) or probe(params, v, *a))
+        assert find_switching_threshold(PARAMS, v_lo=0.75, v_hi=1.0, horizon=3.5,
+                                        tol=0.05) == 0.859375
+        assert probes == [1.0, 0.875, 0.8125, 0.84375]
+
 
 class TestOverflow:
     @pytest.mark.parametrize("field,value", [
@@ -916,6 +953,22 @@ class TestOverflow:
         params = dataclasses.replace(PARAMS, **{field: value})
         with pytest.raises(NumericalFailureError, match="macrospin step overflowed"):
             measure_latency(params, 1.3, 0.005, 1.0)
+
+    @pytest.mark.parametrize("v_gate", [1e154, 1e155, 1e200, 1e308])
+    def test_overflowing_gate_raises_numerical_failure(self, v_gate):
+        # unchecked, b * b overflowed, the node voltage rounded to 0.0 inside
+        # [0, v_dd], no current flowed, and the probe read "no switch"
+        match = "circuit solve: the gate overdrive overflowed the float range"
+        with pytest.raises(NumericalFailureError, match=match):
+            measure_latency(PARAMS, v_gate, 0.005, 5.0)
+        with pytest.raises(NumericalFailureError, match=match):
+            integrate_macrospin(initial_state(PARAMS), PARAMS, np.full(21, v_gate), 0.005)
+        with pytest.raises(NumericalFailureError, match=match):
+            solve_node(PARAMS.r_antiparallel, v_gate, PARAMS)
+
+    def test_largest_gates_below_the_overflow_still_switch(self):
+        assert measure_latency(PARAMS, 1e150, 0.005, 5.0) == pytest.approx(0.8846, abs=1e-4)
+        assert measure_latency(PARAMS, 3e153, 0.005, 5.0) == pytest.approx(0.8846, abs=1e-4)
 
     @pytest.mark.parametrize("latency,match", [
         (1e308, "overflow encountered in multiply"),

@@ -395,7 +395,7 @@ class TestBatchedFdMatchesPerSimulation:
 
         cfg = load_config(xor_config_path)
         net = cli.initial_weights(cfg.network, cfg.train, seed)
-        dataset = xor_dataset(cfg.encoding, cfg.sim.horizon)
+        dataset = xor_dataset(cfg.encoding)
         sim = SimConfig(dt=cfg.train.dt, horizon=cfg.sim.horizon)
         config = dataclasses.replace(cfg.train, max_epochs=2)
         out, hist = train(net, dataset, config, sim=sim)
@@ -513,7 +513,7 @@ class TestOneBatchPerRow:
 
         cfg = load_config(xor_config_path)
         net = cli.initial_weights(cfg.network, cfg.train, seed)
-        dataset = xor_dataset(cfg.encoding, cfg.sim.horizon)
+        dataset = xor_dataset(cfg.encoding)
         return net, dataset, cfg.train, SimConfig(dt=cfg.train.dt, horizon=cfg.sim.horizon)
 
     def test_one_simulation_call_per_row_and_epoch(self, xor_config_path, monkeypatch):

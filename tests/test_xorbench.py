@@ -58,34 +58,10 @@ class TestEncoding:
         assert encode_inputs(XorRow(1, 0)) == {"A": [0.0], "B": [], "bias": [0.0]}
         assert encode_inputs(XorRow(1, 1)) == {"A": [0.0], "B": [0.0], "bias": [0.0]}
 
-    def test_timing_mode(self):
-        enc = EncodingConfig(mode="timing", t_bit0=0.5, t_bit1=0.0)
-        assert encode_inputs(XorRow(1, 0), enc) == {"A": [0.0], "B": [0.5], "bias": [0.0]}
-
-    def test_recurring_bias(self):
-        enc = EncodingConfig(bias_period=2.0)
-        sched = encode_inputs(XorRow(0, 0), enc, horizon=5.0)
-        assert sched["bias"] == [0.0, 2.0, 4.0]
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(InvalidInputError):
-            EncodingConfig(mode="morse")
-
-    @pytest.mark.parametrize("period", [0.0, -1.0, float("nan")])
-    def test_non_positive_bias_period_rejected(self, period):
-        with pytest.raises(InvalidInputError) as e:
-            EncodingConfig(bias_period=period)
-        assert e.value.key == "bias_period"
-
-    @pytest.mark.parametrize("period,horizon", [
-        (5e-324, 5.0), (1.0, 1_000_001.0), (2.0, float("inf")),
-    ], ids=["subnormal", "one-past-the-cap", "infinite-horizon"])
-    def test_bias_train_past_the_step_cap_rejected(self, period, horizon):
-        # checked before any spike is appended: unchecked, a period too small
-        # to advance t appended spikes until memory ran out
-        with pytest.raises(InvalidInputError, match="more than 1000001 bias spikes") as e:
-            encode_inputs(XorRow(0, 0), EncodingConfig(bias_period=period), horizon)
-        assert e.value.key == "bias_period"
+    def test_spikes_at_t_spike(self):
+        enc = EncodingConfig(t_spike=1.5)
+        assert encode_inputs(XorRow(0, 1), enc) == {"A": [], "B": [1.5], "bias": [1.5]}
+        assert xor_dataset(enc)[3][0] == {"A": [1.5], "B": [1.5], "bias": [1.5]}
 
     def test_dataset_covers_rows(self):
         data = xor_dataset()
@@ -336,7 +312,7 @@ class TestNonTlrOutputNeuron:
         sim = SimConfig(dt=0.005, horizon=5.0)
         net = macrospin_output_network()
         assert first_spike_time(simulate_network(
-            net.with_schedules(encode_inputs(XorRow(0, 1), horizon=5.0)), sim), "o1") is not None
+            net.with_schedules(encode_inputs(XorRow(0, 1))), sim), "o1") is not None
         with pytest.raises(InvalidInputError, match="'o1' uses the macrospin backend"):
             run_xor_eval(net, sim)
 
@@ -357,7 +333,7 @@ class TestWriteRowTraces:
         assert len(calls) == 4
         monkeypatch.undo()
 
-        fresh = simulate_network(net.with_schedules(encode_inputs(XorRow(0, 0), horizon=5.0)), SIM)
+        fresh = simulate_network(net.with_schedules(encode_inputs(XorRow(0, 0))), SIM)
         fresh_dir = tmp_path / "fresh"
         fresh_dir.mkdir()
         write_row_traces([fresh], fresh_dir)
