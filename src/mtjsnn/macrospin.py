@@ -105,13 +105,17 @@ def initial_state(params: MacrospinParams, tilt_deg: float = 1.0) -> MacrospinSt
     """
     if not math.isfinite(tilt_deg):
         raise InvalidInputError("tilt_deg must be finite", key="tilt_deg")
-    e = params.easy_axis
-    # the in-plane direction perpendicular to the (in-plane) easy axis
-    perp = np.cross(np.array([0.0, 0.0, 1.0]), e)
-    perp = perp / _length(perp)
+    ex, ey, ez = (float(c) for c in params.polarizer)
+    # the in-plane direction perpendicular to the (in-plane) easy axis, z x e,
+    # in np.cross's operations, so that each signed zero comes out as it does
+    px, py, pz = 0.0 * ez - 1.0 * ey, 1.0 * ex - 0.0 * ez, 0.0 * ey - 0.0 * ex
+    n = math.sqrt(px * px + py * py + pz * pz)
+    px, py, pz = px / n, py / n, pz / n
     th = math.radians(tilt_deg)
-    m = -math.cos(th) * e + math.sin(th) * perp
-    return MacrospinState(m=m / _length(m), t=0.0)
+    c, s = -math.cos(th), math.sin(th)
+    x, y, z = c * ex + s * px, c * ey + s * py, c * ez + s * pz
+    n = math.sqrt(x * x + y * y + z * z)
+    return MacrospinState(m=np.array([x / n, y / n, z / n]), t=0.0)
 
 
 def _check_unit(m: np.ndarray) -> np.ndarray:
@@ -416,7 +420,7 @@ def measure_latency(
     steps = SimConfig(dt=dt, horizon=horizon).steps
     if not math.isfinite(v_gate):
         raise InvalidInputError("v_gate must be finite", key="v_gate")
-    gate = np.full(steps + 1, v_gate, dtype=float).tolist()
+    gate = [float(v_gate)] * (steps + 1)
     state = initial_state(params, tilt_deg)
     crossings = _integrate(state, params, gate, dt, stop_after_switch=True).switching_times()
     return crossings[0] if crossings else None
@@ -433,10 +437,14 @@ def find_switching_threshold(
 ) -> float:
     """Gate voltage separating no-switch from switch within the horizon.
 
-    Bisects [v_lo, v_hi] until the bracket is at most ``tol`` wide; ``tol``
-    is > 0 and finite.  ``v_hi`` must switch within the horizon and
-    ``v_lo`` must not: when every probe switched, ``v_lo`` is probed once
-    too, and either failure raises ``NumericalFailureError``.
+    Bisects [v_lo, v_hi] until the bracket is at most ``tol`` wide, or its
+    ends are adjacent floats; ``tol`` is > 0 and finite.  ``v_hi`` must
+    switch within the horizon and ``v_lo`` must not, and either failure
+    raises ``NumericalFailureError``.  An end is probed only when no
+    bisection probe vouches for it: ``v_hi`` when no probe switched, then
+    ``v_lo`` when every probe switched.  A probe that switches becomes the
+    new ``v_hi``, and one that does not the new ``v_lo``, so whenever both
+    ends moved the answer rests on probes already run.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidInputError("tol must be > 0 and finite", key="tol")
@@ -445,18 +453,23 @@ def find_switching_threshold(
             raise InvalidInputError(f"{key} must be finite", key=key)
     if not v_lo < v_hi:
         raise InvalidInputError("need v_lo < v_hi", key="v_hi")
-    if measure_latency(params, v_hi, dt, horizon, tilt_deg) is None:
-        raise NumericalFailureError("v_hi does not switch within the horizon")
-    lo_moved = False
+    lo_moved = hi_moved = False
     while v_hi - v_lo > tol:
         mid = 0.5 * (v_lo + v_hi)
+        if not v_lo < mid < v_hi:
+            break   # v_lo and v_hi are adjacent floats (or their sum overflowed)
         if measure_latency(params, mid, dt, horizon, tilt_deg) is None:
             v_lo, lo_moved = mid, True
         else:
-            v_hi = mid
-    # every probe switched, so no probe shows that v_lo lies below the threshold
-    if not lo_moved and measure_latency(params, v_lo, dt, horizon, tilt_deg) is not None:
-        raise NumericalFailureError("v_lo switches within the horizon")
+            v_hi, hi_moved = mid, True
+    # no probe switched, so no probe shows that v_hi lies above the threshold
+    if not hi_moved:
+        if measure_latency(params, v_hi, dt, horizon, tilt_deg) is None:
+            raise NumericalFailureError("v_hi does not switch within the horizon")
+    # every probe switched, so no probe shows that v_lo lies below it
+    if not lo_moved:
+        if measure_latency(params, v_lo, dt, horizon, tilt_deg) is not None:
+            raise NumericalFailureError("v_lo switches within the horizon")
     return 0.5 * (v_lo + v_hi)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mtjsnn import macrospin
+from mtjsnn import macrospin, network
 from mtjsnn.defaults import CALIBRATION_GRID
 from mtjsnn.errors import (
     InsufficientDataError,
@@ -221,6 +221,17 @@ def reference_float_integrate(state, params, v_gate, dt):
         x, y, z = x / n, y / n, z / n
     return macrospin.MacrospinTrace(time=time, v_node=v_node_series, i_device=i_series,
                                     m=m_series, params=params)
+
+
+def reference_initial_state(params, tilt_deg):
+    """The array construction ``initial_state`` replaced: z x e by
+    ``np.cross``, and the tilt as array arithmetic."""
+    e = params.easy_axis
+    perp = np.cross(np.array([0.0, 0.0, 1.0]), e)
+    perp = perp / macrospin._length(perp)
+    th = math.radians(tilt_deg)
+    m = -math.cos(th) * e + math.sin(th) * perp
+    return m / macrospin._length(m)
 
 
 def reference_latency(params, v_gate, dt, horizon, tilt_deg):
@@ -610,6 +621,18 @@ class TestStageOracles:
                                                       params, np.full(21, v_gate))
         assert np.all(trace.i_device == saturation)
 
+    @pytest.mark.parametrize("tilt_deg", [0.0, -0.0, 1.0, -1.0, 45.0, 90.0, 180.0, 360.0,
+                                          1e-300])
+    @pytest.mark.parametrize("polarizer", SIX_POLARIZERS + [
+        (-0.0, 1.0, 0.0), (1.0, -0.0, 0.0), (1, 0, 0)])
+    def test_initial_state_same_bytes(self, polarizer, tilt_deg):
+        # signed zeros included: z x e takes np.cross's products and
+        # differences, and an integer polarizer is read as floats
+        params = MacrospinParams(polarizer=polarizer)
+        got = initial_state(params, tilt_deg).m
+        assert got.dtype == np.float64
+        assert got.tobytes() == reference_initial_state(params, tilt_deg).tobytes()
+
     @pytest.mark.parametrize("where", [0, 7, 20])
     @pytest.mark.parametrize("v_gate", [math.nan, math.inf, -math.inf])
     def test_non_finite_gate_sample_rejected_before_any_step(self, monkeypatch, v_gate, where):
@@ -814,6 +837,14 @@ class TestMeasureLatency:
         assert e.value.key == "drive_grid[2]"
         assert calls == []
 
+    def test_gate_read_as_a_python_float(self):
+        # a float32 gate kept as it is would carry float32 arithmetic into
+        # each step's overdrive: that latency differs in the eighth digit
+        gate = np.float32(1.3)
+        latency = measure_latency(PARAMS, gate, horizon=5.0)
+        assert latency == measure_latency(PARAMS, float(gate), horizon=5.0)
+        assert type(latency) is float
+
     def test_nan_tilt_rejected(self):
         with pytest.raises(InvalidInputError, match="tilt_deg must be finite") as e:
             measure_latency(PARAMS, 1.3, tilt_deg=math.nan)
@@ -939,7 +970,121 @@ class TestThresholdExistence:
                             lambda params, v, *a: probes.append(v) or probe(params, v, *a))
         assert find_switching_threshold(PARAMS, v_lo=0.75, v_hi=1.0, horizon=3.5,
                                         tol=0.05) == 0.859375
-        assert probes == [1.0, 0.875, 0.8125, 0.84375]
+        assert probes == [0.875, 0.8125, 0.84375]
+
+    @staticmethod
+    def fake_probes(monkeypatch, switches):
+        """Replace ``measure_latency`` with a probe that switches where
+        ``switches(v)`` holds; returns the list of probed voltages, and
+        fails the test at probe 201, so that a search that never ends
+        fails instead of hanging."""
+        probes = []
+
+        def probe(params, v, *args):
+            assert len(probes) < 200, "more than 200 probes"
+            probes.append(v)
+            return 1.0 if switches(v) else None
+
+        monkeypatch.setattr(macrospin, "measure_latency", probe)
+        return probes
+
+    @pytest.mark.parametrize("switches,probes,vth", [
+        # mixed outcomes: both ends moved, so neither is probed
+        (lambda v: v >= 0.8, [0.875, 0.8125, 0.78125], 0.796875),
+        # every probe switched: v_lo is probed, and v_hi never
+        (lambda v: v >= 0.76, [0.875, 0.8125, 0.78125, 0.75], 0.765625),
+        # no probe switched: v_hi is probed, and v_lo never
+        (lambda v: v >= 0.99, [0.875, 0.9375, 0.96875, 1.0], 0.984375),
+        # not monotone: v_hi does not switch, but the midpoints that did
+        # vouch for the answer's upper end, and one that did not for its lower
+        (lambda v: 0.8 <= v < 0.9, [0.875, 0.8125, 0.78125], 0.796875),
+    ], ids=["mixed", "every-probe-switched", "no-probe-switched", "not-monotone"])
+    def test_an_end_is_probed_only_when_no_probe_vouches_for_it(self, monkeypatch, switches,
+                                                               probes, vth):
+        probed = self.fake_probes(monkeypatch, switches)
+        assert find_switching_threshold(PARAMS, v_lo=0.75, v_hi=1.0, tol=0.05) == vth
+        assert probed == probes
+
+    @pytest.mark.parametrize("switches,probes,match", [
+        (lambda v: v >= 0.7, [0.875, 0.8125, 0.78125, 0.75], "v_lo switches"),
+        # after ceil(log2((v_hi - v_lo) / tol)) + 1 probes, where it once
+        # raised after the first
+        (lambda v: v >= 1.5, [0.875, 0.9375, 0.96875, 1.0], "v_hi does not switch"),
+    ], ids=["v_lo-switches", "v_hi-never-switches"])
+    def test_an_end_that_fails_raises_after_the_bisection(self, monkeypatch, switches,
+                                                          probes, match):
+        probed = self.fake_probes(monkeypatch, switches)
+        with pytest.raises(NumericalFailureError, match=match):
+            find_switching_threshold(PARAMS, v_lo=0.75, v_hi=1.0, tol=0.05)
+        assert probed == probes
+        assert len(probed) == math.ceil(math.log2(0.25 / 0.05)) + 1
+
+    @pytest.mark.parametrize("switches,probes,match", [
+        (lambda v: v >= 0.89, [0.90625, 0.875], None),
+        (lambda v: False, [0.90625], "v_hi does not switch"),
+        (lambda v: True, [0.90625, 0.875], "v_lo switches"),
+    ], ids=["threshold-inside", "v_hi-never-switches", "v_lo-switches"])
+    def test_bracket_within_tol_probes_v_hi_first(self, monkeypatch, switches, probes, match):
+        # no bisection probe runs, so both ends are probed, v_hi first: a
+        # v_hi that does not switch raises the error it always raised
+        probed = self.fake_probes(monkeypatch, switches)
+        search = lambda: find_switching_threshold(PARAMS, v_lo=0.875, v_hi=0.90625, tol=0.05)
+        if match is None:
+            assert search() == 0.890625
+        else:
+            with pytest.raises(NumericalFailureError, match=match):
+                search()
+        assert probed == probes
+
+    def test_tol_below_the_float_spacing_ends(self, monkeypatch):
+        # unchecked, once v_lo and v_hi were adjacent floats, mid equalled one
+        # of them, v_hi - v_lo > tol stayed true, and the same voltage was
+        # probed forever
+        threshold = 0.8446273247133651
+        probed = self.fake_probes(monkeypatch, lambda v: v >= threshold)
+        vth = find_switching_threshold(PARAMS, v_lo=0.75, v_hi=1.0, tol=5e-324)
+        v_lo = max(v for v in probed if v < threshold)
+        v_hi = min(v for v in probed if v >= threshold)
+        assert math.nextafter(v_lo, math.inf) == v_hi
+        assert vth in (v_lo, v_hi)
+        # 0.25 V halved to the spacing of the floats in [0.5, 1), 2**-53 V
+        assert len(probed) == len(set(probed)) == 51
+
+
+class TestWorkPerBenchmarkInput:
+    """Integrator steps for each input of perfbench's ``macrospin_calibrate``
+    workload, one entry per integration: a change of the work shows here,
+    whatever the timings say."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        steps, real = [], macrospin._integrate
+
+        def counting(state, params, v_gate, dt, **kwargs):
+            trace = real(state, params, v_gate, dt, **kwargs)
+            # the last sample's grid index: a probe stops there
+            steps.append(round((trace.time[-1] - state.t) / dt))
+            return trace
+
+        monkeypatch.setattr(macrospin, "_integrate", counting)
+        return steps
+
+    def test_calibrate(self, steps):
+        calibrate_tlr(PARAMS, list(CALIBRATION_GRID), dt=0.005, horizon=3.5)
+        assert steps == [640, 446, 331, 281, 245, 219] and sum(steps) == 2162
+
+    def test_threshold(self, steps):
+        # the v_hi probe (1.0 V, 331 steps) no longer runs: 2,258 steps before
+        find_switching_threshold(PARAMS, v_lo=0.75, v_hi=1.0, horizon=3.5, tol=0.05, dt=0.005)
+        assert steps == [527, 700, 700] and sum(steps) == 1927
+
+    def test_single_neuron(self, steps):
+        net = network.Network(
+            neurons=(network.Neuron("m", "macrospin", PARAMS),),
+            synapses=(network.Synapse("src", "m", 1.5),),
+            sources=(network.Source("src", spike_times=(0.0,), amplitude=1.0, duration=4.9),))
+        network.simulate_network(net, network.SimConfig(dt=0.005, horizon=4.0))
+        assert steps == [800]
 
 
 class TestOverflow:

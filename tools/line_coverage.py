@@ -39,11 +39,16 @@ ALLOWED = {
 
 # (path under src/, stripped source line) that tier-1 must run: the two
 # branches of the macrospin integrator, a full trace's recording and a
-# latency probe's crossing window
+# latency probe's crossing window; and in the threshold search, the v_hi
+# probe that runs only when no bisection probe switched, and the stop at a
+# bracket whose ends are adjacent floats
 MUST_RUN = (
     ("mtjsnn/macrospin.py", "put_v(v)"),
     ("mtjsnn/macrospin.py", "c_prev, last = c, (v, i_dev, x, y, z)"),
     ("mtjsnn/macrospin.py", "window = np.array([last, (v, i_dev, x, y, z)])"),
+    ("mtjsnn/macrospin.py", "if measure_latency(params, v_hi, dt, horizon, tilt_deg) is None:"),
+    ("mtjsnn/macrospin.py",
+     "break   # v_lo and v_hi are adjacent floats (or their sum overflowed)"),
 )
 
 
