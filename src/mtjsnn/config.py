@@ -5,9 +5,9 @@ grid, the network (either the XOR preset or an explicit topology), input
 encoding, training, an optional fixed stimulus, and an optional latency
 sweep.  Each section is built from the dataclass that holds it: the
 dataclass's fields are the section's keys, defaults and value types, and
-its ``__post_init__`` holds the range rules.  Unknown keys anywhere are
-rejected with the offending key path so typos fail loudly instead of
-silently using defaults.
+its ``__post_init__`` holds the range rules.  Unknown and repeated keys
+anywhere are rejected with the offending key path so typos fail loudly
+instead of silently using defaults.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import dataclasses
 import math
 import typing
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 import yaml
 
@@ -128,29 +128,21 @@ def _int(value: Any, path: str) -> int:
     return value
 
 
-def _bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"expected true or false, got {value!r}", key=path)
-    return value
-
-
 def _str(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"expected a string, got {value!r}", key=path)
     return value
 
 
-_SCALARS = {float: _number, int: _int, bool: _bool, str: _str}
+_SCALARS = {float: _number, int: _int, str: _str}
 
 
 def _value(kind: Any, value: Any, path: str) -> Any:
-    """``value`` as a field of type ``kind``: a scalar, an ``Optional`` or a
-    tuple (of fixed length, or ``tuple[x, ...]``)."""
+    """``value`` as a field of type ``kind``: a scalar or a tuple (of fixed
+    length, or ``tuple[x, ...]``)."""
     if kind in _SCALARS:
         return _SCALARS[kind](value, path)
     args = typing.get_args(kind)
-    if typing.get_origin(kind) is Union:
-        return None if value is None else _value(args[0], value, path)
     items = _expect_list(value, path)
     if args[-1] is not Ellipsis and len(items) != len(args):
         raise ConfigError(f"expected {len(args)} values, got {len(items)}", key=path)
@@ -193,32 +185,24 @@ def _build_with_params(cls, section: Any, path: str) -> Any:
 
 
 def _parse_preset_network(section: dict, path: str) -> Network:
-    _check_keys(
-        section,
-        {"preset", "bias_to_output", "source_amplitude", "source_duration", "neurons", "weights"},
-        path,
-    )
+    _check_keys(section, {"preset", "source_amplitude", "source_duration", "neurons", "weights"},
+                path)
     params = dict(defaults.XOR_NEURON_PARAMS)
     for nid, fields in _expect_mapping(section.get("neurons", {}), f"{path}.neurons").items():
         if nid not in params:
             raise ConfigError(f"unknown neuron {nid!r}", key=f"{path}.neurons.{nid}")
         params[nid] = _build(TlrParams, fields, f"{path}.neurons.{nid}", base=params[nid])
 
-    bias_to_output = _bool(section.get("bias_to_output", True), f"{path}.bias_to_output")
     weights = dict(defaults.XOR_WEIGHTS)
     for edge, w in _expect_mapping(section.get("weights", {}), f"{path}.weights").items():
         if edge not in weights:
             raise ConfigError(f"unknown edge {edge!r}", key=f"{path}.weights.{edge}")
-        if edge == "bias->o1" and not bias_to_output:
-            raise ConfigError("edge 'bias->o1' is off because bias_to_output is false",
-                              key=f"{path}.weights.{edge}")
         weights[edge] = _number(w, f"{path}.weights.{edge}")
 
     try:
         return build_xor_network(
             params=params,
             weights=weights,
-            bias_to_output=bias_to_output,
             source_amplitude=_number(
                 section.get("source_amplitude", defaults.XOR_SOURCE_AMPLITUDE),
                 f"{path}.source_amplitude",
@@ -309,11 +293,43 @@ def parse_config(document: Any) -> Config:
     )
 
 
+def _check_unique_keys(node: yaml.Node, path: str, seen: set[int]) -> None:
+    """Reject a key that a mapping under ``node`` repeats, keyed at its
+    path.  Keys compare by tag and text, and a ``<<`` merge key is one key:
+    the keys it merges in may be overridden.  ``seen`` holds the nodes
+    checked, so an aliased node is checked once, where its anchor is."""
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    if isinstance(node, yaml.MappingNode):
+        keys = set()
+        for key, value in node.value:
+            if not isinstance(key, yaml.ScalarNode):
+                continue   # an unhashable key, which construction rejects
+            sub = f"{path}.{key.value}" if path else key.value
+            if (key.tag, key.value) in keys:
+                raise ConfigError(f"duplicate key {key.value!r}", key=sub)
+            keys.add((key.tag, key.value))
+            _check_unique_keys(value, sub, seen)
+    elif isinstance(node, yaml.SequenceNode):
+        for k, item in enumerate(node.value):
+            _check_unique_keys(item, f"{path}[{k}]", seen)
+
+
+class _Loader(yaml.SafeLoader):
+    """A SafeLoader that rejects a repeated key before it builds the document."""
+
+    def compose_document(self):
+        node = super().compose_document()
+        _check_unique_keys(node, "", set())
+        return node
+
+
 def load_config(path) -> Config:
     """Read and validate a YAML config file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            document = yaml.safe_load(fh)
+            document = yaml.load(fh, Loader=_Loader)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}", key="<file>") from exc
     except OSError as exc:   # a directory, no permission, a failed read

@@ -87,7 +87,6 @@ class MacrospinParams:
 @dataclass
 class MacrospinState:
     m: np.ndarray   # unit vector
-    t: float = 0.0  # ns
 
 
 def _length(v: np.ndarray) -> float:
@@ -115,7 +114,7 @@ def initial_state(params: MacrospinParams, tilt_deg: float = 1.0) -> MacrospinSt
     c, s = -math.cos(th), math.sin(th)
     x, y, z = c * ex + s * px, c * ey + s * py, c * ez + s * pz
     n = math.sqrt(x * x + y * y + z * z)
-    return MacrospinState(m=np.array([x / n, y / n, z / n]), t=0.0)
+    return MacrospinState(m=np.array([x / n, y / n, z / n]))
 
 
 def _check_unit(m: np.ndarray) -> np.ndarray:
@@ -195,7 +194,7 @@ class MacrospinTrace:
     v_node: np.ndarray    # V
     i_device: np.ndarray  # mA
     m: np.ndarray         # (n, 3) unit vectors
-    params: MacrospinParams = field(repr=False, default=None)
+    params: MacrospinParams = field(repr=False)
 
     def alignment(self) -> np.ndarray:
         """Projection of m on the easy axis (+1 parallel, -1 antiparallel),
@@ -223,7 +222,7 @@ def _integrate(state: MacrospinState, params: MacrospinParams, v_gate: list[floa
     an exact zero (the first sample at which a crossing can show in
     ``switching_times``), or else at the end of the grid, and returns only
     the last two samples, grid points ``k - 1`` and ``k``, at the full
-    grid's times ``dt * k + state.t``.  That window holds the full trace's
+    grid's times ``dt * k``.  That window holds the full trace's
     first crossing, if it has one, and no other.
 
     Each step is straight-line float code: the circuit solve of
@@ -344,9 +343,9 @@ def _integrate(state: MacrospinState, params: MacrospinParams, v_gate: list[floa
 
     if stop_after_switch:
         window = np.array([last, (v, i_dev, x, y, z)])
-        return MacrospinTrace(time=dt * np.arange(k - 1, k + 1) + state.t, v_node=window[:, 0],
+        return MacrospinTrace(time=dt * np.arange(k - 1, k + 1), v_node=window[:, 0],
                               i_device=window[:, 1], m=window[:, 2:], params=params)
-    return MacrospinTrace(time=dt * np.arange(n_steps + 1) + state.t,
+    return MacrospinTrace(time=dt * np.arange(n_steps + 1),
                           v_node=np.frombuffer(v_node_buf), i_device=np.frombuffer(i_buf),
                           m=np.frombuffer(m_buf).reshape(-1, 3), params=params)
 
@@ -356,7 +355,7 @@ def integrate_macrospin(state: MacrospinState, params: MacrospinParams, v_gate: 
     """Fixed-step RK4 integration with per-step circuit solve.
 
     ``v_gate`` holds the gate voltage at each grid point; its N+1 samples
-    set a grid of N steps of ``dt`` from ``state.t``, and a non-finite
+    set a grid of N steps of ``dt`` from 0, and a non-finite
     sample is rejected before any step.  The device current is solved
     self-consistently from the node equation (``solve_node``, closed form)
     at the start of each step and held constant across the RK4 stages

@@ -27,10 +27,10 @@ from .tlr import SimConfig
 TLR_BACKEND = "tlr"
 MACROSPIN_BACKEND = "macrospin"
 BACKEND_PARAMS = {TLR_BACKEND: tlr.TlrParams, MACROSPIN_BACKEND: ms.MacrospinParams}
-# (params, (B, N+1) drive, dt, *, v=None, state=None) -> onsets per row.  A
-# kernel writes the output voltage into ``v`` and its state into ``state``,
-# zero-filled (B, N+1) arrays from the caller, and computes neither when it
-# gets None; both backends are called with the same arguments
+# kernel(params, (B, N+1) drive, dt, *, v=None, state=None) -> onsets per
+# row, one signature for both backends.  A kernel writes the output voltage
+# into ``v`` and its state into ``state``, zero-filled (B, N+1) arrays from
+# the caller, and computes neither when it gets None
 _KERNELS = {TLR_BACKEND: tlr._run_batch, MACROSPIN_BACKEND: ms._run_batch}
 _CSV_CHUNK_ROWS = 512
 

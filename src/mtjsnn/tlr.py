@@ -133,11 +133,11 @@ class TlrRun:
     onsets: list[float]       # spike onset times, ns
 
 
-def run_tlr(params: TlrParams, drive: np.ndarray, dt: float, t0: float = 0.0) -> TlrRun:
+def run_tlr(params: TlrParams, drive: np.ndarray, dt: float) -> TlrRun:
     """Simulate one neuron over a fixed grid.
 
-    ``drive`` holds grid-point samples; step k applies ``drive[k]`` over
-    ``[t_k, t_k + dt]``, so the last sample is unused for integration.
+    ``drive[k]`` is the sample at grid point ``k * dt`` and drives step k,
+    ``[k * dt, (k + 1) * dt]``, so the last sample is unused for integration.
     This is the one-row case of the batched kernel the network simulation
     uses.  Its oracles live in ``tests/test_tlr.py``: onsets must agree to
     floating-point noise with ``simulate_steps`` (built on the per-step
@@ -146,17 +146,15 @@ def run_tlr(params: TlrParams, drive: np.ndarray, dt: float, t0: float = 0.0) ->
     drive = np.asarray(drive, dtype=float)
     if drive.ndim != 1 or drive.size < 2:
         raise InvalidInputError("drive must be a 1-D array of at least 2 samples")
-    if not math.isfinite(t0):
-        raise InvalidInputError("t0 must be finite", key="t0")
     _check_dt(dt)
     v, acc = np.zeros((1, drive.size)), np.zeros((1, drive.size))
-    onsets = _run_batch(params, drive[None, :], dt, t0, v=v, state=acc)
-    return TlrRun(time=t0 + dt * np.arange(drive.size), v_out=v[0], accumulation=acc[0],
+    onsets = _run_batch(params, drive[None, :], dt, v=v, state=acc)
+    return TlrRun(time=dt * np.arange(drive.size), v_out=v[0], accumulation=acc[0],
                   onsets=onsets[0])
 
 
 def _run_batch(
-    params: TlrParams, drive: np.ndarray, dt: float, t0: float = 0.0, *,
+    params: TlrParams, drive: np.ndarray, dt: float, *,
     v: Optional[np.ndarray] = None, state: Optional[np.ndarray] = None,
 ) -> list[list[float]]:
     """Kernel behind :func:`run_tlr`: each row of a ``(B, N+1)`` drive is an
@@ -196,7 +194,7 @@ def _run_batch(
     pos = np.zeros(n_rows, dtype=int)          # next step to integrate
     carry = np.zeros(n_rows)                   # running sum of excess * width before pos
     start = np.zeros(n_rows, dtype=int)        # step of the last (re)start
-    resume = np.full(n_rows, float(t0))        # time integration resumes at in that step
+    resume = np.zeros(n_rows)                  # time integration resumes at in that step
     last = np.full(n_rows, -np.inf)            # last onset; each new one must pass it
     alive = np.arange(n_rows)
 
@@ -226,7 +224,7 @@ def _run_batch(
             excess[cols < p[:, None]] = 0.0
         step = excess * dt
         if own.size:
-            step[own, at] = excess[own, at] * ((t0 + (p[own] + 1) * dt) - resume[rows[own]])
+            step[own, at] = excess[own, at] * ((p[own] + 1) * dt - resume[rows[own]])
         step[:, 0] += carry[rows]
         raw = np.cumsum(step, axis=1)
         cum = 0.0 + raw
@@ -247,7 +245,7 @@ def _run_batch(
             r, kc = int(rows[a]), int(k[a])
             c = c0 + kc   # the crossing step
             acc_before = float(cum[a, kc - 1]) if kc > 0 else 0.0 + float(carry[r])
-            step_start = float(resume[r]) if c == start[r] else t0 + dt * c
+            step_start = float(resume[r]) if c == start[r] else dt * c
             onset = step_start + (q - acc_before) / float(excess[a, kc]) + params.latency_floor
             if onset <= last[r]:
                 raise NumericalFailureError(f"spike onsets stopped advancing at {onset!r} ns")
@@ -258,11 +256,11 @@ def _run_batch(
             # re-arm inside the horizon; compared as floats so that a huge
             # refractory window (x overflowing to inf) is never cast to an integer
             rearm = onset + params.t_refractory
-            x = (rearm - t0) / dt
+            x = rearm / dt
             if x < n_steps:
                 j = math.floor(x)
                 start[r] = pos[r] = j
-                resume[r] = max(rearm, t0 + j * dt)
+                resume[r] = max(rearm, j * dt)
                 carry[r] = 0.0
             else:
                 pos[r] = n_steps   # no step left
@@ -271,7 +269,7 @@ def _run_batch(
 
     if v is None:
         return onsets
-    time = t0 + dt * np.arange(size)
+    time = dt * np.arange(size)
     for r, row_onsets in enumerate(onsets):
         for onset in row_onsets:
             # a re-armed neuron's pulse replaces the rest of its last one

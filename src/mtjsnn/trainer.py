@@ -41,7 +41,6 @@ class TrainConfig:
     fd_epsilon: float = 1e-3          # weight perturbation for finite differences
     max_epochs: int = 10000
     tol: float = 0.05                 # ns, convergence band around targets
-    no_spike_penalty_time: Optional[float] = None  # defaults to the sim horizon
 
     def __post_init__(self):
         if not (self.eta >= 0 and math.isfinite(self.eta)):
@@ -54,9 +53,6 @@ class TrainConfig:
             raise InvalidInputError("max_epochs must be >= 1", key="max_epochs")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise InvalidInputError("tol must be > 0 and finite", key="tol")
-        if self.no_spike_penalty_time is not None and not math.isfinite(self.no_spike_penalty_time):
-            raise InvalidInputError("no_spike_penalty_time must be finite",
-                                    key="no_spike_penalty_time")
 
 
 @dataclass
@@ -130,7 +126,8 @@ def train(
     Each epoch sums the per-row, per-edge updates and applies them once, so
     the result is independent of row ordering.  Stops when every row's
     output time is within ``config.tol`` of its target, or at
-    ``config.max_epochs``.  Aborts if the total loss exceeds 1000x its
+    ``config.max_epochs``.  A row whose output stays silent is scored as a
+    spike at ``sim.horizon``.  Aborts if the total loss exceeds 1000x its
     initial value.  Every batch row of an epoch runs on the prefix grid,
     and only the rows whose output has no onset there rerun on the full
     grid.
@@ -146,10 +143,6 @@ def train(
             raise InvalidInputError(f"dataset row {k}: target must be finite")
     if output_id not in {n.id for n in net.neurons} | {s.id for s in net.sources}:
         raise InvalidInputError(f"unknown id {output_id!r}")
-
-    penalty = config.no_spike_penalty_time
-    if penalty is None:
-        penalty = sim.horizon
 
     history = TrainHistory()
     weights = net.weight_vector()
@@ -187,7 +180,7 @@ def train(
         # compared as a float first: a far onset's end may not fit an int
         end = (max(fired) + _PREFIX_MARGIN) / sim.dt if fired else math.inf
         prefix = math.ceil(end) if end <= sim.steps - 1 else None
-        times = [penalty if t[0] is None else t[0] for t in t_out]
+        times = [sim.horizon if t[0] is None else t[0] for t in t_out]
         total = sum(loss(t, t_des) for t, (_, t_des) in zip(times, dataset))
 
         history.losses.append(total)

@@ -79,16 +79,14 @@ def encode_inputs(
 def build_xor_network(
     params: Union[TlrParams, dict[str, TlrParams]] = TlrParams(),
     weights: Optional[dict[str, float]] = None,
-    bias_to_output: bool = True,
     source_amplitude: float = 1.0,
     source_duration: Optional[float] = None,
 ) -> Network:
-    """Two-layer network: sources {A, B, bias} -> {i1, i2} -> o1.
+    """Two-layer network: sources {A, B, bias} -> {i1, i2} -> o1, and bias -> o1.
 
     ``params`` is either one parameter set shared by all three neurons or a
     mapping from neuron id to its own parameters (heterogeneous layers).
-    Edge keys are "pre->post".  Missing weights default to 0.  The direct
-    bias->o1 edge is present by default and can be disabled.  Source pulses
+    Edge keys are "pre->post".  Missing weights default to 0.  Source pulses
     default to the first neuron's spike duration unless given explicitly.
     """
     weights = weights or {}
@@ -99,14 +97,8 @@ def build_xor_network(
         raise InvalidInputError(f"missing neuron params for {missing}")
     if source_duration is None:
         source_duration = params[NEURON_IDS[0]].spike_duration
-    edges = []
-    for pre in SOURCE_IDS:
-        for post in ("i1", "i2"):
-            edges.append((pre, post))
-    edges.append(("i1", "o1"))
-    edges.append(("i2", "o1"))
-    if bias_to_output:
-        edges.append(("bias", "o1"))
+    edges = [(pre, post) for pre in SOURCE_IDS for post in ("i1", "i2")]
+    edges += [("i1", "o1"), ("i2", "o1"), ("bias", "o1")]
 
     synapses = tuple(
         Synapse(pre, post, float(weights.get(f"{pre}->{post}", 0.0)))

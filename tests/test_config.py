@@ -115,24 +115,16 @@ class TestPresetNetwork:
          "network.neurons[0].params.rel_refraction_tau"),
         (minimal(sweep={"drives": [1.5], "params": {"rel_refraction_beta": 0.5}}),
          "sweep.params.rel_refraction_beta"),
-    ], ids=["tau", "preset-beta", "explicit-tau", "sweep-beta"])
+        # the preset always has its bias->o1 edge
+        (minimal(network={"preset": "xor", "bias_to_output": False}), "network.bias_to_output"),
+        # a silent output always scores sim.horizon
+        (minimal(train={"no_spike_penalty_time": 1.0}), "train.no_spike_penalty_time"),
+    ], ids=["tau", "preset-beta", "explicit-tau", "sweep-beta", "bias-to-output",
+            "no-spike-penalty"])
     def test_unknown_param_field_rejected(self, doc, key):
         with pytest.raises(ConfigError, match="unknown key") as e:
             parse_config(doc)
         assert e.value.key == key
-
-    def test_bias_to_output_must_be_bool(self):
-        with pytest.raises(ConfigError) as e:
-            parse_config(minimal(network={"preset": "xor", "bias_to_output": "no"}))
-        assert e.value.key == "network.bias_to_output"
-        cfg = parse_config(minimal(network={"preset": "xor", "bias_to_output": False}))
-        assert len(cfg.network.synapses) == 8
-
-    def test_weight_of_the_disabled_bias_edge_rejected(self):
-        with pytest.raises(ConfigError, match="bias_to_output is false") as e:
-            parse_config(minimal(network={"preset": "xor", "bias_to_output": False,
-                                          "weights": {"bias->o1": 5.0}}))
-        assert e.value.key == "network.weights.bias->o1"
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError) as e:
@@ -383,6 +375,48 @@ class TestLoadConfig:
         assert cfg.train.seed in cfg.train.seeds
         assert len(cfg.network.synapses) == 9
 
+    @pytest.mark.parametrize("text,name,key", [
+        ("schema_version: 1\nschema_version: 1\nnetwork: {preset: xor}\n",
+         "schema_version", "schema_version"),
+        ("schema_version: 1\nnetwork: {preset: xor}\ntrain: {eta: 0.2, eta: 50.0}\n",
+         "eta", "train.eta"),
+        ("schema_version: 1\nnetwork:\n  sources:\n    - {id: s, spike_times: [0.0]}\n"
+         "    - {id: t, spike_times: [0.0], id: u}\n", "id", "network.sources[1].id"),
+    ], ids=["top-level", "nested", "list-item"])
+    def test_duplicate_key_rejected_at_its_path(self, tmp_path, text, name, key):
+        p = tmp_path / "dup.yaml"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=f"^duplicate key '{name}'$") as e:
+            load_config(p)
+        assert e.value.key == key
+
+    @pytest.mark.parametrize("text,key", [
+        ("", "<root>"),
+        ("? [a]\n: 1\n", "<file>"),   # a list as a key: invalid YAML, not a duplicate
+        # an alias to its own mapping is checked once, where its anchor is
+        ("schema_version: 1\nnetwork: {preset: xor}\nsweep: &s {drives: [1.5], params: *s}\n",
+         "sweep.params.drives"),
+    ], ids=["empty", "list-key", "recursive-alias"])
+    def test_malformed_document_rejected(self, tmp_path, text, key):
+        p = tmp_path / "doc.yaml"
+        p.write_text(text)
+        with pytest.raises(ConfigError) as e:
+            load_config(p)
+        assert e.value.key == key
+
+    def test_aliased_list_loads(self, tmp_path):
+        p = tmp_path / "alias.yaml"
+        p.write_text("schema_version: 1\nnetwork: {preset: xor}\n"
+                     "stimulus: {A: &t [0.0], bias: *t}\n")
+        assert load_config(p).stimulus == {"A": [0.0], "bias": [0.0]}
+
+    def test_merge_key_may_be_overridden(self, tmp_path):
+        p = tmp_path / "merge.yaml"
+        p.write_text("schema_version: 1\nnetwork: {preset: xor}\n"
+                     "train:\n  <<: {eta: 0.2, tol: 0.1}\n  eta: 0.3\n")
+        cfg = load_config(p)
+        assert (cfg.train.eta, cfg.train.tol) == (0.3, 0.1)
+
 
 class TestKeyNamesField:
     """A range rule of a section's dataclass names the field, not the section."""
@@ -456,7 +490,7 @@ def base_documents():
     slot to mutate."""
     with open(XOR_YAML) as fh:
         preset = yaml.safe_load(fh)
-    preset["network"].update(neurons={"i1": {}}, weights={}, bias_to_output=True,
+    preset["network"].update(neurons={"i1": {}}, weights={},
                              source_amplitude=1.0, source_duration=3.0)
     preset["stimulus"] = {"A": [0.0], "bias": [0.0]}
     preset["sweep"] = {"backend": "tlr", "drives": [1.5], "dt": 0.005, "horizon": 15.0,

@@ -126,7 +126,7 @@ def reference_integrate(state, params, v_gate, dt, horizon):
         return v / np.linalg.norm(v)
 
     n_steps = int(round(horizon / dt))
-    time = dt * np.arange(n_steps + 1) + state.t
+    time = dt * np.arange(n_steps + 1)
     m = np.array(state.m, dtype=float)
     v_node, i_device, ms = np.empty(n_steps + 1), np.empty(n_steps + 1), np.empty((n_steps + 1, 3))
     for k in range(n_steps + 1):
@@ -188,7 +188,7 @@ def reference_float_solve_node(resistance, v_gate, params):
 
 def reference_float_integrate(state, params, v_gate, dt):
     n_steps = v_gate.size - 1
-    time = dt * np.arange(n_steps + 1) + state.t
+    time = dt * np.arange(n_steps + 1)
     x, y, z = (float(c) for c in state.m)
     ex, ey, ez = params.polarizer
     v_node_series = np.empty(n_steps + 1)
@@ -283,10 +283,13 @@ class TestParams:
         assert e.value.key == "polarizer"
 
     @pytest.mark.parametrize("kwargs,match,key", [
+        ({"alpha": 0.0}, "alpha must be > 0", "alpha"),
         ({"r_parallel": 0.0}, "r_parallel must be > 0", "r_parallel"),
         ({"r_parallel": -2.0}, "r_parallel must be > 0", "r_parallel"),
         ({"v_dd": 0.0}, "v_dd must be > 0", "v_dd"),
         ({"v_dd": -1.0}, "v_dd must be > 0", "v_dd"),
+        ({"r_antiparallel": 2.0}, "need r_antiparallel > r_parallel", "r_antiparallel"),
+        ({"r_antiparallel": 1.0}, "need r_antiparallel > r_parallel", "r_antiparallel"),
         ({"polarizer": (2.0, 0.0, 0.0)}, "polarizer must be a unit vector", "polarizer"),
         ({"polarizer": (0.6, 0.6, 0.0)}, "polarizer must be a unit vector", "polarizer"),
     ])
@@ -523,7 +526,7 @@ class TestFloatIntegratorOracle:
 
     @ALL_POLARIZERS
     def test_from_the_fixed_point(self, params):
-        state = MacrospinState(m=-params.easy_axis, t=0.75)
+        state = MacrospinState(m=-params.easy_axis)
         trace = self.assert_same(state, params, oracle_gate("pulse"))
         assert np.all(trace.m == -params.easy_axis)
 
@@ -1063,7 +1066,7 @@ class TestWorkPerBenchmarkInput:
         def counting(state, params, v_gate, dt, **kwargs):
             trace = real(state, params, v_gate, dt, **kwargs)
             # the last sample's grid index: a probe stops there
-            steps.append(round((trace.time[-1] - state.t) / dt))
+            steps.append(round(trace.time[-1] / dt))
             return trace
 
         monkeypatch.setattr(macrospin, "_integrate", counting)

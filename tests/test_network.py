@@ -1,6 +1,7 @@
 """Network engine: topology validation, drive superposition, simulation,
 the batched core behind it and the trace CSV writer."""
 
+import inspect
 import math
 import os
 import time
@@ -15,7 +16,7 @@ from test_tlr import reference_run_tlr, time_limit
 from mtjsnn import macrospin
 from mtjsnn.config import load_config
 from mtjsnn.errors import InvalidInputError, NumericalFailureError
-from mtjsnn.macrospin import MacrospinParams, initial_state, integrate_macrospin
+from mtjsnn.macrospin import MacrospinParams, MacrospinState, initial_state, integrate_macrospin
 from mtjsnn.network import (
     Network,
     Neuron,
@@ -31,7 +32,8 @@ from mtjsnn.network import (
     simulate_network,
     validate_topology,
 )
-from mtjsnn.tlr import TlrParams, constant_drive_latency, source_waveform
+from mtjsnn.tlr import TlrParams, constant_drive_latency, run_tlr, source_waveform
+from mtjsnn.trainer import TrainConfig
 from mtjsnn.xorbench import build_xor_network
 
 
@@ -604,6 +606,29 @@ class TestKernelContract:
                 for r, (ref_v, ref_state, _) in enumerate(refs):
                     assert v is None or same_bits(v[r], ref_v), r
                     assert state is None or same_bits(state[r], ref_state), r
+
+    def test_one_signature(self):
+        positional = inspect.Parameter.POSITIONAL_OR_KEYWORD
+        keyword = inspect.Parameter.KEYWORD_ONLY
+        expected = [("params", positional), ("drive", positional), ("dt", positional),
+                    ("v", keyword), ("state", keyword)]
+        for backend, kernel in _KERNELS.items():
+            parameters = inspect.signature(kernel).parameters.values()
+            assert [(p.name, p.kind) for p in parameters] == expected, backend
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run_tlr(TlrParams(), np.full(11, 2.0), 0.005, t0=1.3),
+    lambda: MacrospinState(np.array([-1.0, 0.0, 0.0]), t=0.75),
+    lambda: TrainConfig(no_spike_penalty_time=1.0),
+    lambda: build_xor_network(bias_to_output=False),
+], ids=["run_tlr-t0", "MacrospinState-t", "TrainConfig-no_spike_penalty_time",
+        "build_xor_network-bias_to_output"])
+def test_fixed_choices_take_no_argument(call):
+    # every grid starts at 0, a silent output scores sim.horizon, and the
+    # XOR preset always has its bias->o1 edge
+    with pytest.raises(TypeError):
+        call()
 
 
 class TestWorkspaceDifferential:

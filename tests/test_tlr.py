@@ -124,27 +124,27 @@ def simulate_steps(params, drive, dt):
     return onsets
 
 
-def reference_run_tlr(params, drive, dt, t0=0.0):
+def reference_run_tlr(params, drive, dt):
     """The one-row loop the batched kernel replaced: the oracle for
     ``_run_batch``.  Each pass integrates the rest of the horizon from the
     last re-arm and masks every pulse over the whole grid."""
     drive = np.asarray(drive, dtype=float)
     n_steps = drive.size - 1
-    time = t0 + dt * np.arange(drive.size)
+    time = dt * np.arange(drive.size)
     acc_series = np.zeros(drive.size)
     onsets = []
 
     i = 0
     acc = 0.0
     last = None
-    window_start0 = t0
+    window_start0 = 0.0
 
     while i < n_steps:
         seg = drive[i:n_steps]
-        starts = t0 + dt * np.arange(i, n_steps)
+        starts = dt * np.arange(i, n_steps)
         starts[0] = window_start0
         widths = np.full(seg.size, dt)
-        widths[0] = (t0 + (i + 1) * dt) - window_start0
+        widths[0] = (i + 1) * dt - window_start0
 
         excess = np.maximum(seg - params.i_threshold, 0.0)
         cum = acc + np.cumsum(excess * widths)
@@ -161,7 +161,7 @@ def reference_run_tlr(params, drive, dt, t0=0.0):
         last = onset
 
         rearm = onset + params.t_refractory
-        j = int(math.floor((rearm - t0) / dt))
+        j = int(math.floor(rearm / dt))
         end = min(j, n_steps)
         acc_series[i + k + 1 : end + 1] = 0.0
         if j >= n_steps:
@@ -170,7 +170,7 @@ def reference_run_tlr(params, drive, dt, t0=0.0):
             break
         acc = 0.0
         i = j
-        window_start0 = max(rearm, t0 + j * dt)
+        window_start0 = max(rearm, j * dt)
 
     v = np.zeros(drive.size)
     for onset in onsets:
@@ -430,13 +430,13 @@ def _pulse_train(n, dt, pulses, level):
     return drive
 
 
-def assert_rows_match_reference(params, drive, dt, t0=0.0):
+def assert_rows_match_reference(params, drive, dt):
     """Every row of the batched kernel equals the one-row reference, bit for bit."""
     v_out, acc = np.zeros(drive.shape), np.zeros(drive.shape)
-    onsets = _run_batch(params, drive, dt, t0, v=v_out, state=acc)
+    onsets = _run_batch(params, drive, dt, v=v_out, state=acc)
     spikes = 0
     for r, row in enumerate(drive):
-        ref = reference_run_tlr(params, row, dt, t0)
+        ref = reference_run_tlr(params, row, dt)
         assert onsets[r] == [float(t) for t in ref.onsets], r
         assert v_out[r].tobytes() == ref.v_out.tobytes(), r
         assert acc[r].tobytes() == ref.accumulation.tobytes(), r
@@ -485,26 +485,18 @@ class TestBatchedKernel:
         p = TlrParams(t_refractory=1.0)
         drive = _pulse_train(2500, self.DT, [(0.1, 1.0), (1.5, 3.5)], 1.8)
         assert assert_rows_match_reference(p, drive[None, :], self.DT) >= 2
-        for t0 in (0.0, 1.3, -0.7):
-            run = run_tlr(p, drive, self.DT, t0)
-            ref = reference_run_tlr(p, drive, self.DT, t0)
-            assert run.time.tobytes() == ref.time.tobytes(), t0
-            assert run.onsets == [float(t) for t in ref.onsets]
-            assert run.v_out.tobytes() == ref.v_out.tobytes()
-            assert run.accumulation.tobytes() == ref.accumulation.tobytes()
+        run = run_tlr(p, drive, self.DT)
+        ref = reference_run_tlr(p, drive, self.DT)
+        assert run.time.tobytes() == ref.time.tobytes()
+        assert run.onsets == [float(t) for t in ref.onsets]
+        assert run.v_out.tobytes() == ref.v_out.tobytes()
+        assert run.accumulation.tobytes() == ref.accumulation.tobytes()
 
     @pytest.mark.parametrize("drive", [2.0, [], [2.0], np.full((1, 21), 2.0)],
                              ids=["scalar", "empty", "one-sample", "2-D"])
     def test_drive_not_a_1d_grid_rejected(self, drive):
         with pytest.raises(InvalidInputError, match="drive must be a 1-D array of at least 2"):
             run_tlr(TlrParams(), drive, self.DT)
-
-    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
-    def test_non_finite_t0_rejected_with_key(self, t0):
-        # unchecked, a nan t0 gives no onsets and an inf one a RuntimeWarning
-        with pytest.raises(InvalidInputError, match="t0 must be finite") as exc:
-            run_tlr(TlrParams(), np.full(101, 2.0), self.DT, t0)
-        assert exc.value.key == "t0"
 
     @pytest.mark.parametrize("dt", [1e308, 0.5, 0.0, -0.001, math.nan])
     def test_dt_outside_the_grid_rule_rejected(self, dt):
@@ -519,7 +511,7 @@ class TestBatchedKernel:
         from mtjsnn import network
         assert mtjsnn.SimConfig is network.SimConfig is tlr_module.SimConfig
 
-    def test_random_parameters_and_offsets(self):
+    def test_random_parameters(self):
         rng = np.random.default_rng(3)
         spikes = 0
         for _ in range(60):
@@ -531,10 +523,9 @@ class TestBatchedKernel:
                 t_refractory=float(rng.choice([0.0, 0.01, rng.uniform(0.0, 2.0), 5.0])),
             )
             dt = float(rng.choice([0.001, 0.0037, 0.01]))
-            t0 = float(rng.choice([0.0, 1.3, -0.7]))
             shape = (int(rng.integers(1, 5)), int(rng.integers(2, 300)))
             drive = np.where(rng.random(shape) < 0.5, rng.uniform(0.0, 4.0, shape), 0.0)
-            spikes += assert_rows_match_reference(p, drive, dt, t0)
+            spikes += assert_rows_match_reference(p, drive, dt)
         assert spikes > 100
 
     def test_accumulation_held_across_long_gaps(self):

@@ -198,7 +198,7 @@ class TestJacobianFd:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("field", ["eta", "fd_epsilon", "tol", "no_spike_penalty_time"])
+    @pytest.mark.parametrize("field", ["eta", "fd_epsilon", "tol"])
     def test_non_finite_value_rejected_with_key(self, field, value):
         with pytest.raises(InvalidInputError, match=f"{field} must be") as e:
             TrainConfig(**{field: value})
@@ -312,19 +312,17 @@ class TestTrain:
 
 
 def spike_time_jacobian_fd(net, stimulus, edge_index, eps, output_id="o1", sim=None,
-                           penalty=None, t_base=None):
+                           t_base=None):
     """Finite-difference sensitivity of the output spike time to one weight:
     the FD rule ``train`` batches, one weight and two simulations at a time.
 
     Central difference over two full simulations.  When the output is silent
     on one side, a one-sided difference against the unperturbed spike time
-    ``t_base`` is used instead (firing boundary); a silent base counts as the
-    no-spike penalty.  Silent on both sides gives 0.  Without ``t_base`` the
+    ``t_base`` is used instead (firing boundary); a silent base counts as a
+    spike at the horizon.  Silent on both sides gives 0.  Without ``t_base`` the
     one-sided case runs a third simulation of the unperturbed network.
     """
     sim = sim or SimConfig()
-    if penalty is None:
-        penalty = sim.horizon
     w = net.weight_vector()
     if not 0 <= edge_index < w.size:
         raise InvalidInputError(f"edge index {edge_index} out of range")
@@ -339,7 +337,7 @@ def spike_time_jacobian_fd(net, stimulus, edge_index, eps, output_id="o1", sim=N
     t_minus = t_at(-eps)
     if t_base is None and (t_plus is None) != (t_minus is None):
         t0 = t_at(0.0)
-        t_base = penalty if t0 is None else t0
+        t_base = sim.horizon if t0 is None else t0
     return trainer._fd_slope(t_plus, t_minus, t_base, eps)
 
 
@@ -347,7 +345,6 @@ def reference_train(net, dataset, config, sim, output_id="o1"):
     """Per-simulation FD training: the loop ``train`` batched.  One
     ``spike_time_jacobian_fd`` call per (row, edge), with ``t_base`` the
     row's output time, summed into ``delta`` in the same order."""
-    penalty = sim.horizon if config.no_spike_penalty_time is None else config.no_spike_penalty_time
     history = trainer.TrainHistory()
     weights = net.weight_vector()
     for epoch in range(config.max_epochs):
@@ -357,7 +354,7 @@ def reference_train(net, dataset, config, sim, output_id="o1"):
             t = first_spike_time(simulate_network(current.with_schedules(stimulus), sim),
                                  output_id)
             spiked.append(t is not None)
-            times.append(penalty if t is None else t)
+            times.append(sim.horizon if t is None else t)
         history.losses.append(sum(loss(t, t_des) for t, (_, t_des) in zip(times, dataset)))
         history.output_times.append([t if ok else None for t, ok in zip(times, spiked)])
         history.weights.append(weights.copy())

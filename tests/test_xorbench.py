@@ -75,11 +75,6 @@ class TestBuildNetwork:
         assert len(net.synapses) == 9  # 3 sources x 2 inputs + i1,i2,bias -> o1
         assert validate_topology(net) == []
 
-    def test_bias_to_output_disabled(self):
-        net = build_xor_network(bias_to_output=False)
-        assert len(net.synapses) == 8
-        assert not any(s.pre == "bias" and s.post == "o1" for s in net.synapses)
-
     def test_per_neuron_params(self):
         p = {nid: TlrParams(latency_floor=0.1 * k)
              for k, nid in enumerate(("i1", "i2", "o1"))}
