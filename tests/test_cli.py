@@ -267,7 +267,6 @@ class TestSimulate:
             assert err == "simulation failed: neuron 'n': drive must be finite\n"
 
 
-
 class TestTrain:
     def test_epoch_budget_exhausted_exit_4(self, tmp_path):
         cfg = write_config(tmp_path, xor_doc(train={"max_epochs": 1, "seed": 2}))

@@ -32,7 +32,7 @@ from mtjsnn.network import (
     simulate_network,
     validate_topology,
 )
-from mtjsnn.tlr import TlrParams, constant_drive_latency, run_tlr, source_waveform
+from mtjsnn.tlr import TlrParams, run_tlr, source_waveform
 from mtjsnn.trainer import TrainConfig
 from mtjsnn.xorbench import build_xor_network
 
