@@ -316,8 +316,28 @@ def _check_unique_keys(node: yaml.Node, path: str, seen: set[int]) -> None:
             _check_unique_keys(item, f"{path}[{k}]", seen)
 
 
+# mappings and lists a config may nest, the root mapping counted.  The
+# schema needs 5 (network.sources[k].spike_times), and PyYAML's composer
+# recurses once per level, so some hundreds of levels exhaust Python's stack
+MAX_DEPTH = 100
+
+
 class _Loader(yaml.SafeLoader):
-    """A SafeLoader that rejects a repeated key before it builds the document."""
+    """A SafeLoader that rejects a document nested deeper than ``MAX_DEPTH``
+    while it composes it, and a repeated key before it builds it."""
+
+    _depth = 0
+
+    def compose_node(self, parent, index):
+        if not self.check_event(yaml.CollectionStartEvent):   # a scalar or an alias
+            return super().compose_node(parent, index)
+        if self._depth == MAX_DEPTH:
+            raise ConfigError(f"the document nests deeper than {MAX_DEPTH} levels",
+                              key="<file>")
+        self._depth += 1
+        node = super().compose_node(parent, index)
+        self._depth -= 1
+        return node
 
     def compose_document(self):
         node = super().compose_document()

@@ -432,7 +432,6 @@ def find_switching_threshold(
     horizon: float = 20.0,
     dt: float = 0.005,
     tol: float = 1e-3,
-    tilt_deg: float = 1.0,
 ) -> float:
     """Gate voltage separating no-switch from switch within the horizon.
 
@@ -443,7 +442,8 @@ def find_switching_threshold(
     bisection probe vouches for it: ``v_hi`` when no probe switched, then
     ``v_lo`` when every probe switched.  A probe that switches becomes the
     new ``v_hi``, and one that does not the new ``v_lo``, so whenever both
-    ends moved the answer rests on probes already run.
+    ends moved the answer rests on probes already run.  Each probe is a
+    ``measure_latency`` from its default tilt.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidInputError("tol must be > 0 and finite", key="tol")
@@ -457,17 +457,17 @@ def find_switching_threshold(
         mid = 0.5 * (v_lo + v_hi)
         if not v_lo < mid < v_hi:
             break   # v_lo and v_hi are adjacent floats (or their sum overflowed)
-        if measure_latency(params, mid, dt, horizon, tilt_deg) is None:
+        if measure_latency(params, mid, dt, horizon) is None:
             v_lo, lo_moved = mid, True
         else:
             v_hi, hi_moved = mid, True
     # no probe switched, so no probe shows that v_hi lies above the threshold
     if not hi_moved:
-        if measure_latency(params, v_hi, dt, horizon, tilt_deg) is None:
+        if measure_latency(params, v_hi, dt, horizon) is None:
             raise NumericalFailureError("v_hi does not switch within the horizon")
     # every probe switched, so no probe shows that v_lo lies below it
     if not lo_moved:
-        if measure_latency(params, v_lo, dt, horizon, tilt_deg) is not None:
+        if measure_latency(params, v_lo, dt, horizon) is not None:
             raise NumericalFailureError("v_lo switches within the horizon")
     return 0.5 * (v_lo + v_hi)
 
@@ -617,15 +617,15 @@ def calibrate_tlr(
     drive_grid: Sequence[float],
     dt: float = 0.005,
     horizon: float = 15.0,
-    tilt_deg: float = 1.0,
 ) -> CalibrationResult:
-    """Fit TLR latency-law parameters to measured macrospin switching latencies."""
+    """Fit TLR latency-law parameters to the macrospin switching latencies
+    that ``measure_latency`` measures, from its default tilt, on ``drive_grid``."""
     for k, v in enumerate(drive_grid):
         if not math.isfinite(v):
             raise InvalidInputError(f"drive_grid[{k}] must be finite", key=f"drive_grid[{k}]")
     drives, lats = [], []
     for v in drive_grid:
-        lat = measure_latency(params, v, dt, horizon, tilt_deg)
+        lat = measure_latency(params, v, dt, horizon)
         if lat is not None:
             drives.append(float(v))
             lats.append(lat)

@@ -1,10 +1,11 @@
 """Spike-timing gradient descent over full network simulations.
 
-The loss per row is L = (t_actual - t_desired)^2 / 2 on the output
-neuron's first spike time.  Weight sensitivities dt/dw are obtained by
-central finite differences of two complete simulations per weight, so the
-update Delta w = -eta * (dL/dt) * (dt/dw) is exact gradient descent with
-respect to the simulator.  Where the output is silent on one side of the
+The loss per row is L = (t_actual - t_desired)^2 / 2 on the first spike
+time of the output neuron, ``o1`` (``xorbench.OUTPUT_ID``).  Weight
+sensitivities dt/dw are obtained by central finite differences of two
+complete simulations per weight, so the update
+Delta w = -eta * (dL/dt) * (dt/dw) is exact gradient descent with respect
+to the simulator.  Where the output is silent on one side of the
 perturbation (the firing boundary), a one-sided difference against the
 unperturbed spike time is used, and silent on both sides gives 0.  Updates
 are batched over all dataset rows and applied once per epoch.  Each epoch
@@ -28,6 +29,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidInputError, NumericalFailureError
 from .network import Network, SimConfig, _simulate, validate_topology
+from .xorbench import OUTPUT_ID
 
 # ns past the latest output onset of the last epoch that the next prefix
 # grid runs to; a batch row that then fires later, or not at all, falls
@@ -119,7 +121,6 @@ def train(
     dataset: list[tuple[dict[str, list[float]], float]],
     config: TrainConfig,
     sim: Optional[SimConfig] = None,
-    output_id: str = "o1",
 ) -> tuple[Network, TrainHistory]:
     """Batch gradient descent on spike timing until all rows hit their targets.
 
@@ -141,8 +142,8 @@ def train(
     for k, (_, t_des) in enumerate(dataset):
         if not math.isfinite(t_des):
             raise InvalidInputError(f"dataset row {k}: target must be finite")
-    if output_id not in {n.id for n in net.neurons} | {s.id for s in net.sources}:
-        raise InvalidInputError(f"unknown id {output_id!r}")
+    if OUTPUT_ID not in {n.id for n in net.neurons} | {s.id for s in net.sources}:
+        raise InvalidInputError(f"unknown id {OUTPUT_ID!r}")
 
     history = TrainHistory()
     weights = net.weight_vector()
@@ -171,7 +172,7 @@ def train(
         while rows:
             _, _, onsets = _simulate(net, batch[rows], sim, steps,
                                      [schedules[b] for b in rows], lean=True)
-            for b, row in zip(rows, onsets[output_id]):
+            for b, row in zip(rows, onsets[OUTPUT_ID]):
                 t_rows[b] = min(row) if row else None
             rows = [b for b in rows if t_rows[b] is None] if steps is not None else []
             steps = None

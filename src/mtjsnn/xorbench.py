@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -34,20 +34,17 @@ T_ONE = 2.5   # ns, output spike time encoding logical 1
 
 SOURCE_IDS = ("A", "B", "bias")
 NEURON_IDS = ("i1", "i2", "o1")
-OUTPUT_ID = "o1"
+OUTPUT_ID = "o1"   # the one output neuron, which training and evaluation read
 
 
 @dataclass(frozen=True)
 class XorRow:
     a: int
     b: int
-    bias: int = 1
 
     def __post_init__(self):
         if self.a not in (0, 1) or self.b not in (0, 1):
             raise InvalidInputError("bits must be 0 or 1")
-        if self.bias != 1:
-            raise InvalidInputError("bias input is always 1")
 
     @property
     def target_bit(self) -> int:
@@ -77,26 +74,22 @@ def encode_inputs(
 
 
 def build_xor_network(
-    params: Union[TlrParams, dict[str, TlrParams]] = TlrParams(),
+    params: dict[str, TlrParams],
     weights: Optional[dict[str, float]] = None,
     source_amplitude: float = 1.0,
-    source_duration: Optional[float] = None,
+    *,
+    source_duration: float,
 ) -> Network:
     """Two-layer network: sources {A, B, bias} -> {i1, i2} -> o1, and bias -> o1.
 
-    ``params`` is either one parameter set shared by all three neurons or a
-    mapping from neuron id to its own parameters (heterogeneous layers).
-    Edge keys are "pre->post".  Missing weights default to 0.  Source pulses
-    default to the first neuron's spike duration unless given explicitly.
+    ``params`` maps each neuron id to its own parameters (heterogeneous
+    layers).  Edge keys are "pre->post".  Missing weights default to 0.
+    Every source pulse lasts ``source_duration`` ns.
     """
     weights = weights or {}
-    if isinstance(params, TlrParams):
-        params = {nid: params for nid in NEURON_IDS}
     missing = [nid for nid in NEURON_IDS if nid not in params]
     if missing:
         raise InvalidInputError(f"missing neuron params for {missing}")
-    if source_duration is None:
-        source_duration = params[NEURON_IDS[0]].spike_duration
     edges = [(pre, post) for pre in SOURCE_IDS for post in ("i1", "i2")]
     edges += [("i1", "o1"), ("i2", "o1"), ("bias", "o1")]
 

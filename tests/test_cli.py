@@ -297,6 +297,17 @@ class TestTrain:
         assert capsys.readouterr().err == "simulation failed: loss overflowed the float range\n"
         assert not out.exists() or not os.listdir(out)
 
+    def test_topology_without_o1_exit_3(self, tmp_path, capsys):
+        # training always reads o1's first spike
+        network = {"sources": [{"id": sid} for sid in ("A", "B", "bias")],
+                   "neurons": [{"id": "n"}],
+                   "synapses": [{"pre": "A", "post": "n", "weight": 6.0}]}
+        cfg = write_config(tmp_path, xor_doc(network=network))
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_SIMULATION
+        assert capsys.readouterr().err == "simulation failed: unknown id 'o1'\n"
+        assert not out.exists() or not os.listdir(out)
+
     def test_divergence_exit_5(self, tmp_path):
         cfg = write_config(tmp_path, xor_doc(
             train={"eta": 50.0, "init_jitter": 0.0, "tol": 1e-4, "seed": 2}))

@@ -12,7 +12,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtjsnn.config import Config, SweepSpec, TrainSpec, load_config, parse_config
+from mtjsnn.cli import EXIT_CONFIG, main
+from mtjsnn.config import MAX_DEPTH, Config, SweepSpec, TrainSpec, load_config, parse_config
 from mtjsnn.errors import ConfigError
 from mtjsnn.macrospin import MacrospinParams
 from mtjsnn.network import Network, Neuron, SimConfig, Source, Synapse
@@ -404,6 +405,29 @@ class TestLoadConfig:
             load_config(p)
         assert e.value.key == key
 
+    @staticmethod
+    def nested(tmp_path, depth):
+        """A config whose key ``a`` holds lists nested so that the document,
+        its root mapping counted, is ``depth`` levels deep."""
+        p = tmp_path / "deep.yaml"
+        p.write_text("schema_version: 1\nnetwork: {preset: xor}\na: "
+                     + "[" * (depth - 1) + "]" * (depth - 1) + "\n")
+        return str(p)
+
+    def test_nesting_at_the_bound_reaches_the_key_check(self, tmp_path):
+        with pytest.raises(ConfigError, match="^unknown key 'a'$") as e:
+            load_config(self.nested(tmp_path, MAX_DEPTH))
+        assert e.value.key == "<root>.a"
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 5000])
+    def test_deeper_nesting_exit_2(self, tmp_path, capsys, depth):
+        # 5,000 levels used to overflow PyYAML's recursive composer
+        config = self.nested(tmp_path, depth)
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: <file>: the document nests deeper than {MAX_DEPTH} levels\n"
+
     def test_aliased_list_loads(self, tmp_path):
         p = tmp_path / "alias.yaml"
         p.write_text("schema_version: 1\nnetwork: {preset: xor}\n"
@@ -550,7 +574,7 @@ class TestBaseDocuments:
 
 
 class TestMutatedDocuments:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(slot=st.sampled_from(SLOTS),
            op=st.sampled_from(["set", "negate", "delete", "unknown key"]), value=VALUES)
     def test_parses_or_names_a_top_level_key(self, slot, op, value):

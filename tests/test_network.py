@@ -12,11 +12,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_macrospin import reference_switching_times
 from test_tlr import reference_run_tlr, time_limit
+from test_xorbench import uniform_network
 
 from mtjsnn import macrospin
 from mtjsnn.config import load_config
 from mtjsnn.errors import InvalidInputError, NumericalFailureError
-from mtjsnn.macrospin import MacrospinParams, MacrospinState, initial_state, integrate_macrospin
+from mtjsnn.macrospin import (
+    MacrospinParams,
+    MacrospinState,
+    calibrate_tlr,
+    find_switching_threshold,
+    initial_state,
+    integrate_macrospin,
+)
 from mtjsnn.network import (
     Network,
     Neuron,
@@ -33,8 +41,8 @@ from mtjsnn.network import (
     validate_topology,
 )
 from mtjsnn.tlr import TlrParams, run_tlr, source_waveform
-from mtjsnn.trainer import TrainConfig
-from mtjsnn.xorbench import build_xor_network
+from mtjsnn.trainer import TrainConfig, train
+from mtjsnn.xorbench import NEURON_IDS, XorRow, build_xor_network, xor_dataset
 
 
 def chain_network(weight=3.0, **neuron_kwargs):
@@ -112,10 +120,10 @@ class TestWithSchedules:
 
 class TestValidateTopology:
     def test_xor_topology_valid(self):
-        assert validate_topology(build_xor_network()) == []
+        assert validate_topology(uniform_network()) == []
 
     def test_cycle_reported(self):
-        net = build_xor_network()
+        net = uniform_network()
         net = Network(
             neurons=net.neurons,
             synapses=net.synapses + (Synapse("o1", "i1", 1.0),),
@@ -220,7 +228,7 @@ class TestSynapticDrive:
 
 class TestSimulateNetwork:
     def test_quiescent_without_stimulus(self):
-        net = build_xor_network()
+        net = uniform_network()
         trace = simulate_network(net, SimConfig())
         assert all(not v for v in trace.spike_onsets.values())
         for name, series in trace.signals.items():
@@ -248,7 +256,7 @@ class TestSimulateNetwork:
         assert abs(onset - predicted) <= 2 * sim.dt
 
     def test_layer_causality(self):
-        net = build_xor_network(
+        net = uniform_network(
             weights={"A->i1": 6.0, "i1->o1": 6.0},
         ).with_schedules({"A": [0.0], "B": [], "bias": []})
         trace = simulate_network(net, SimConfig())
@@ -266,7 +274,7 @@ class TestSimulateNetwork:
         assert np.allclose(d2, 2.0 * d1, atol=1e-12)
 
     def test_determinism_bit_identical(self):
-        net = build_xor_network(weights={"A->i1": 6.0, "i1->o1": 6.0})
+        net = uniform_network(weights={"A->i1": 6.0, "i1->o1": 6.0})
         net = net.with_schedules({"A": [0.0], "bias": [0.0]})
         sim = SimConfig()
         t1 = simulate_network(net, sim)
@@ -276,7 +284,7 @@ class TestSimulateNetwork:
         assert t1.spike_onsets == t2.spike_onsets
 
     def test_returned_arrays_never_reused(self):
-        net = build_xor_network().with_schedules({"A": [0.0], "B": [0.5], "bias": [0.0]})
+        net = uniform_network().with_schedules({"A": [0.0], "B": [0.5], "bias": [0.0]})
         sim = SimConfig(dt=0.002, horizon=5.0)
         first = simulate_network(net, sim)
         _simulate(net, np.repeat(net.weight_vector()[None, :], 3, axis=0), sim, lean=True)
@@ -621,12 +629,23 @@ class TestKernelContract:
     lambda: run_tlr(TlrParams(), np.full(11, 2.0), 0.005, t0=1.3),
     lambda: MacrospinState(np.array([-1.0, 0.0, 0.0]), t=0.75),
     lambda: TrainConfig(no_spike_penalty_time=1.0),
-    lambda: build_xor_network(bias_to_output=False),
+    lambda: uniform_network(bias_to_output=False),
+    lambda: XorRow(0, 0, bias=1),
+    lambda: train(uniform_network(), xor_dataset(), TrainConfig(max_epochs=1), output_id="o1"),
+    lambda: find_switching_threshold(MacrospinParams(), tilt_deg=1.0),
+    lambda: calibrate_tlr(MacrospinParams(), (1.0,), tilt_deg=1.0),
+    lambda: build_xor_network(TlrParams(), source_duration=1.2),
+    lambda: build_xor_network({nid: TlrParams() for nid in NEURON_IDS}),
 ], ids=["run_tlr-t0", "MacrospinState-t", "TrainConfig-no_spike_penalty_time",
-        "build_xor_network-bias_to_output"])
+        "build_xor_network-bias_to_output", "XorRow-bias", "train-output_id",
+        "find_switching_threshold-tilt_deg", "calibrate_tlr-tilt_deg",
+        "build_xor_network-shared_params", "build_xor_network-source_duration"])
 def test_fixed_choices_take_no_argument(call):
-    # every grid starts at 0, a silent output scores sim.horizon, and the
-    # XOR preset always has its bias->o1 edge
+    # every grid starts at 0, a silent output scores sim.horizon, the XOR
+    # preset always has its bias->o1 edge and its bias input always on,
+    # training always reads o1, the threshold search and the calibration
+    # probe from measure_latency's default tilt, and the XOR network takes
+    # per-neuron params and its source pulse length from the caller
     with pytest.raises(TypeError):
         call()
 

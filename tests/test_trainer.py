@@ -568,11 +568,6 @@ class TestOneBatchPerRow:
             with pytest.raises(InvalidInputError, match="outside"):
                 train(net, [(stimulus, 1.5)], TrainConfig(max_epochs=1), sim=sim)
 
-    def test_unknown_output_id_rejected(self):
-        with pytest.raises(InvalidInputError, match="unknown id 'zz'"):
-            train(chain_network(4.0), [({"src": [0.0]}, 1.5)], TrainConfig(max_epochs=1),
-                  sim=SimConfig(dt=0.002, horizon=5.0), output_id="zz")
-
 
 def two_pulse_network(w_early, **params):
     """``o1`` driven by an early and a late source pulse, each 2 ns long.

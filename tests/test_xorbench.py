@@ -24,6 +24,7 @@ from mtjsnn.network import (
 )
 from mtjsnn.tlr import TlrParams
 from mtjsnn.xorbench import (
+    NEURON_IDS,
     XOR_ROWS,
     EncodingConfig,
     XorRow,
@@ -38,6 +39,13 @@ from mtjsnn.xorbench import (
 SIM = SimConfig(dt=0.001, horizon=5.0)
 
 
+def uniform_network(params=TlrParams(), **kwargs):
+    """The XOR network with ``params`` on every neuron and source pulses as
+    long as a neuron's."""
+    return build_xor_network({nid: params for nid in NEURON_IDS},
+                             source_duration=params.spike_duration, **kwargs)
+
+
 class TestXorRow:
     def test_targets(self):
         assert XorRow(0, 0).target_bit == 0 and XorRow(0, 0).target_time == 2.0
@@ -48,8 +56,6 @@ class TestXorRow:
     def test_invalid_bits(self):
         with pytest.raises(InvalidInputError):
             XorRow(2, 0)
-        with pytest.raises(InvalidInputError):
-            XorRow(0, 0, bias=0)
 
 
 class TestEncoding:
@@ -70,7 +76,7 @@ class TestEncoding:
 
 class TestBuildNetwork:
     def test_default_shape(self):
-        net = build_xor_network()
+        net = uniform_network()
         assert len(net.sources) == 3 and len(net.neurons) == 3
         assert len(net.synapses) == 9  # 3 sources x 2 inputs + i1,i2,bias -> o1
         assert validate_topology(net) == []
@@ -78,12 +84,12 @@ class TestBuildNetwork:
     def test_per_neuron_params(self):
         p = {nid: TlrParams(latency_floor=0.1 * k)
              for k, nid in enumerate(("i1", "i2", "o1"))}
-        net = build_xor_network(params=p)
+        net = build_xor_network(params=p, source_duration=p["i1"].spike_duration)
         assert net.neuron("i2").params.latency_floor == pytest.approx(0.1)
 
     def test_missing_neuron_params_rejected(self):
         with pytest.raises(InvalidInputError):
-            build_xor_network(params={"i1": TlrParams()})
+            build_xor_network(params={"i1": TlrParams()}, source_duration=1.2)
 
 
 class TestDecode:
@@ -113,7 +119,7 @@ class TestRunXorEval:
         assert report.rows[3].onset == pytest.approx(2.0, abs=0.1)
 
     def test_all_zero_weights_report_well_formed(self):
-        net = build_xor_network(weights={})
+        net = uniform_network(weights={})
         report = run_xor_eval(net, SIM)
         assert not report.all_rows_pass
         assert all(r.onset is None and r.decoded is None for r in report.rows)
@@ -209,7 +215,7 @@ class TestRefractionMatchesIntervalHelper:
     def verdict(monkeypatch, params, time, drive, onsets):
         trace = Trace(time, {"o1.drive": drive}, {"i1": [], "i2": [], "o1": onsets})
         monkeypatch.setattr(xorbench, "simulate_network", lambda net, sim: trace)
-        got = run_xor_eval(build_xor_network(params), SIM).refraction_ok
+        got = run_xor_eval(uniform_network(params), SIM).refraction_ok
         assert type(got) is bool
         assert got == reference_refraction_ok(trace, params)
         return got

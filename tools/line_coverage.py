@@ -46,7 +46,7 @@ MUST_RUN = (
     ("mtjsnn/macrospin.py", "put_v(v)"),
     ("mtjsnn/macrospin.py", "c_prev, last = c, (v, i_dev, x, y, z)"),
     ("mtjsnn/macrospin.py", "window = np.array([last, (v, i_dev, x, y, z)])"),
-    ("mtjsnn/macrospin.py", "if measure_latency(params, v_hi, dt, horizon, tilt_deg) is None:"),
+    ("mtjsnn/macrospin.py", "if measure_latency(params, v_hi, dt, horizon) is None:"),
     ("mtjsnn/macrospin.py",
      "break   # v_lo and v_hi are adjacent floats (or their sum overflowed)"),
 )
