@@ -108,9 +108,20 @@ def _check_keys(section: dict, allowed: set[str], path: str) -> None:
         raise ConfigError(f"unknown key {unknown[0]!r}", key=f"{path}.{unknown[0]}")
 
 
+def _shown(value: Any) -> str:
+    """``value`` as an error message shows it: a scalar by its ``repr``, a
+    list or a mapping by its type only.  Aliases can nest one far deeper
+    than ``MAX_DEPTH``, too deep to ``repr``."""
+    if isinstance(value, list):
+        return "a list"
+    if isinstance(value, dict):
+        return "a mapping"
+    return repr(value)
+
+
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"expected a number, got {value!r}", key=path)
+        raise ConfigError(f"expected a number, got {_shown(value)}", key=path)
     try:
         number = float(value)
     except OverflowError:   # an integer beyond the float range
@@ -124,13 +135,13 @@ def _int(value: Any, path: str) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"expected an integer, got {value!r}", key=path)
+        raise ConfigError(f"expected an integer, got {_shown(value)}", key=path)
     return value
 
 
 def _str(value: Any, path: str) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"expected a string, got {value!r}", key=path)
+        raise ConfigError(f"expected a string, got {_shown(value)}", key=path)
     return value
 
 
@@ -221,7 +232,7 @@ def _parse_network(section: Any, path: str) -> Network:
     if "preset" in section:
         preset = section["preset"]
         if preset != "xor":
-            raise ConfigError(f"unknown preset {preset!r}", key=f"{path}.preset")
+            raise ConfigError(f"unknown preset {_shown(preset)}", key=f"{path}.preset")
         return _parse_preset_network(section, path)
 
     def each(name: str, build, cls) -> tuple:
@@ -269,7 +280,7 @@ def parse_config(document: Any) -> Config:
     version = document["schema_version"]
     if version != SCHEMA_VERSION:
         raise ConfigError(
-            f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})",
+            f"unsupported schema_version {_shown(version)} (expected {SCHEMA_VERSION})",
             key="schema_version",
         )
     if "network" not in document:

@@ -13,7 +13,11 @@ import contextlib
 import graphlib
 import math
 import os
+import pickle
+import select
 import stat
+import tempfile
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
@@ -33,6 +37,8 @@ BACKEND_PARAMS = {TLR_BACKEND: tlr.TlrParams, MACROSPIN_BACKEND: ms.MacrospinPar
 # the caller, and computes neither when it gets None
 _KERNELS = {TLR_BACKEND: tlr._run_batch, MACROSPIN_BACKEND: ms._run_batch}
 _CSV_CHUNK_ROWS = 512
+# what os.fork warns, from Python 3.12, in a process with other threads
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
 
 
 @dataclass(frozen=True)
@@ -138,12 +144,62 @@ def _format_column(seg: np.ndarray) -> list[str]:
     return cells
 
 
+def _write_chunks(tables: list, starts) -> None:
+    """Write, for each ``(file, columns)`` pair of ``tables``, the rows of
+    the chunk that starts at each row of ``starts``, in turn.  Each distinct
+    chunk of a column is formatted once: columns of the same rows with the
+    same bytes there, in any of the files, reuse its cells."""
+    # a few hundred rows at a time: whole columns as strings would cost
+    # far more memory than the arrays.  Bytes, not float equality, pick
+    # the chunks to share, so 0.0 and -0.0 keep their own repr.
+    for lo in starts:
+        memo: dict[bytes, list[str]] = {}
+        for fh, cols in tables:
+            cells = []
+            for c in cols:
+                seg = c[lo : lo + _CSV_CHUNK_ROWS]
+                key = seg.tobytes()
+                if key not in memo:
+                    memo[key] = _format_column(seg)
+                cells.append(memo[key])
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _write_tails(tables: list, tails: list, starts) -> bytes:
+    """The forked writer's work: the chunks at ``starts`` of each table,
+    written into its tail file instead of its target, with every tail
+    flushed.  Returns ``b""``, or else the exception that stopped it,
+    pickled.  One that does not pickle and load again, or whose pickle is
+    longer than one atomic pipe write, is sent as an ``OSError`` naming it."""
+    try:
+        _write_chunks([(tail, cols) for tail, (_, cols) in zip(tails, tables)], starts)
+        for tail in tails:
+            tail.flush()
+        return b""
+    except BaseException as exc:
+        try:
+            payload = pickle.dumps(exc)
+            pickle.loads(payload)
+        except Exception:
+            payload = b""
+        if not 0 < len(payload) <= select.PIPE_BUF:
+            payload = pickle.dumps(OSError(
+                f"the CSV writer's second process raised {type(exc).__name__}"))
+        return payload
+
+
 def _write_csvs(time: np.ndarray, files: list[tuple[object, dict[str, np.ndarray]]]) -> None:
     """Write one CSV per ``(path, signals)`` pair: a ``time_ns`` column, then
     one column per signal, each float as its ``repr``.  The files share the
-    time column.  Each distinct chunk of a column is formatted once: columns
-    of the same rows with the same bytes there, in any of the files, reuse
-    its cells."""
+    time column, and ``_write_chunks`` writes their rows.
+
+    A write of more than one chunk runs on two processes.  A forked child
+    writes the last half of the chunks into one unnamed temporary file per
+    target while this process writes the first half into the targets; each
+    temporary is then appended to its target.  The chunks are disjoint, so
+    the bytes are those of one process.  An exception in the child is
+    raised here, and a child that ends by a signal or a nonzero status
+    raises ``OSError``.  Where ``os.fork`` fails, the write is serial."""
     time = np.asarray(time, dtype=float)
     with contextlib.ExitStack() as stack:
         tables = []
@@ -151,20 +207,50 @@ def _write_csvs(time: np.ndarray, files: list[tuple[object, dict[str, np.ndarray
             fh = stack.enter_context(open(path, "w"))
             fh.write("time_ns," + ",".join(signals) + "\n")
             tables.append((fh, [time] + [np.asarray(c, dtype=float) for c in signals.values()]))
-        # a few hundred rows at a time: whole columns as strings would cost
-        # far more memory than the arrays.  Bytes, not float equality, pick
-        # the chunks to share, so 0.0 and -0.0 keep their own repr.
-        for lo in range(0, time.size, _CSV_CHUNK_ROWS):
-            memo: dict[bytes, list[str]] = {}
-            for fh, cols in tables:
-                cells = []
-                for c in cols:
-                    seg = c[lo : lo + _CSV_CHUNK_ROWS]
-                    key = seg.tobytes()
-                    if key not in memo:
-                        memo[key] = _format_column(seg)
-                    cells.append(memo[key])
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        starts = range(0, time.size, _CSV_CHUNK_ROWS)
+        half = len(starts) // 2
+        if half == 0:
+            _write_chunks(tables, starts)
+            return
+        for fh, _ in tables:
+            fh.flush()   # so that the child holds no buffered header it could write again
+        tails = [stack.enter_context(tempfile.TemporaryFile("w")) for _ in tables]
+        r, w = os.pipe()
+        reader = stack.enter_context(open(r, "rb"))
+        writer = stack.enter_context(open(w, "wb"))
+        try:
+            with warnings.catch_warnings():
+                # From Python 3.12 fork warns when the process has other OS
+                # threads, and numpy's OpenBLAS pool counts as one.  The child
+                # calls no BLAS and takes no lock those threads hold.
+                warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                pid = os.fork()
+        except OSError:   # no process to spare: every chunk is written here
+            _write_chunks(tables, starts)
+            return
+        if pid == 0:
+            try:   # the child leaves only through os._exit, whatever is raised
+                os.write(w, _write_tails(tables, tails, starts[half:]))
+                os._exit(0)
+            finally:
+                os._exit(1)
+        writer.close()   # so that the read below ends when the child does
+        try:
+            _write_chunks(tables, starts[:half])
+        finally:
+            payload = reader.read()
+            status = os.waitpid(pid, 0)[1]
+        if payload:
+            raise pickle.loads(payload)
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise OSError(f"the CSV writer's second process {ended}")
+        for (fh, _), tail in zip(tables, tails):
+            fh.flush()
+            size, offset = os.fstat(tail.fileno()).st_size, 0
+            while offset < size:   # in the kernel: no byte passes through this process
+                offset += os.sendfile(fh.fileno(), tail.fileno(), offset, size - offset)
 
 
 def _fresh(path: str, prefix: str, make: Callable[[str], None]) -> str:

@@ -434,6 +434,46 @@ class TestLoadConfig:
                      "stimulus: {A: &t [0.0], bias: *t}\n")
         assert load_config(p).stimulus == {"A": [0.0], "bias": [0.0]}
 
+    @staticmethod
+    def alias_chain(tmp_path, where):
+        """A config whose ``train.seeds`` anchors a chain of 5,000 lists, each
+        holding an alias to the one before, and whose YAML ``where`` (a
+        format string) puts the last one in a section parsed earlier."""
+        chain = ", ".join(["&a0 []"] + [f"&a{k} [*a{k - 1}]" for k in range(1, 5000)])
+        p = tmp_path / "chain.yaml"
+        p.write_text(f"train: {{seeds: [{chain}]}}\n" + where.format("*a4999"))
+        return str(p)
+
+    @pytest.mark.parametrize("where, key, message", [
+        ("schema_version: 1\nnetwork: {{preset: xor, source_amplitude: {}}}\n",
+         "network.source_amplitude", "expected a number, got a list"),
+        ("schema_version: 1\nnetwork: {{preset: xor}}\nsim: {{horizon: {}}}\n",
+         "sim.horizon", "expected a number, got a list"),
+        ("schema_version: 1\nnetwork: {{preset: {}}}\n", "network.preset",
+         "unknown preset a list"),
+        ("schema_version: {}\nnetwork: {{preset: xor}}\n", "schema_version",
+         "unsupported schema_version a list (expected 1)"),
+        ("schema_version: 1\nnetwork: {{neurons: [{{id: {}}}]}}\n", "network.neurons[0].id",
+         "expected a string, got a list"),
+    ], ids=["number", "sim-number", "preset", "schema-version", "string"])
+    def test_deep_alias_chain_named_by_type(self, tmp_path, capsys, where, key, message):
+        # the value nests 5,000 deep through aliases, which the composer's
+        # depth bound does not count; its repr used to exhaust the stack
+        config = self.alias_chain(tmp_path, where)
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {key}: {message}\n"
+
+    @pytest.mark.parametrize("value, message", [
+        ([1.0], "expected an integer, got a list"),
+        ({"a": 1}, "expected an integer, got a mapping"),
+        ("7", "expected an integer, got '7'"),
+    ], ids=["list", "mapping", "string"])
+    def test_container_named_by_type(self, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as e:
+            parse_config(minimal(train={"max_epochs": value}))
+        assert e.value.key == "train.max_epochs"
+
     def test_merge_key_may_be_overridden(self, tmp_path):
         p = tmp_path / "merge.yaml"
         p.write_text("schema_version: 1\nnetwork: {preset: xor}\n"

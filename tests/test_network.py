@@ -1,10 +1,17 @@
 """Network engine: topology validation, drive superposition, simulation,
 the batched core behind it and the trace CSV writer."""
 
+import errno
+import hashlib
 import inspect
 import math
 import os
+import pickle
+import select
+import signal
+import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +21,9 @@ from test_macrospin import reference_switching_times
 from test_tlr import reference_run_tlr, time_limit
 from test_xorbench import uniform_network
 
-from mtjsnn import macrospin
+from mtjsnn import macrospin, network
 from mtjsnn.config import load_config
-from mtjsnn.errors import InvalidInputError, NumericalFailureError
+from mtjsnn.errors import ConfigError, InvalidInputError, NumericalFailureError
 from mtjsnn.macrospin import (
     MacrospinParams,
     MacrospinState,
@@ -922,6 +929,12 @@ def reference_to_csv(trace, path):
             fh.write(",".join(row) + "\n")
 
 
+def assert_matches_reference(trace, tmp_path):
+    trace.to_csv(tmp_path / "new.csv")
+    reference_to_csv(trace, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 class TestTraceCsvBytes:
     def test_matches_per_cell_writer(self, tmp_path):
         n = 5000   # spans several write chunks
@@ -945,17 +958,11 @@ class TestTraceCsvBytes:
             reference_to_csv(trace, tmp_path / "old.csv")
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    def assert_matches_reference(self, trace, tmp_path):
-        trace.to_csv(tmp_path / "new.csv")
-        reference_to_csv(trace, tmp_path / "old.csv")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
     def test_negative_zero_in_zero_row(self, tmp_path):
         a, b = np.zeros(6), np.zeros(6)
         a[2] = -0.0
         b[4] = -0.0
-        self.assert_matches_reference(Trace(0.25 * np.arange(6), {"a.v": a, "b.v": b}, {}),
-                                      tmp_path)
+        assert_matches_reference(Trace(0.25 * np.arange(6), {"a.v": a, "b.v": b}, {}), tmp_path)
 
     def test_zero_rows_at_chunk_edges(self, tmp_path):
         n = 4100
@@ -964,16 +971,16 @@ class TestTraceCsvBytes:
         for col in signals.values():
             col[[0, 2047, 2048, 4095, n - 1]] = 0.0
             col[[2046, 2049, 4094, 4096]] = -0.0
-        self.assert_matches_reference(Trace(0.001 * np.arange(n), signals, {}), tmp_path)
+        assert_matches_reference(Trace(0.001 * np.arange(n), signals, {}), tmp_path)
 
     def test_all_zero_and_no_zero_columns(self, tmp_path):
         n = 3000
         signals = {"zero.v": np.zeros(n), "dense.v": 1.0 + np.arange(n) / 7.0}
-        self.assert_matches_reference(Trace(0.001 * np.arange(n), signals, {}), tmp_path)
+        assert_matches_reference(Trace(0.001 * np.arange(n), signals, {}), tmp_path)
 
     def test_nan_and_inf_cells(self, tmp_path):
         a = np.array([np.nan, 0.0, np.inf, -np.inf, 0.0, -np.nan, 1.5])
-        self.assert_matches_reference(
+        assert_matches_reference(
             Trace(np.array([np.nan, 0.0, 1.0, np.inf, 2.0, 3.0, -np.inf]),
                   {"a.v": a, "b.v": np.roll(a, 2)}, {}),
             tmp_path)
@@ -1004,29 +1011,37 @@ class TestCsvChunkMemo:
     def test_each_distinct_chunk_formatted_once(self, tmp_path, monkeypatch, xor_config_path):
         from collections import Counter
 
-        from mtjsnn import network
         from mtjsnn.cli import _run_training
         from mtjsnn.xorbench import run_xor_eval, write_row_traces
 
         cfg = load_config(xor_config_path)
         net, _ = _run_training(cfg, 2)
         traces = run_xor_eval(net, cfg.sim, cfg.encoding).traces
-        formatted = []
+        log = tmp_path / "formatted.log"
         real = network._format_column
 
+        def digest(seg):
+            return hashlib.sha256(seg.tobytes()).hexdigest()
+
         def recording(seg):
-            formatted.append(seg.tobytes())
+            # one O_APPEND write per call, so the forked writer's calls count too
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, (digest(seg) + "\n").encode())
+            finally:
+                os.close(fd)
             return real(seg)
 
         monkeypatch.setattr(network, "_format_column", recording)
         write_row_traces(traces, tmp_path)
         monkeypatch.undo()
+        formatted = log.read_text().split()
 
         n, size = network._CSV_CHUNK_ROWS, traces[0].time.size
         columns = [traces[0].time] + [s for t in traces for s in t.signals.values()]
         distinct = Counter()
         for lo in range(0, size, n):
-            distinct.update({c[lo : lo + n].tobytes() for c in columns})
+            distinct.update({digest(c[lo : lo + n]) for c in columns})
         assert Counter(formatted) == distinct
         assert len(formatted) < len(columns) * math.ceil(size / n) / 2
         for k, trace in enumerate(traces, start=1):
@@ -1066,6 +1081,173 @@ class TestCsvChunkMemo:
             write_row_traces(traces, tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["row1_drive.csv"]
         assert (tmp_path / "row1_drive.csv").read_text() == "old\n"
+
+
+def random_signals(n, names, seed=8):
+    """Signals of ``n`` rows, mostly exact zeros, with some signed zeros."""
+    rng = np.random.default_rng(seed)
+    signals = {}
+    for name in names:
+        col = rng.standard_normal(n) * (rng.random(n) < 0.3)
+        col[rng.random(n) < 0.05] = -0.0
+        signals[name] = col
+    return signals
+
+
+def no_space():
+    raise OSError(errno.ENOSPC, "No space left on device", "tail")
+
+
+class TestCsvSplit:
+    """A write of more than one chunk: a forked child writes the last half of
+    the chunks into unnamed tail files, which are appended to the targets."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("rows", [1, 512, 513, 1025, 1537])
+    def test_bytes_match_reference(self, tmp_path, rows):
+        trace = Trace(0.001 * np.arange(rows), random_signals(rows, ("a.v", "b.drive")), {})
+        assert_matches_reference(trace, tmp_path)
+
+    def test_three_files_match_reference(self, tmp_path):
+        n = 1537
+        time = 0.001 * np.arange(n)
+        signals = random_signals(n, ("a.v", "b.v", "c.v", "d.v"))
+        parts = [{"a.v": signals["a.v"]}, {"b.v": signals["b.v"], "a.v": signals["a.v"]},
+                 {"c.v": signals["c.v"], "d.v": signals["d.v"]}]
+        paths = [tmp_path / f"new{k}.csv" for k in range(3)]
+        network._write_csvs(time, list(zip(paths, parts)))
+        for path, part in zip(paths, parts):
+            reference_to_csv(Trace(time, part, {}), tmp_path / "old.csv")
+            assert path.read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows", [1, 1537])
+    def test_failed_fork_writes_serially(self, tmp_path, monkeypatch, rows):
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        trace = Trace(0.001 * np.arange(rows), random_signals(rows, ("a.v", "b.drive")), {})
+        assert_matches_reference(trace, tmp_path)
+
+    @staticmethod
+    def in_child(monkeypatch, action):
+        """Make ``_format_column`` run ``action()`` first when it runs in a
+        forked child."""
+        parent, real = os.getpid(), network._format_column
+
+        def formatting(seg):
+            if os.getpid() != parent:
+                action()
+            return real(seg)
+
+        monkeypatch.setattr(network, "_format_column", formatting)
+
+    @pytest.mark.parametrize("action, expected", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL),
+         OSError(f"the CSV writer's second process was killed by signal {int(signal.SIGKILL)}")),
+        (lambda: os._exit(7), OSError("the CSV writer's second process exited with status 7")),
+        (no_space, OSError(errno.ENOSPC, "No space left on device", "tail")),
+    ], ids=["sigkill", "exit-status", "child-raises"])
+    def test_child_failure_fails_the_write(self, tmp_path, monkeypatch, action, expected):
+        from mtjsnn.defaults import xor_reference_network
+        from mtjsnn.xorbench import run_xor_eval, write_row_traces
+
+        traces = run_xor_eval(xor_reference_network(), SimConfig(dt=0.001, horizon=5.0)).traces
+        (tmp_path / "row1_drive.csv").write_text("old\n")
+        self.in_child(monkeypatch, action)
+        with pytest.raises(OSError) as e:
+            write_row_traces(traces, tmp_path)
+        assert (str(e.value), e.value.errno) == (str(expected), expected.errno)
+        # the twelve files are replaced together: none is, and none is left
+        assert [p.name for p in tmp_path.iterdir()] == ["row1_drive.csv"]
+        assert (tmp_path / "row1_drive.csv").read_text() == "old\n"
+
+    def test_child_that_dies_exits_3(self, tmp_path, monkeypatch, capsys, xor_config_path):
+        from mtjsnn.cli import EXIT_SIMULATION, main
+
+        self.in_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", xor_config_path, "--out", str(out)]) \
+            == EXIT_SIMULATION
+        assert capsys.readouterr().err == (
+            "output error: the CSV writer's second process was killed by signal "
+            f"{int(signal.SIGKILL)}\n")
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("message, escapes", [
+        ("This process (pid=4242) is multi-threaded, use of fork() may lead to deadlocks in "
+         "the child.", False),
+        ("fork is deprecated", True),
+    ], ids=["threads", "other"])
+    def test_only_the_fork_thread_warning_is_ignored(self, tmp_path, monkeypatch, message,
+                                                     escapes):
+        real_fork = os.fork
+
+        def warning_fork():
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        trace = Trace(0.001 * np.arange(1025), random_signals(1025, ("a.v",)), {})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert_matches_reference(trace, tmp_path)
+        assert [str(w.message) for w in caught] == ([message] if escapes else [])
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("cannot pickle")
+
+
+class NeedsTwoArguments(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+class TestWriteTails:
+    """The forked child's work, run in this process."""
+
+    def tables(self, n=1025):
+        time = 0.001 * np.arange(n)
+        return time, [(None, [time, random_signals(n, ("a.v",))["a.v"]])]
+
+    def test_writes_the_given_chunks_and_flushes(self, tmp_path):
+        time, tables = self.tables()
+        with tempfile.TemporaryFile("w+") as tail:
+            assert network._write_tails(tables, [tail], range(512, 1025, 512)) == b""
+            assert os.fstat(tail.fileno()).st_size > 0
+            tail.seek(0)
+            lines = tail.read().splitlines()
+        assert len(lines) == 1025 - 512
+        assert lines[0].split(",")[0] == repr(float(time[512]))
+
+    @pytest.mark.parametrize("exc, expected", [
+        (ConfigError("bad", key="a.b"), ConfigError),
+        (Unpicklable("no"), OSError),
+        (NeedsTwoArguments(1, 2), OSError),
+        (RuntimeError("x" * 10000), OSError),
+    ], ids=["picklable", "unpicklable", "does-not-load", "longer-than-pipe-buf"])
+    def test_exception_sent_pickled(self, monkeypatch, exc, expected):
+        def failing(seg):
+            raise exc
+
+        monkeypatch.setattr(network, "_format_column", failing)
+        _, tables = self.tables()
+        with tempfile.TemporaryFile("w") as tail:
+            payload = network._write_tails(tables, [tail], range(512, 1025, 512))
+        assert 0 < len(payload) <= select.PIPE_BUF
+        sent = pickle.loads(payload)
+        assert type(sent) is expected
+        if expected is OSError:
+            assert str(sent) == f"the CSV writer's second process raised {type(exc).__name__}"
+        else:
+            assert (str(sent), sent.key) == ("bad", "a.b")
 
 
 def write_each(text):

@@ -35,13 +35,20 @@ ALLOWED = {
     ("mtjsnn/cli.py", "sys.exit(main())"):
         "runs only when the module is the program (python -m mtjsnn.cli); the "
         "console-script step of CI runs the same main()",
+    # the child's try line holds a no-op of its own in the line table
+    ("mtjsnn/network.py", "try:   # the child leaves only through os._exit, whatever is raised"):
+        "runs only in the forked child",
+    ("mtjsnn/network.py", "os.write(w, _write_tails(tables, tails, starts[half:]))"):
+        "runs only in the forked child",
+    ("mtjsnn/network.py", "os._exit(0)"): "runs only in the forked child",
+    ("mtjsnn/network.py", "os._exit(1)"): "runs only in the forked child",
 }
 
 # (path under src/, stripped source line) that tier-1 must run: the two
 # branches of the macrospin integrator, a full trace's recording and a
-# latency probe's crossing window; and in the threshold search, the v_hi
-# probe that runs only when no bisection probe switched, and the stop at a
-# bracket whose ends are adjacent floats
+# latency probe's crossing window; in the threshold search, the v_hi probe
+# that runs only when no bisection probe switched, and the stop at a
+# bracket whose ends are adjacent floats; and the CSV writer's fork
 MUST_RUN = (
     ("mtjsnn/macrospin.py", "put_v(v)"),
     ("mtjsnn/macrospin.py", "c_prev, last = c, (v, i_dev, x, y, z)"),
@@ -49,6 +56,7 @@ MUST_RUN = (
     ("mtjsnn/macrospin.py", "if measure_latency(params, v_hi, dt, horizon) is None:"),
     ("mtjsnn/macrospin.py",
      "break   # v_lo and v_hi are adjacent floats (or their sum overflowed)"),
+    ("mtjsnn/network.py", "pid = os.fork()"),
 )
 
 
